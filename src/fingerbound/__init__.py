@@ -8,8 +8,6 @@ from .core import (
     Point,
     PointSet,
     WeightAssignment,
-    range_weight,
-    validate_sequence,
 )
 from .geometry import is_arborally_satisfied, unsatisfied_pairs
 from .greedy import (
@@ -32,7 +30,7 @@ from .bounds import (
     weights_from_tree,
     wdf_term,
 )
-from .splay import SplayTree, run_splay, run_splay_reference, splay_access
+from .splay import SplayTree, run_splay, run_splay_reference
 from .workloads import (
     Splitmix64,
     WorkloadSpec,
@@ -73,18 +71,15 @@ __all__ = [
     "is_arborally_satisfied",
     "iter_bsts",
     "opt_satisfied_superset",
-    "range_weight",
     "read_trace",
     "read_weights",
     "run_experiment",
     "run_splay",
     "run_splay_reference",
     "run_suite",
-    "splay_access",
     "static_finger_cost",
     "tree_from_weights",
     "unsatisfied_pairs",
-    "validate_sequence",
     "weighted_df_bound",
     "weights_from_tree",
     "wdf_term",

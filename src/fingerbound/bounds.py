@@ -122,20 +122,11 @@ class StaticTree:
         right = [0] + [k + 1 if k < n else 0 for k in range(1, n + 1)]
         return cls(n, 1, tuple(left), tuple(right))
 
-    def lca(self, a: Key, b: Key) -> Key:
-        """Lowest common ancestor via the key-interval walk from the root."""
-        self._check(a)
-        self._check(b)
-        lo, hi = (a, b) if a <= b else (b, a)
-        node = self.root
-        while node < lo or node > hi:
-            node = self.left[node] if node > hi else self.right[node]
-        return node
-
     def path_nodes(self, a: Key, b: Key) -> int:
         """Number of nodes on the unique tree path from a to b, inclusive."""
-        w = self.lca(a, b)
-        return self.depth[a] + self.depth[b] - 2 * self.depth[w] + 1
+        self._check(a)
+        self._check(b)
+        return _finger_costs(self.root, self.left, self.right, self.depth, (a, b))[1]
 
     def _check(self, k: Key) -> None:
         if not 1 <= k <= self.n:
@@ -144,12 +135,7 @@ class StaticTree:
 
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
     """Single weighted finger term for the access pair prev -> cur."""
-    if prev == cur:
-        w._check(prev)
-        return 1.0
-    num = w.range_weight(prev, cur)
-    den = min(w.weight(prev), w.weight(cur))
-    return 1.0 + math.log2(num / den)
+    return weighted_df_bound(AccessSequence(w.n, (prev, cur)), w).per_access[1]
 
 
 def weighted_df_bound(
@@ -159,20 +145,23 @@ def weighted_df_bound(
 
     start="self" treats the first access as its own finger (t_1 = 1);
     start="root" charges the first access 1 + log2(W_total / w_first).
+    A repeated key costs exactly 1, which a prefix-sum difference need not
+    reproduce. `seq` has already checked every key against its n.
     """
     if w.n != seq.n:
         raise DimensionMismatchError(f"weights cover {w.n} keys but sequence has n={seq.n}")
     if start not in (START_SELF, START_ROOT):
         raise ValueError(f"start must be '{START_SELF}' or '{START_ROOT}', got {start!r}")
-    first = seq.accesses[0]
-    if start == START_SELF:
-        t1 = 1.0
-    else:
-        t1 = 1.0 + math.log2(w.total / w.weight(first))
-    terms = [t1]
-    prev = first
+    prefix, weights, log2 = w.prefix, w.weights, math.log2
+    prev = seq.accesses[0]
+    terms = [1.0 if start == START_SELF else 1.0 + log2(w.total / weights[prev - 1])]
     for cur in seq.accesses[1:]:
-        terms.append(wdf_term(w, prev, cur))
+        if cur == prev:
+            terms.append(1.0)
+            continue
+        lo, hi = (prev, cur) if prev < cur else (cur, prev)
+        terms.append(1.0 + log2((prefix[hi] - prefix[lo - 1])
+                                / min(weights[prev - 1], weights[cur - 1])))
         prev = cur
     return BoundReport(tuple(terms))
 
@@ -188,12 +177,8 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
     so a repeated access costs 1."""
     if tree.n != seq.n:
         raise DimensionMismatchError(f"tree has n={tree.n} but sequence has n={seq.n}")
-    costs = [tree.depth[seq.accesses[0]] + 1]
-    prev = seq.accesses[0]
-    for cur in seq.accesses[1:]:
-        costs.append(tree.path_nodes(prev, cur))
-        prev = cur
-    return CostReport(tuple(costs))
+    return CostReport(tuple(
+        _finger_costs(tree.root, tree.left, tree.right, tree.depth, seq.accesses)))
 
 
 def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:
@@ -269,21 +254,24 @@ def _shape_arrays(n: int, shape: tuple) -> tuple[int, list[int], list[int], list
     return root, left, right, depth
 
 
-def _finger_total(root: int, left: list[int], right: list[int], depth: list[int],
-                  accesses: Sequence[int]) -> int:
+def _finger_costs(root: int, left: Sequence[int], right: Sequence[int],
+                  depth: Sequence[int], accesses: Sequence[int]) -> list[int]:
+    """Per-access node counts of the finger walk on a tree given as arrays:
+    root to the first key, then previous key to current key through their
+    lowest common ancestor, found by the key-interval walk from the root."""
     prev = accesses[0]
-    total = depth[prev] + 1
+    costs = [depth[prev] + 1]
     for cur in accesses[1:]:
         if cur == prev:
-            total += 1
+            costs.append(1)
             continue
-        lo, hi = (prev, cur) if prev <= cur else (cur, prev)
+        lo, hi = (prev, cur) if prev < cur else (cur, prev)
         node = root
         while node < lo or node > hi:
             node = left[node] if node > hi else right[node]
-        total += depth[prev] + depth[cur] - 2 * depth[node] + 1
+        costs.append(depth[prev] + depth[cur] - 2 * depth[node] + 1)
         prev = cur
-    return total
+    return costs
 
 
 def iter_bsts(n: int) -> Iterator[StaticTree]:
@@ -311,7 +299,7 @@ def best_static_finger_cost(seq: AccessSequence) -> tuple[StaticTree, int]:
     accesses = seq.accesses
     for shape in _interval_shapes(1, n, memo):
         root, left, right, depth = _shape_arrays(n, shape)
-        total = _finger_total(root, left, right, depth, accesses)
+        total = sum(_finger_costs(root, left, right, depth, accesses))
         if best_total is None or total < best_total:
             best_total = total
             best_shape = shape

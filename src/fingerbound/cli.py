@@ -19,7 +19,7 @@ from .bounds import (
     weighted_df_bound,
 )
 from .greedy import greedy_execute
-from .harness import ALGORITHMS, fit, run_experiment, experiment_rows
+from .harness import ALGORITHMS, bound_and_fit, experiment_rows, fit, run_experiment
 from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
@@ -57,14 +57,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.points and args.algo != "greedy":
+        raise ValueError("--points is only meaningful with --algo greedy")
     seq = read_trace(args.trace)
     w = _load_weights(args, seq.n)
-    cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
     if args.points:
-        if args.algo != "greedy":
-            raise ValueError("--points is only meaningful with --algo greedy")
-        points, _ = greedy_execute(seq)
+        # one sweep yields both the points and the per-access costs
+        points, cost = greedy_execute(seq)
+        bound, fr = bound_and_fit(seq, cost, w, args.start)
         _emit("time,key", ((p.time, p.key) for p in points), args.points)
+    else:
+        cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
     _emit("i,key,cost,bound", experiment_rows(seq, cost, bound), args.out)
     sys.stderr.write(
         f"total_cost={cost.total} total_bound={bound.total!r} ratio={fr.ratio!r} "
@@ -105,7 +108,8 @@ def _cmd_opt(args) -> int:
 
 def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
     """Pull one numeric column from a headed CSV: the first header field
-    matching a preferred name, else the last column."""
+    matching a preferred name, else the last column. A row that lacks the
+    column or holds no number there is an error naming its 1-based line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if len(lines) < 2:
@@ -116,7 +120,14 @@ def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
         if name in header:
             idx = header.index(name)
             break
-    return [float(line.split(",")[idx]) for line in lines[1:]]
+    series = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            series.append(float(line.split(",")[idx]))
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}: line {lineno}: no number in column "
+                             f"{header[idx]!r}: {line!r}") from None
+    return series
 
 
 def _cmd_fit(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     BadKeyspaceError,
@@ -51,11 +51,6 @@ class AccessSequence:
     def prefix(self, t: int) -> "AccessSequence":
         """First t accesses as a sequence over the same keyspace."""
         return AccessSequence(self.n, self.accesses[:t])
-
-
-def validate_sequence(raw: Sequence[int], n: int) -> AccessSequence:
-    """Validate a raw key list against the keyspace size n."""
-    return AccessSequence(n, tuple(raw))
 
 
 @dataclass(frozen=True)
@@ -116,11 +111,6 @@ class WeightAssignment:
             raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}]")
 
 
-def range_weight(w: WeightAssignment, a: Key, b: Key) -> float:
-    """Sum of weights over the closed key interval between a and b (order-free)."""
-    return w.range_weight(a, b)
-
-
 class Point(NamedTuple):
     """A (key, time) point in the geometric access model."""
 
@@ -153,10 +143,6 @@ class PointSet:
         self._cols = {k: tuple(sorted(ts)) for k, ts in cols.items()}
         self._times = tuple(sorted(rows))
         self._keys = tuple(sorted(cols))
-
-    @classmethod
-    def from_points(cls, points: Iterable[Point]) -> "PointSet":
-        return cls(points)
 
     @property
     def points(self) -> frozenset[Point]:

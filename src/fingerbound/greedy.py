@@ -49,11 +49,6 @@ class GreedyState:
         self._points: list[Point] | None = [] if track_points else None
         self.per_row_cost: list[int] = []
 
-    def last_touched(self, key: Key) -> int | None:
-        self._check(key)
-        t = self._times[key]
-        return t if t else None
-
     def step(self, x: Key) -> set[Key]:
         """Process the next access: emit row points and update touch times."""
         row = greedy_row(self, x)

@@ -78,12 +78,17 @@ def run_experiment(
     if algo not in ALGORITHMS:
         raise ValueError(f"algo must be one of {ALGORITHMS}, got {algo!r}")
     w = weights if weights is not None else WeightAssignment.equal(seq.n)
-    if algo == "greedy":
-        cost = greedy_cost(seq)
-    else:
-        cost = run_splay(seq, initial)
+    cost = greedy_cost(seq) if algo == "greedy" else run_splay(seq, initial)
+    return (cost, *bound_and_fit(seq, cost, w, start))
+
+
+def bound_and_fit(
+    seq: AccessSequence, cost: CostReport, w: WeightAssignment, start: str
+) -> tuple[BoundReport, FitResult]:
+    """The weighted finger bound of a sequence, and the fit of a run's
+    per-access costs against it."""
     bound = weighted_df_bound(seq, w, start)
-    return cost, bound, fit(cost.per_access, bound.per_access)
+    return bound, fit(cost.per_access, bound.per_access)
 
 
 def experiment_rows(

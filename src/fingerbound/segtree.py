@@ -19,9 +19,6 @@ class MaxSegTree:
         self.size = 1 << (n - 1).bit_length() if n > 1 else 1
         self.tree = [0] * (2 * self.size)
 
-    def value_at(self, i: int) -> int:
-        return self.tree[self.size + i]
-
     def raise_to(self, i: int, v: int) -> None:
         """Set leaf i to v; v must not be below the current value."""
         t = self.tree

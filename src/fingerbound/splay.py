@@ -152,10 +152,6 @@ class SplayTree:
         return out
 
 
-def splay_access(tree: SplayTree, key: Key) -> int:
-    return tree.access(key)
-
-
 def run_splay(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Serve a whole sequence on one tree, reporting per-access costs."""
     tree = SplayTree(seq.n, initial)

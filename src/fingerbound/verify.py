@@ -1,4 +1,5 @@
-"""Self-check suites runnable from the CLI.
+"""Self-check suites runnable from the CLI, and the check routines they
+share with the acceptance tests.
 
 Each suite regenerates its instances from a seed, checks one family of
 invariants, and reports a pass/fail verdict with the first counterexample if
@@ -19,6 +20,17 @@ exercise every library invariant:
     differential  staircase fast path vs linear scan, splay vs the
                   parent-free reference, in-order and rotation invariants,
                   online prefix consistency
+
+The suites are built from check routines that take their seeded generator
+and sizes, raise `CheckFailure` naming the first counterexample, and return
+how many instances they checked. Four of them are also the acceptance
+criteria in tests/test_acceptance.py, which call them with their own seeds
+and sizes and pin the returned counts:
+
+    check_greedy_satisfied   satisfaction suite; test_c01_satisfaction
+    check_greedy_minimality  minimality suite;   test_c02_greedy_minimality
+    check_opt_dominance      opt suite;          test_c03_opt_dominance
+    check_depth_bound        depth suite;        test_c09_tree_depth_bound
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .core import AccessSequence, Point, PointSet, WeightAssignment, range_weight
+from .core import AccessSequence, Point, PointSet, WeightAssignment
 from .bounds import (
     best_static_finger_cost,
     dynamic_finger_bound,
@@ -61,8 +73,8 @@ class SuiteReport:
     details: list[str] = field(default_factory=list)
 
 
-class _Failure(Exception):
-    pass
+class CheckFailure(Exception):
+    """A self-check found a counterexample; the message names it."""
 
 
 def run_suite(suite: str, seed: int = 1) -> SuiteReport:
@@ -73,7 +85,7 @@ def run_suite(suite: str, seed: int = 1) -> SuiteReport:
     checked, lines = 0, []
     try:
         checked = fn(seed, lines)
-    except _Failure as exc:
+    except CheckFailure as exc:
         return SuiteReport(suite, False, checked, [str(exc)])
     return SuiteReport(suite, True, checked, lines)
 
@@ -84,29 +96,39 @@ def _random_sequence(rng: Splitmix64, max_n: int, max_m: int) -> AccessSequence:
     return AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
 
 
-def _suite_satisfaction(seed: int, lines: list[str]) -> int:
-    rng = Splitmix64(seed)
+def check_greedy_satisfied(rng: Splitmix64, instances: int, max_n: int, max_m: int,
+                           exhaustive: int) -> int:
+    """Greedy output on `instances` random sequences (n <= max_n, m <= max_m)
+    and on every sequence with n, m <= exhaustive is arborally satisfied; on
+    the random ones it also holds every access point and one point per unit
+    of cost, at least one per row."""
     checked = 0
-    for _ in range(1000):
-        seq = _random_sequence(rng, 64, 256)
+    for _ in range(instances):
+        seq = _random_sequence(rng, max_n, max_m)
         points, cost = greedy_execute(seq)
         bad = first_violation(points)
         if bad is not None:
-            raise _Failure(f"violating pair {bad} on sequence {seq.accesses}")
+            raise CheckFailure(f"violating pair {bad} on sequence {seq.accesses}")
         for t, k in enumerate(seq, start=1):
             if Point(k, t) not in points:
-                raise _Failure(f"access point ({k},{t}) missing on {seq.accesses}")
+                raise CheckFailure(f"access point ({k},{t}) missing on {seq.accesses}")
         if any(c < 1 for c in cost.per_access):
-            raise _Failure(f"zero-cost row on {seq.accesses}")
+            raise CheckFailure(f"zero-cost row on {seq.accesses}")
         if sum(cost.per_access) != len(points):
-            raise _Failure(f"cost total disagrees with point count on {seq.accesses}")
+            raise CheckFailure(f"cost total disagrees with point count on {seq.accesses}")
         checked += 1
-    for n, m in product(range(1, 5), range(1, 5)):
+    for n, m in product(range(1, exhaustive + 1), repeat=2):
         for accesses in product(range(1, n + 1), repeat=m):
             points, _ = greedy_execute(AccessSequence(n, accesses))
             if not is_arborally_satisfied(points):
-                raise _Failure(f"unsatisfied output on {accesses}")
+                raise CheckFailure(f"unsatisfied output on {accesses}")
             checked += 1
+    return checked
+
+
+def _suite_satisfaction(seed: int, lines: list[str]) -> int:
+    rng = Splitmix64(seed)
+    checked = check_greedy_satisfied(rng, 1000, 64, 256, 4)
     lines.append(f"greedy satisfied on {checked} instances (1000 random + exhaustive n,m <= 4)")
     # the sweep checker and the pair-listing oracle are the same predicate
     agree = 0
@@ -115,29 +137,32 @@ def _suite_satisfaction(seed: int, lines: list[str]) -> int:
                for _ in range(rng.below(13))}
         pset = PointSet(pts)
         if is_arborally_satisfied(pset) != (unsatisfied_pairs(pset) == []):
-            raise _Failure(f"checker routes disagree on {sorted(pts)}")
+            raise CheckFailure(f"checker routes disagree on {sorted(pts)}")
         agree += 1
     for v in range(1, 9):
         line = PointSet(Point(v, t + 1) for t in range(6))
         row = PointSet(Point(k + 1, v) for k in range(6))
         if not (is_arborally_satisfied(line) and is_arborally_satisfied(row)):
-            raise _Failure("degenerate line misclassified")
+            raise CheckFailure("degenerate line misclassified")
         agree += 2
     lines.append(f"checker routes agreed on {agree} point sets")
     return checked + agree
 
 
-def _suite_minimality(seed: int, lines: list[str]) -> int:
+def check_greedy_minimality(max_n: int, max_m: int) -> int:
+    """Every greedy row of every sequence with n <= max_n, m <= max_m equals
+    the exhaustive minimum completion, and that minimum is unique. Returns
+    the number of rows checked."""
     checked = 0
-    for n in range(1, 6):
-        for m in range(1, 6):
+    for n in range(1, max_n + 1):
+        for m in range(1, max_m + 1):
             for accesses in product(range(1, n + 1), repeat=m):
                 state = GreedyState(n)
                 for t, x in enumerate(accesses, start=1):
                     row = greedy_row(state, x)
                     oracle = brute_min_row(state.emitted(), x, t, n)
                     if row != oracle:
-                        raise _Failure(
+                        raise CheckFailure(
                             f"row mismatch at t={t} of {accesses}: greedy {sorted(row)} "
                             f"vs oracle {sorted(oracle)}")
                     base = list(state.emitted())
@@ -150,54 +175,75 @@ def _suite_minimality(seed: int, lines: list[str]) -> int:
                             if feasible > 1:
                                 break
                     if feasible != 1:
-                        raise _Failure(f"non-unique minimal row at t={t} of {accesses}")
+                        raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
                     state.step(x)
                     checked += 1
+    return checked
+
+
+def _suite_minimality(seed: int, lines: list[str]) -> int:
+    checked = check_greedy_minimality(5, 5)
     lines.append(f"{checked} rows matched the exhaustive oracle (unique minimum each)")
     return checked
 
 
-def _suite_opt(seed: int, lines: list[str]) -> int:
+def check_opt_dominance(max_n: int, max_m: int) -> tuple[int, float, tuple[int, ...]]:
+    """On every sequence with n <= max_n, m <= max_m the exact optimum's
+    witness is a satisfied superset of the accesses no larger than greedy's
+    output. Returns the number of sequences, the largest greedy/opt ratio and
+    the first sequence reaching it."""
     checked = 0
     worst = 0.0
     worst_seq: tuple[int, ...] = ()
-    for n in range(1, 5):
-        for m in range(1, 5):
+    for n in range(1, max_n + 1):
+        for m in range(1, max_m + 1):
             for accesses in product(range(1, n + 1), repeat=m):
                 seq = AccessSequence(n, accesses)
                 points, _ = greedy_execute(seq)
                 res = opt_satisfied_superset(seq)
                 if not is_arborally_satisfied(res.witness):
-                    raise _Failure(f"opt witness unsatisfied on {accesses}")
+                    raise CheckFailure(f"opt witness unsatisfied on {accesses}")
                 if res.size < seq.m:
-                    raise _Failure(f"opt dropped an access point on {accesses}")
+                    raise CheckFailure(f"opt dropped an access point on {accesses}")
                 if any(Point(k, t) not in res.witness
                        for t, k in enumerate(seq, start=1)):
-                    raise _Failure(f"opt witness misses an access on {accesses}")
+                    raise CheckFailure(f"opt witness misses an access on {accesses}")
                 if res.size > len(points):
-                    raise _Failure(
+                    raise CheckFailure(
                         f"opt {res.size} exceeds greedy {len(points)} on {accesses}")
                 ratio = len(points) / res.size
                 if ratio > worst:
                     worst = ratio
                     worst_seq = accesses
                 checked += 1
+    return checked, worst, worst_seq
+
+
+def _suite_opt(seed: int, lines: list[str]) -> int:
+    checked, worst, worst_seq = check_opt_dominance(4, 4)
     lines.append(f"{checked} instances; max greedy/opt ratio {worst:.6f} on {worst_seq}")
     return checked
 
 
-def _suite_depth(seed: int, lines: list[str]) -> int:
-    rng = Splitmix64(seed)
+def check_depth_bound(rng: Splitmix64, vectors: int, max_n: int) -> int:
+    """The weighted-median tree of `vectors` random weight vectors (n <= max_n,
+    weights in [0.5, 2]) puts every key i at depth <= log2(W / w_i) + 1."""
     checked = 0
-    for _ in range(1000):
-        n = rng.below(512) + 1
+    for _ in range(vectors):
+        n = rng.below(max_n) + 1
         w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
         tree = tree_from_weights(w)
         for k in range(1, n + 1):
             limit = math.log2(w.total / w.weight(k)) + 1.0
             if tree.depth[k] > limit + 1e-9:
-                raise _Failure(f"depth({k})={tree.depth[k]} exceeds {limit:.6f} for n={n}")
+                raise CheckFailure(f"depth({k})={tree.depth[k]} exceeds {limit:.6f} for n={n}")
         checked += 1
+    return checked
+
+
+def _suite_depth(seed: int, lines: list[str]) -> int:
+    rng = Splitmix64(seed)
+    checked = check_depth_bound(rng, 1000, 512)
     lines.append(f"{checked} weight vectors respected the depth bound")
     # bound calculator: naive re-evaluation, scale invariance, symmetry, floor
     rechecks = 0
@@ -217,22 +263,22 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
                 naive = 1.0 + math.log2(num / min(w.weight(prev), w.weight(cur)))
             got = report.per_access[i]
             if got < 1.0 or abs(got - naive) > 1e-12 * max(1.0, abs(naive)):
-                raise _Failure(f"term {i} = {got} vs naive {naive} on {seq.accesses}")
+                raise CheckFailure(f"term {i} = {got} vs naive {naive} on {seq.accesses}")
             prev = cur
         scaled = weighted_df_bound(seq, w.scaled(1000.0))
         for x, y in zip(report.per_access, scaled.per_access):
             if abs(x - y) > 1e-9 * max(1.0, abs(x)):
-                raise _Failure(f"scale invariance broke on {seq.accesses}")
+                raise CheckFailure(f"scale invariance broke on {seq.accesses}")
         a = rng.below(n) + 1
         b = rng.below(n) + 1
         if wdf_term(w, a, b) != wdf_term(w, b, a):
-            raise _Failure(f"term asymmetry at ({a},{b})")
+            raise CheckFailure(f"term asymmetry at ({a},{b})")
         naive_rw = math.fsum(w.weights[min(a, b) - 1:max(a, b)])
-        if abs(range_weight(w, a, b) - naive_rw) > 1e-12 * naive_rw:
-            raise _Failure(f"range weight mismatch at ({a},{b})")
+        if abs(w.range_weight(a, b) - naive_rw) > 1e-12 * naive_rw:
+            raise CheckFailure(f"range weight mismatch at ({a},{b})")
         if dynamic_finger_bound(seq).per_access != weighted_df_bound(
                 seq, WeightAssignment.equal(n)).per_access:
-            raise _Failure(f"equal-weights specialization differs on {seq.accesses}")
+            raise CheckFailure(f"equal-weights specialization differs on {seq.accesses}")
         rechecks += 1
     lines.append(f"{rechecks} sequences re-evaluated naively; scaling and symmetry held")
     # static trees: enumerated optimum agrees with direct recomputation
@@ -243,14 +289,14 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
         seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
         tree, total = best_static_finger_cost(seq)
         if static_finger_cost(tree, seq).total != total:
-            raise _Failure(f"best-static total mismatch on {seq.accesses}")
+            raise CheckFailure(f"best-static total mismatch on {seq.accesses}")
         for other in iter_bsts(n):
             if static_finger_cost(other, seq).total < total:
-                raise _Failure(f"best-static not optimal on {seq.accesses}")
+                raise CheckFailure(f"best-static not optimal on {seq.accesses}")
         w2 = weights_from_tree(tree, 2.0)
         for k in range(1, n + 1):
             if abs(w2.weight(k) - 2.0 ** -tree.depth[k]) > 0.0:
-                raise _Failure("weights_from_tree disagrees with depths")
+                raise CheckFailure("weights_from_tree disagrees with depths")
         agree += 1
     lines.append(f"{agree} exhaustive static-tree optimizations cross-checked")
     return checked + rechecks + agree
@@ -273,36 +319,36 @@ def _suite_roundtrip(seed: int, lines: list[str]) -> int:
         for spec in specs:
             a = generate(spec)
             if a != generate(spec):
-                raise _Failure(f"non-deterministic generator: {spec}")
+                raise CheckFailure(f"non-deterministic generator: {spec}")
             if any(not 1 <= k <= a.n for k in a):
-                raise _Failure(f"key out of range: {spec}")
+                raise CheckFailure(f"key out of range: {spec}")
             path = Path(tmp) / "trace.txt"
             write_trace(a, path)
             if read_trace(path) != a:
-                raise _Failure(f"round-trip mismatch: {spec}")
+                raise CheckFailure(f"round-trip mismatch: {spec}")
             blob = path.read_bytes()
             write_trace(read_trace(path), path)
             if path.read_bytes() != blob:
-                raise _Failure(f"round-trip bytes differ: {spec}")
+                raise CheckFailure(f"round-trip bytes differ: {spec}")
             checked += 1
         for _ in range(50):
             seq = _random_sequence(rng, 64, 64)
             path = Path(tmp) / "rt.txt"
             write_trace(seq, path)
             if read_trace(path) != seq:
-                raise _Failure(f"round-trip mismatch on {seq.accesses}")
+                raise CheckFailure(f"round-trip mismatch on {seq.accesses}")
             checked += 1
     lines.append(f"{checked} traces round-tripped byte-identically")
     d = 8
     walk = generate(WorkloadSpec("walk", 2 ** 12, 10 ** 5, seed=seed, d=d))
     steps = [abs(a - b) for a, b in zip(walk.accesses, walk.accesses[1:])]
     if max(steps) > d or not 0 < sum(steps) / len(steps) <= d:
-        raise _Failure("walk locality out of range")
+        raise CheckFailure("walk locality out of range")
     zipf = generate(WorkloadSpec("zipf_finger", 2 ** 12, 10 ** 5, seed=seed, theta=2.5))
     zsteps = [abs(a - b) for a, b in zip(zipf.accesses, zipf.accesses[1:])]
     zmean = sum(zsteps) / len(zsteps)
     if not 0 < zmean < 10.0:
-        raise _Failure(f"zipf mean step {zmean} implausible for theta=2.5")
+        raise CheckFailure(f"zipf mean step {zmean} implausible for theta=2.5")
     lines.append(f"walk mean step {sum(steps)/len(steps):.3f} <= d={d}; "
                  f"zipf mean step {zmean:.3f} finite")
     return checked + 2
@@ -318,17 +364,17 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
             fast = greedy_row(state, x)
             ref = greedy_row_reference(state, x)
             if fast != ref:
-                raise _Failure(f"greedy row mismatch at key {x} on {seq.accesses}")
+                raise CheckFailure(f"greedy row mismatch at key {x} on {seq.accesses}")
             state.step(x)
         again, cost = greedy_execute(seq)
         if again != state.emitted() or cost.per_access != tuple(state.per_row_cost):
-            raise _Failure(f"greedy rerun differs on {seq.accesses}")
+            raise CheckFailure(f"greedy rerun differs on {seq.accesses}")
         t = rng.below(seq.m) + 1
         pre_points, pre_cost = greedy_execute(seq.prefix(t))
         if pre_cost.per_access != cost.per_access[:t]:
-            raise _Failure(f"prefix inconsistency at t={t} on {seq.accesses}")
+            raise CheckFailure(f"prefix inconsistency at t={t} on {seq.accesses}")
         if pre_points.points != frozenset(p for p in again if p.time <= t):
-            raise _Failure(f"prefix points differ at t={t} on {seq.accesses}")
+            raise CheckFailure(f"prefix points differ at t={t} on {seq.accesses}")
         checked += 1
     lines.append(f"{checked} greedy runs: fast path = scan, online and deterministic")
     shapes = ("balanced", "left_spine", "right_spine")
@@ -341,7 +387,7 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
         a = run_splay(seq, initial)
         b = run_splay_reference(seq, initial)
         if a.per_access != b.per_access:
-            raise _Failure(f"splay cost mismatch (initial={initial}) on n={n}, m={m}")
+            raise CheckFailure(f"splay cost mismatch (initial={initial}) on n={n}, m={m}")
         splay_runs += 1
     lines.append(f"{splay_runs} splay runs agreed with the parent-free reference")
     inorder_runs = 0
@@ -354,9 +400,9 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
             before = tree.rotations
             cost = tree.access(x)
             if tree.rotations - before != cost - 1:
-                raise _Failure(f"rotations != cost - 1 at key {x}, n={n}")
+                raise CheckFailure(f"rotations != cost - 1 at key {x}, n={n}")
             if tree.root.key != x or tree.in_order() != expect:
-                raise _Failure(f"in-order broke at key {x}, n={n}")
+                raise CheckFailure(f"in-order broke at key {x}, n={n}")
         inorder_runs += 1
     lines.append(f"{inorder_runs} splay trees kept order and rotation invariants")
     return checked + splay_runs + inorder_runs

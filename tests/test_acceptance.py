@@ -9,23 +9,25 @@ the expected ratio direction (see its docstring) and fails by design.
 """
 
 import math
-from itertools import combinations, product
 
 import pytest
 
 import fingerbound as fb
-from fingerbound.core import AccessSequence, Point, PointSet, WeightAssignment
+from fingerbound.core import AccessSequence, WeightAssignment
 from fingerbound.bounds import (
     iter_bsts,
     static_finger_cost,
     tree_from_weights,
     weights_from_tree,
-    wdf_term,
 )
-from fingerbound.geometry import first_violation, is_arborally_satisfied
-from fingerbound.greedy import GreedyState, brute_min_row, greedy_cost, greedy_execute, greedy_row
-from fingerbound.opt import opt_satisfied_superset
+from fingerbound.greedy import greedy_cost
 from fingerbound.splay import SplayTree, run_splay
+from fingerbound.verify import (
+    check_depth_bound,
+    check_greedy_minimality,
+    check_greedy_satisfied,
+    check_opt_dominance,
+)
 from fingerbound.workloads import Splitmix64, WorkloadSpec, generate, read_trace, write_trace
 
 # ---------------------------------------------------------------------------
@@ -47,67 +49,20 @@ def _ok(cid: str, detail: str) -> None:
 
 
 def test_c01_satisfaction():
-    rng = Splitmix64(1)
-    for _ in range(1000):
-        n = rng.below(64) + 1
-        m = rng.below(256) + 1
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
-        points, cost = greedy_execute(seq)
-        assert first_violation(points) is None
-        for t, k in enumerate(seq, start=1):
-            assert Point(k, t) in points
-        assert all(c >= 1 for c in cost.per_access)
-    exhaustive = 0
-    for n, m in product(range(1, 5), range(1, 5)):
-        for accesses in product(range(1, n + 1), repeat=m):
-            points, _ = greedy_execute(AccessSequence(n, accesses))
-            assert is_arborally_satisfied(points)
-            exhaustive += 1
-    _ok("c01", f"greedy output satisfied on 1000 random + {exhaustive} exhaustive instances")
+    checked = check_greedy_satisfied(Splitmix64(1), 1000, 64, 256, 4)
+    assert checked == 1494
+    _ok("c01", f"greedy output satisfied on 1000 random + {checked - 1000} exhaustive instances")
 
 
 def test_c02_greedy_minimality():
-    rows = 0
-    for n in range(1, 6):
-        for m in range(1, 6):
-            for accesses in product(range(1, n + 1), repeat=m):
-                state = GreedyState(n)
-                for t, x in enumerate(accesses, start=1):
-                    row = greedy_row(state, x)
-                    oracle = brute_min_row(state.emitted(), x, t, n)
-                    assert row == oracle, (n, accesses, t)
-                    # the minimum-cardinality completion is unique
-                    base = list(state.emitted())
-                    others = [k for k in range(1, n + 1) if k != x]
-                    feasible = 0
-                    for combo in combinations(others, len(oracle) - 1):
-                        cand = PointSet(base + [Point(y, t) for y in {x, *combo}])
-                        if is_arborally_satisfied(cand):
-                            feasible += 1
-                            if feasible > 1:
-                                break
-                    assert feasible == 1, (n, accesses, t)
-                    state.step(x)
-                    rows += 1
+    rows = check_greedy_minimality(5, 5)
+    assert rows == 26841
     _ok("c02", f"{rows} rows equal the exhaustive minimum, unique in every case")
 
 
 def test_c03_opt_dominance():
-    worst = 0.0
-    worst_case = None
-    checked = 0
-    for n in range(1, 5):
-        for m in range(1, 5):
-            for accesses in product(range(1, n + 1), repeat=m):
-                seq = AccessSequence(n, accesses)
-                points, _ = greedy_execute(seq)
-                res = opt_satisfied_superset(seq)
-                assert res.size <= len(points), (n, accesses)
-                assert is_arborally_satisfied(res.witness)
-                ratio = len(points) / res.size
-                if ratio > worst:
-                    worst, worst_case = ratio, (n, accesses)
-                checked += 1
+    checked, worst, worst_case = check_opt_dominance(4, 4)
+    assert checked == 494
     assert worst == pytest.approx(MAX_GREEDY_OVER_OPT, rel=1e-12)
     _ok("c03", f"opt <= greedy on {checked} instances; max ratio {worst:.6f} at {worst_case}")
 
@@ -260,14 +215,11 @@ def test_c08_static_finger_equivalence():
         for tree in iter_bsts(n):
             w = weights_from_tree(tree, 2.0)
             for seq in seqs:
-                cost = static_finger_cost(tree, seq)
-                prev = seq.accesses[0]
-                for i, cur in enumerate(seq.accesses):
-                    term = 1.0 if i == 0 else wdf_term(w, prev, cur)
-                    c = cost.per_access[i]
+                costs = static_finger_cost(tree, seq).per_access
+                terms = fb.weighted_df_bound(seq, w).per_access
+                for i, (term, c) in enumerate(zip(terms, costs)):
                     assert term <= EQUIV_A * c + EQUIV_B + 1e-12, (n, seq.accesses, i)
                     worst = max(worst, (term - EQUIV_B) / c)
-                    prev = cur
                     samples += 1
     # the best static finger tree never beats greedy by more than C
     ratios = []
@@ -284,13 +236,7 @@ def test_c08_static_finger_equivalence():
 
 
 def test_c09_tree_depth_bound():
-    rng = Splitmix64(900)
-    for _ in range(1000):
-        n = rng.below(512) + 1
-        w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
-        tree = tree_from_weights(w)
-        for k in range(1, n + 1):
-            assert tree.depth[k] <= math.log2(w.total / w.weight(k)) + 1 + 1e-9
+    assert check_depth_bound(Splitmix64(900), 1000, 512) == 1000
     _ok("c09", "depth(i) <= log2(W/w_i) + 1 on 1000 random weight vectors, n <= 512")
 
 

@@ -72,6 +72,33 @@ class TestRun:
         assert lines[0] == "time,key"
         assert lines[1] == "1,16"  # walk starts at the midpoint
 
+    def test_points_sweeps_greedy_once(self, capsys, trace, tmp_path, monkeypatch):
+        from fingerbound.greedy import GreedyState
+
+        steps = []
+        step = GreedyState.step
+
+        def counting_step(state, x):
+            steps.append(x)
+            return step(state, x)
+
+        monkeypatch.setattr(GreedyState, "step", counting_step)
+        code, _, _ = run_cli(capsys, "run", "--trace", trace, "--algo", "greedy",
+                             "--points", str(tmp_path / "points.csv"))
+        assert code == 0
+        assert len(steps) == 60
+
+    def test_points_rejected_for_splay_before_running(self, capsys, trace, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        monkeypatch.setattr("fingerbound.harness.run_splay", lambda *a: calls.append(a))
+        code, _, err = run_cli(capsys, "run", "--trace", trace, "--algo", "splay",
+                               "--points", str(tmp_path / "points.csv"))
+        assert code == 2
+        assert "--points" in err
+        assert calls == []
+        assert not (tmp_path / "points.csv").exists()
+
     def test_byte_identical_reruns(self, capsys, trace):
         _, out1, _ = run_cli(capsys, "run", "--trace", trace, "--algo", "greedy")
         _, out2, _ = run_cli(capsys, "run", "--trace", trace, "--algo", "greedy")
@@ -150,6 +177,16 @@ class TestFitCmd:
         ratio, slope, intercept, r2 = (float(v) for v in lines[1].split(","))
         assert ratio == pytest.approx(2.0)
         assert slope == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("rows, line", [("1,1,2\n2,1\n", 3), ("1,1,x\n", 2)])
+    def test_malformed_row_names_its_line(self, capsys, tmp_path, rows, line):
+        cost = tmp_path / "c.csv"
+        bound = tmp_path / "b.csv"
+        cost.write_text("i,key,cost\n" + rows)
+        bound.write_text("i,bound\n1,1.0\n2,2.0\n")
+        code, _, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
+        assert code == 2
+        assert f"{cost}: line {line}:" in err
 
     def test_fit_picks_named_columns_from_run_output(self, capsys, trace, tmp_path):
         # `run` emits i,key,cost,bound; fitting that file against a bound CSV

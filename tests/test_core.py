@@ -9,8 +9,6 @@ from fingerbound.core import (
     Point,
     PointSet,
     WeightAssignment,
-    range_weight,
-    validate_sequence,
 )
 from fingerbound.errors import (
     BadKeyspaceError,
@@ -22,49 +20,49 @@ from fingerbound.workloads import Splitmix64
 
 class TestValidateSequence:
     def test_valid_input_passes_through(self):
-        seq = validate_sequence([2, 1, 2], n=2)
+        seq = AccessSequence(2, [2, 1, 2])
         assert seq.n == 2
         assert seq.m == 3
         assert seq.accesses == (2, 1, 2)
 
     def test_out_of_range_key(self):
         with pytest.raises(KeyOutOfRangeError):
-            validate_sequence([3], n=2)
+            AccessSequence(2, [3])
 
     def test_empty_input(self):
         with pytest.raises(EmptySequenceError):
-            validate_sequence([], n=5)
+            AccessSequence(5, [])
 
     def test_bad_n(self):
         with pytest.raises(BadKeyspaceError):
-            validate_sequence([1], n=0)
+            AccessSequence(0, [1])
 
     def test_prefix(self):
-        seq = validate_sequence([1, 2, 3], n=3)
+        seq = AccessSequence(3, [1, 2, 3])
         assert seq.prefix(2).accesses == (1, 2)
 
 
 class TestRangeWeight:
     def test_all_ones(self):
         w = WeightAssignment.equal(4)
-        assert range_weight(w, 1, 4) == 4.0
+        assert w.range_weight(1, 4) == 4.0
 
     def test_single_key(self):
         w = WeightAssignment.equal(4)
-        assert range_weight(w, 3, 3) == 1.0
+        assert w.range_weight(3, 3) == 1.0
 
     def test_order_free_sum(self):
         # 0.5 + 2 + 0.25, verified against the naive loop below
         w = WeightAssignment((0.5, 2.0, 0.25))
-        assert range_weight(w, 3, 1) == pytest.approx(2.75, rel=1e-15)
-        assert range_weight(w, 3, 1) == range_weight(w, 1, 3)
+        assert w.range_weight(3, 1) == pytest.approx(2.75, rel=1e-15)
+        assert w.range_weight(3, 1) == w.range_weight(1, 3)
 
     def test_out_of_range(self):
         w = WeightAssignment.equal(3)
         with pytest.raises(KeyOutOfRangeError):
-            range_weight(w, 0, 2)
+            w.range_weight(0, 2)
         with pytest.raises(KeyOutOfRangeError):
-            range_weight(w, 1, 4)
+            w.range_weight(1, 4)
 
     @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=64),
            st.data())
@@ -73,7 +71,7 @@ class TestRangeWeight:
         a = data.draw(st.integers(1, w.n))
         b = data.draw(st.integers(1, w.n))
         naive = sum(w.weights[k - 1] for k in range(min(a, b), max(a, b) + 1))
-        assert range_weight(w, a, b) == pytest.approx(naive, rel=1e-12)
+        assert w.range_weight(a, b) == pytest.approx(naive, rel=1e-12)
 
     def test_additivity(self):
         rng = Splitmix64(5)
@@ -85,8 +83,8 @@ class TestRangeWeight:
             if a == c:
                 continue
             b = rng.below(c - a) + a
-            whole = range_weight(w, a, c)
-            split = range_weight(w, a, b) + range_weight(w, b + 1, c)
+            whole = w.range_weight(a, c)
+            split = w.range_weight(a, b) + w.range_weight(b + 1, c)
             assert whole == pytest.approx(split, rel=1e-12)
 
     def test_prefix_vs_naive_1000_vectors(self):
@@ -101,7 +99,7 @@ class TestRangeWeight:
             b = rng.below(n) + 1
             lo, hi = min(a, b), max(a, b)
             naive = math.fsum(w.weights[lo - 1 : hi])
-            assert range_weight(w, a, b) == pytest.approx(naive, rel=1e-12)
+            assert w.range_weight(a, b) == pytest.approx(naive, rel=1e-12)
 
 
 class TestWeights:

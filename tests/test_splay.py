@@ -6,7 +6,6 @@ from fingerbound.splay import (
     SplayTree,
     run_splay,
     run_splay_reference,
-    splay_access,
 )
 from fingerbound.workloads import Splitmix64
 
@@ -41,10 +40,6 @@ class TestAccess:
     def test_out_of_range(self):
         with pytest.raises(KeyOutOfRangeError):
             SplayTree(3).access(4)
-
-    def test_splay_access_function(self):
-        tree = SplayTree(3, "right_spine")
-        assert splay_access(tree, 3) == 3
 
 
 class TestRunSplay:
