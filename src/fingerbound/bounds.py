@@ -18,6 +18,7 @@ guarantees depth(i) <= log2(W_total / w_i) + 1.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -135,7 +136,10 @@ class StaticTree:
 
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
     """Single weighted finger term for the access pair prev -> cur."""
-    return weighted_df_bound(AccessSequence(w.n, (prev, cur)), w).per_access[1]
+    w._check(prev)
+    w._check(cur)
+    pair = AccessSequence(w.n, (operator.index(prev), operator.index(cur)))
+    return weighted_df_bound(pair, w).per_access[1]
 
 
 def weighted_df_bound(
@@ -296,10 +300,9 @@ def best_static_finger_cost(seq: AccessSequence) -> tuple[StaticTree, int]:
     memo: dict = {}
     best_total = None
     best_shape = None
-    accesses = seq.accesses
     for shape in _interval_shapes(1, n, memo):
         root, left, right, depth = _shape_arrays(n, shape)
-        total = sum(_finger_costs(root, left, right, depth, accesses))
+        total = sum(_finger_costs(root, left, right, depth, seq.accesses))
         if best_total is None or total < best_total:
             best_total = total
             best_shape = shape

@@ -19,7 +19,7 @@ from .bounds import (
     weighted_df_bound,
 )
 from .greedy import greedy_execute
-from .harness import ALGORITHMS, bound_and_fit, experiment_rows, fit, run_experiment
+from .harness import ALGORITHMS, _bound_and_fit, experiment_rows, fit, run_experiment
 from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
     if args.points:
         # one sweep yields both the points and the per-access costs
         points, cost = greedy_execute(seq)
-        bound, fr = bound_and_fit(seq, cost, w, args.start)
+        bound, fr = _bound_and_fit(seq, cost, w, args.start)
         _emit("time,key", ((p.time, p.key) for p in points), args.points)
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
@@ -99,8 +99,7 @@ def _cmd_beststatic(args) -> int:
 def _cmd_opt(args) -> int:
     seq = read_trace(args.trace)
     res = opt_satisfied_superset(seq)
-    points, _ = greedy_execute(seq)
-    greedy_size = len(points)
+    greedy_size = len(greedy_execute(seq)[0])
     _emit("opt_size,greedy_size,ratio",
           [(res.size, greedy_size, greedy_size / res.size)], args.out)
     return 0

@@ -79,10 +79,10 @@ def run_experiment(
         raise ValueError(f"algo must be one of {ALGORITHMS}, got {algo!r}")
     w = weights if weights is not None else WeightAssignment.equal(seq.n)
     cost = greedy_cost(seq) if algo == "greedy" else run_splay(seq, initial)
-    return (cost, *bound_and_fit(seq, cost, w, start))
+    return (cost, *_bound_and_fit(seq, cost, w, start))
 
 
-def bound_and_fit(
+def _bound_and_fit(
     seq: AccessSequence, cost: CostReport, w: WeightAssignment, start: str
 ) -> tuple[BoundReport, FitResult]:
     """The weighted finger bound of a sequence, and the fit of a run's

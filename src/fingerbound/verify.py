@@ -21,11 +21,11 @@ exercise every library invariant:
                   parent-free reference, in-order and rotation invariants,
                   online prefix consistency
 
-The suites are built from check routines that take their seeded generator
-and sizes, raise `CheckFailure` naming the first counterexample, and return
-how many instances they checked. Four of them are also the acceptance
-criteria in tests/test_acceptance.py, which call them with their own seeds
-and sizes and pin the returned counts:
+The suites are built from check routines that raise `CheckFailure` naming
+the first counterexample and return how many instances they checked; the
+random ones take their seeded generator. Four of them are also the
+acceptance criteria in tests/test_acceptance.py, which call them (with their
+own seeds where a generator is taken) and pin the returned counts:
 
     check_greedy_satisfied   satisfaction suite; test_c01_satisfaction
     check_greedy_minimality  minimality suite;   test_c02_greedy_minimality
@@ -96,15 +96,14 @@ def _random_sequence(rng: Splitmix64, max_n: int, max_m: int) -> AccessSequence:
     return AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
 
 
-def check_greedy_satisfied(rng: Splitmix64, instances: int, max_n: int, max_m: int,
-                           exhaustive: int) -> int:
-    """Greedy output on `instances` random sequences (n <= max_n, m <= max_m)
-    and on every sequence with n, m <= exhaustive is arborally satisfied; on
-    the random ones it also holds every access point and one point per unit
-    of cost, at least one per row."""
+def check_greedy_satisfied(rng: Splitmix64) -> int:
+    """Greedy output on 1000 random sequences (n <= 64, m <= 256) and on every
+    sequence with n, m <= 4 is arborally satisfied; on the random ones it
+    also holds every access point and one point per unit of cost, at least
+    one per row."""
     checked = 0
-    for _ in range(instances):
-        seq = _random_sequence(rng, max_n, max_m)
+    for _ in range(1000):
+        seq = _random_sequence(rng, 64, 256)
         points, cost = greedy_execute(seq)
         bad = first_violation(points)
         if bad is not None:
@@ -117,7 +116,7 @@ def check_greedy_satisfied(rng: Splitmix64, instances: int, max_n: int, max_m: i
         if sum(cost.per_access) != len(points):
             raise CheckFailure(f"cost total disagrees with point count on {seq.accesses}")
         checked += 1
-    for n, m in product(range(1, exhaustive + 1), repeat=2):
+    for n, m in product(range(1, 5), repeat=2):
         for accesses in product(range(1, n + 1), repeat=m):
             points, _ = greedy_execute(AccessSequence(n, accesses))
             if not is_arborally_satisfied(points):
@@ -128,7 +127,7 @@ def check_greedy_satisfied(rng: Splitmix64, instances: int, max_n: int, max_m: i
 
 def _suite_satisfaction(seed: int, lines: list[str]) -> int:
     rng = Splitmix64(seed)
-    checked = check_greedy_satisfied(rng, 1000, 64, 256, 4)
+    checked = check_greedy_satisfied(rng)
     lines.append(f"greedy satisfied on {checked} instances (1000 random + exhaustive n,m <= 4)")
     # the sweep checker and the pair-listing oracle are the same predicate
     agree = 0
@@ -149,13 +148,13 @@ def _suite_satisfaction(seed: int, lines: list[str]) -> int:
     return checked + agree
 
 
-def check_greedy_minimality(max_n: int, max_m: int) -> int:
-    """Every greedy row of every sequence with n <= max_n, m <= max_m equals
-    the exhaustive minimum completion, and that minimum is unique. Returns
-    the number of rows checked."""
+def check_greedy_minimality() -> int:
+    """Every greedy row of every sequence with n, m <= 5 equals the
+    exhaustive minimum completion, and that minimum is unique. Returns the
+    number of rows checked."""
     checked = 0
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
+    for n in range(1, 6):
+        for m in range(1, 6):
             for accesses in product(range(1, n + 1), repeat=m):
                 state = GreedyState(n)
                 for t, x in enumerate(accesses, start=1):
@@ -182,21 +181,21 @@ def check_greedy_minimality(max_n: int, max_m: int) -> int:
 
 
 def _suite_minimality(seed: int, lines: list[str]) -> int:
-    checked = check_greedy_minimality(5, 5)
+    checked = check_greedy_minimality()
     lines.append(f"{checked} rows matched the exhaustive oracle (unique minimum each)")
     return checked
 
 
-def check_opt_dominance(max_n: int, max_m: int) -> tuple[int, float, tuple[int, ...]]:
-    """On every sequence with n <= max_n, m <= max_m the exact optimum's
-    witness is a satisfied superset of the accesses no larger than greedy's
-    output. Returns the number of sequences, the largest greedy/opt ratio and
-    the first sequence reaching it."""
+def check_opt_dominance() -> tuple[int, float, tuple[int, ...]]:
+    """On every sequence with n, m <= 4 the exact optimum's witness is a
+    satisfied superset of the accesses no larger than greedy's output.
+    Returns the number of sequences, the largest greedy/opt ratio and the
+    first sequence reaching it."""
     checked = 0
     worst = 0.0
     worst_seq: tuple[int, ...] = ()
-    for n in range(1, max_n + 1):
-        for m in range(1, max_m + 1):
+    for n in range(1, 5):
+        for m in range(1, 5):
             for accesses in product(range(1, n + 1), repeat=m):
                 seq = AccessSequence(n, accesses)
                 points, _ = greedy_execute(seq)
@@ -220,17 +219,17 @@ def check_opt_dominance(max_n: int, max_m: int) -> tuple[int, float, tuple[int, 
 
 
 def _suite_opt(seed: int, lines: list[str]) -> int:
-    checked, worst, worst_seq = check_opt_dominance(4, 4)
+    checked, worst, worst_seq = check_opt_dominance()
     lines.append(f"{checked} instances; max greedy/opt ratio {worst:.6f} on {worst_seq}")
     return checked
 
 
-def check_depth_bound(rng: Splitmix64, vectors: int, max_n: int) -> int:
-    """The weighted-median tree of `vectors` random weight vectors (n <= max_n,
+def check_depth_bound(rng: Splitmix64) -> int:
+    """The weighted-median tree of 1000 random weight vectors (n <= 512,
     weights in [0.5, 2]) puts every key i at depth <= log2(W / w_i) + 1."""
     checked = 0
-    for _ in range(vectors):
-        n = rng.below(max_n) + 1
+    for _ in range(1000):
+        n = rng.below(512) + 1
         w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
         tree = tree_from_weights(w)
         for k in range(1, n + 1):
@@ -243,7 +242,7 @@ def check_depth_bound(rng: Splitmix64, vectors: int, max_n: int) -> int:
 
 def _suite_depth(seed: int, lines: list[str]) -> int:
     rng = Splitmix64(seed)
-    checked = check_depth_bound(rng, 1000, 512)
+    checked = check_depth_bound(rng)
     lines.append(f"{checked} weight vectors respected the depth bound")
     # bound calculator: naive re-evaluation, scale invariance, symmetry, floor
     rechecks = 0
@@ -284,17 +283,15 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
     # static trees: enumerated optimum agrees with direct recomputation
     agree = 0
     for _ in range(8):
-        n = rng.below(6) + 1
-        m = rng.below(24) + 1
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
+        seq = _random_sequence(rng, 6, 24)
         tree, total = best_static_finger_cost(seq)
         if static_finger_cost(tree, seq).total != total:
             raise CheckFailure(f"best-static total mismatch on {seq.accesses}")
-        for other in iter_bsts(n):
+        for other in iter_bsts(seq.n):
             if static_finger_cost(other, seq).total < total:
                 raise CheckFailure(f"best-static not optimal on {seq.accesses}")
         w2 = weights_from_tree(tree, 2.0)
-        for k in range(1, n + 1):
+        for k in range(1, seq.n + 1):
             if abs(w2.weight(k) - 2.0 ** -tree.depth[k]) > 0.0:
                 raise CheckFailure("weights_from_tree disagrees with depths")
         agree += 1
@@ -380,14 +377,12 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
     shapes = ("balanced", "left_spine", "right_spine")
     splay_runs = 0
     for i in range(500):
-        n = rng.below(128) + 1
-        m = rng.below(1024) + 1
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
+        seq = _random_sequence(rng, 128, 1024)
         initial = shapes[rng.below(3)]
         a = run_splay(seq, initial)
         b = run_splay_reference(seq, initial)
         if a.per_access != b.per_access:
-            raise CheckFailure(f"splay cost mismatch (initial={initial}) on n={n}, m={m}")
+            raise CheckFailure(f"splay cost mismatch (initial={initial}) on n={seq.n}, m={seq.m}")
         splay_runs += 1
     lines.append(f"{splay_runs} splay runs agreed with the parent-free reference")
     inorder_runs = 0

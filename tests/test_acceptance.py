@@ -49,19 +49,19 @@ def _ok(cid: str, detail: str) -> None:
 
 
 def test_c01_satisfaction():
-    checked = check_greedy_satisfied(Splitmix64(1), 1000, 64, 256, 4)
+    checked = check_greedy_satisfied(Splitmix64(1))
     assert checked == 1494
     _ok("c01", f"greedy output satisfied on 1000 random + {checked - 1000} exhaustive instances")
 
 
 def test_c02_greedy_minimality():
-    rows = check_greedy_minimality(5, 5)
+    rows = check_greedy_minimality()
     assert rows == 26841
     _ok("c02", f"{rows} rows equal the exhaustive minimum, unique in every case")
 
 
 def test_c03_opt_dominance():
-    checked, worst, worst_case = check_opt_dominance(4, 4)
+    checked, worst, worst_case = check_opt_dominance()
     assert checked == 494
     assert worst == pytest.approx(MAX_GREEDY_OVER_OPT, rel=1e-12)
     _ok("c03", f"opt <= greedy on {checked} instances; max ratio {worst:.6f} at {worst_case}")
@@ -236,7 +236,7 @@ def test_c08_static_finger_equivalence():
 
 
 def test_c09_tree_depth_bound():
-    assert check_depth_bound(Splitmix64(900), 1000, 512) == 1000
+    assert check_depth_bound(Splitmix64(900)) == 1000
     _ok("c09", "depth(i) <= log2(W/w_i) + 1 on 1000 random weight vectors, n <= 512")
 
 

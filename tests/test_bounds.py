@@ -43,6 +43,13 @@ class TestWdfTerm:
         with pytest.raises(KeyOutOfRangeError):
             wdf_term(WeightAssignment.equal(3), 1, 4)
 
+    def test_integer_like_keys(self):
+        np = pytest.importorskip("numpy")
+        w = WeightAssignment((8.0, 1.0))
+        assert wdf_term(w, np.int64(2), np.int64(1)) == wdf_term(w, 2, 1)
+        with pytest.raises(KeyOutOfRangeError, match="key 3 outside"):
+            wdf_term(w, np.int64(3), 1)
+
     @given(weights_strategy, st.data())
     def test_at_least_one_and_symmetric(self, ws, data):
         w = WeightAssignment(tuple(ws))
