@@ -13,6 +13,9 @@ unweighted finger term. Logs are base 2 throughout so tests are deterministic.
 The equivalence constructions map a static tree to weights (w_i = c^-depth_i)
 and weights back to a tree by recursive weighted-median splits, which
 guarantees depth(i) <= log2(W_total / w_i) + 1.
+
+`shape_children` builds the named initial shapes (balanced and the two
+spines) once, for `StaticTree` and for both splay implementations.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import AccessSequence, BoundReport, CostReport, Key, WeightAssignment
+from .core import AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key
 from .errors import (
     BadBaseError,
     BadKeyspaceError,
@@ -32,6 +35,7 @@ from .errors import (
     TooLargeError,
 )
 
+INITIAL_SHAPES = ("balanced", "left_spine", "right_spine")
 START_SELF = "self"
 START_ROOT = "root"
 MAX_ENUM_N = 12
@@ -91,53 +95,62 @@ class StaticTree:
 
     @classmethod
     def balanced(cls, n: int) -> "StaticTree":
-        left = [0] * (n + 1)
-        right = [0] * (n + 1)
-        stack = [(1, n, 0, False)]
-        root = (1 + n) // 2
-        while stack:
-            lo, hi, par, is_right = stack.pop()
-            if lo > hi:
-                continue
-            mid = (lo + hi) // 2
-            if par:
-                if is_right:
-                    right[par] = mid
-                else:
-                    left[par] = mid
-            stack.append((lo, mid - 1, mid, False))
-            stack.append((mid + 1, hi, mid, True))
+        """Root (1 + n) // 2, each subtree split at its lower median."""
+        root, left, right = shape_children(n, "balanced")
         return cls(n, root, tuple(left), tuple(right))
 
     @classmethod
     def left_spine(cls, n: int) -> "StaticTree":
         """Root n, every left child one key smaller."""
-        left = [0] + [k - 1 for k in range(1, n + 1)]
-        right = [0] * (n + 1)
-        return cls(n, n, tuple(left), tuple(right))
+        root, left, right = shape_children(n, "left_spine")
+        return cls(n, root, tuple(left), tuple(right))
 
     @classmethod
     def right_spine(cls, n: int) -> "StaticTree":
         """Root 1, every right child one key larger."""
-        left = [0] * (n + 1)
-        right = [0] + [k + 1 if k < n else 0 for k in range(1, n + 1)]
-        return cls(n, 1, tuple(left), tuple(right))
+        root, left, right = shape_children(n, "right_spine")
+        return cls(n, root, tuple(left), tuple(right))
 
     def path_nodes(self, a: Key, b: Key) -> int:
         """Number of nodes on the unique tree path from a to b, inclusive."""
-        self._check(a)
-        self._check(b)
+        check_key(a, self.n)
+        check_key(b, self.n)
         return _finger_costs(self.root, self.left, self.right, self.depth, (a, b))[1]
 
-    def _check(self, k: Key) -> None:
-        if not 1 <= k <= self.n:
-            raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}]")
+
+def shape_children(n: int, shape: str) -> tuple[int, list[int], list[int]]:
+    """Root and 1-indexed left/right child lists (entry 0 unused, 0 = absent)
+    of a named shape over keys 1..n, one of `INITIAL_SHAPES`."""
+    if shape not in INITIAL_SHAPES:
+        raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {shape!r}")
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    if shape == "left_spine":
+        left[2:] = range(1, n)
+        return n, left, right
+    if shape == "right_spine":
+        right[1:n] = range(2, n + 1)
+        return 1, left, right
+    stack = [(1, n, 0, False)]
+    while stack:
+        lo, hi, par, is_right = stack.pop()
+        mid = (lo + hi) // 2
+        if par:
+            if is_right:
+                right[par] = mid
+            else:
+                left[par] = mid
+        if lo < mid:
+            stack.append((lo, mid - 1, mid, False))
+        if mid < hi:
+            stack.append((mid + 1, hi, mid, True))
+    return (1 + n) // 2, left, right
 
 
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
     """Single weighted finger term for the access pair prev -> cur."""
-    w._check(prev)
-    w._check(cur)
+    check_key(prev, w.n)
+    check_key(cur, w.n)
     pair = AccessSequence(w.n, (operator.index(prev), operator.index(cur)))
     return weighted_df_bound(pair, w).per_access[1]
 

@@ -21,6 +21,12 @@ from .errors import (
 Key = int
 
 
+def check_key(k: Key, n: int) -> None:
+    """Raise `KeyOutOfRangeError` unless 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
+
+
 @dataclass(frozen=True)
 class AccessSequence:
     """A validated stream of key accesses s_1..s_m over the keyspace 1..n."""
@@ -94,21 +100,17 @@ class WeightAssignment:
         return self.prefix[-1]
 
     def weight(self, k: Key) -> float:
-        self._check(k)
+        check_key(k, self.n)
         return self.weights[k - 1]
 
     def range_weight(self, a: Key, b: Key) -> float:
-        self._check(a)
-        self._check(b)
+        check_key(a, self.n)
+        check_key(b, self.n)
         lo, hi = (a, b) if a <= b else (b, a)
         return self.prefix[hi] - self.prefix[lo - 1]
 
     def scaled(self, alpha: float) -> "WeightAssignment":
         return WeightAssignment(tuple(w * alpha for w in self.weights))
-
-    def _check(self, k: Key) -> None:
-        if not 1 <= k <= self.n:
-            raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}]")
 
 
 class Point(NamedTuple):

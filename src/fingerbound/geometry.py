@@ -20,9 +20,16 @@ Everything farther out is witnessed by the nearest same-row point, blocked
 gap keys are witnessed by their blockers, and stale column points are
 witnessed by their successors in the same column, so the gap maximum is the
 only comparison left. The two routes are cross-checked in the test suite.
+
+`minimum_supersets` is the one exhaustive search over point additions: the
+greedy minimum-row oracle, the exact optimum and the uniqueness check of the
+minimality suite all take their answers from it.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .core import Point, PointSet
 from .segtree import MaxSegTree
@@ -52,11 +59,11 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
             right_bound = row[i + 1] if i + 1 < len(row) else pset.max_key + 1
             gap_max = tree.max_in(left_bound, y - 2)
             if gap_max > own:
-                z = _nearest_argmax_left(last, left_bound + 1, y - 1, gap_max)
+                z = _nearest_argmax(last, range(y - 1, left_bound, -1), gap_max)
                 return Point(z, last[z]), Point(y, t)
             gap_max = tree.max_in(y, right_bound - 2)
             if gap_max > own:
-                z = _nearest_argmax_right(last, y + 1, right_bound - 1, gap_max)
+                z = _nearest_argmax(last, range(y + 1, right_bound), gap_max)
                 return Point(z, last[z]), Point(y, t)
         for y in row:
             last[y] = t
@@ -64,18 +71,31 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     return None
 
 
-def _nearest_argmax_left(last: list[int], lo: int, hi: int, target: int) -> int:
-    for z in range(hi, lo - 1, -1):
+def _nearest_argmax(last: list[int], keys: range, target: int) -> int:
+    """First key of the scan, nearest to the row point, touched at target."""
+    for z in keys:
         if last[z] == target:
             return z
     raise AssertionError("gap maximum vanished")
 
 
-def _nearest_argmax_right(last: list[int], lo: int, hi: int, target: int) -> int:
-    for z in range(lo, hi + 1):
-        if last[z] == target:
-            return z
-    raise AssertionError("gap maximum vanished")
+def minimum_supersets(base: list[Point], free: Sequence[Point]) -> Iterator[PointSet]:
+    """Every arborally satisfied superset of `base` that adds the fewest
+    points of `free`.
+
+    Tries subsets of `free` by increasing size, in `itertools.combinations`
+    order, yields each satisfied superset of the first size that has one,
+    then stops. Exhaustive: meant for tiny instances.
+    """
+    for size in range(len(free) + 1):
+        found = False
+        for combo in combinations(free, size):
+            candidate = PointSet(base + list(combo))
+            if is_arborally_satisfied(candidate):
+                found = True
+                yield candidate
+        if found:
+            return
 
 
 def unsatisfied_pairs(pset: PointSet) -> list[tuple[Point, Point]]:

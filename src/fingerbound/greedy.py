@@ -18,16 +18,14 @@ Cost of an access = number of points placed on its row.
 `greedy_row` walks the staircase through a max segment tree (O(log n) per
 touched key). `greedy_row_reference` is a plain O(n) prefix-maximum scan kept
 for differential testing, and `brute_min_row` is the exhaustive
-minimum-cardinality oracle for tiny instances.
+minimum-cardinality oracle for tiny instances, the first answer of
+`geometry.minimum_supersets` over the row's other keys.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .core import AccessSequence, CostReport, Key, Point, PointSet
-from .errors import KeyOutOfRangeError
-from .geometry import is_arborally_satisfied
+from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
+from .geometry import is_arborally_satisfied, minimum_supersets
 from .segtree import MaxSegTree
 
 
@@ -71,14 +69,10 @@ class GreedyState:
     def cost_report(self) -> CostReport:
         return CostReport(tuple(self.per_row_cost))
 
-    def _check(self, key: Key) -> None:
-        if not 1 <= key <= self.n:
-            raise KeyOutOfRangeError(f"key {key} outside [1, {self.n}]")
-
 
 def greedy_row(state: GreedyState, x: Key) -> set[Key]:
     """Touched key set for an access to x, without mutating the state."""
-    state._check(x)
+    check_key(x, state.n)
     tree = state._tree
     times = state._times
     touched = {x}
@@ -109,7 +103,7 @@ def greedy_row(state: GreedyState, x: Key) -> set[Key]:
 
 def greedy_row_reference(state: GreedyState, x: Key) -> set[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
-    state._check(x)
+    check_key(x, state.n)
     times = state._times
     touched = {x}
     best = times[x]
@@ -150,18 +144,11 @@ def brute_min_row(pset: PointSet, x: Key, t: int, n: int) -> set[Key]:
     lexicographically, and returns the first feasible one. Exhaustive: meant
     for n at most about 12.
     """
-    if not 1 <= x <= n:
-        raise KeyOutOfRangeError(f"key {x} outside [1, {n}]")
+    check_key(x, n)
     base = list(pset)
     if any(p.time >= t for p in base):
         raise ValueError(f"point set must lie strictly before time {t}")
     if not is_arborally_satisfied(pset):
         raise ValueError("point set must be arborally satisfied")
-    others = [k for k in range(1, n + 1) if k != x]
-    for size in range(len(others) + 1):
-        for combo in combinations(others, size):
-            row = {x, *combo}
-            candidate = PointSet(base + [Point(y, t) for y in row])
-            if is_arborally_satisfied(candidate):
-                return row
-    raise AssertionError("full row completion must always be feasible")
+    others = [Point(k, t) for k in range(1, n + 1) if k != x]
+    return set(next(minimum_supersets(base + [Point(x, t)], others)).row_keys(t))

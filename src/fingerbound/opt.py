@@ -1,18 +1,16 @@
 """Exact minimum arborally satisfied superset for tiny instances.
 
-Searches over supersets of the access points within the grid
-{1..n} x {1..m} by iterative deepening on the number of added points, so the
-first feasible superset found has provably minimum size. Guarded to n, m <= 5;
+Takes the first answer of `geometry.minimum_supersets` over the grid
+{1..n} x {1..m}: it tries the added points by increasing count, so the first
+satisfied superset found has provably minimum size. Guarded to n, m <= 5;
 the grid blow-up is factorial beyond that.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .core import AccessSequence, Point, PointSet
 from .errors import TooLargeError
-from .geometry import is_arborally_satisfied
+from .geometry import minimum_supersets
 
 MAX_N = 5
 MAX_M = 5
@@ -44,10 +42,5 @@ def opt_satisfied_superset(seq: AccessSequence) -> OptResult:
         for k in range(1, seq.n + 1)
         if Point(k, t) not in taken
     ]
-    free.sort(key=lambda p: (p.time, p.key))
-    for added in range(len(free) + 1):
-        for combo in combinations(free, added):
-            candidate = PointSet(base + list(combo))
-            if is_arborally_satisfied(candidate):
-                return OptResult(len(candidate), candidate)
-    raise AssertionError("the full grid is always arborally satisfied")
+    witness = next(minimum_supersets(base, free))
+    return OptResult(len(witness), witness)

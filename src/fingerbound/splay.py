@@ -8,15 +8,18 @@ the root; the number of rotations performed always equals cost - 1.
 
 `run_splay_reference` re-implements the same splaying over a parent-free
 link dict, rotating along an explicit search path. It exists purely as a
-differential check for the pointer implementation.
+differential check of the pointer implementation's searches, costs and
+rotations. Both take their initial shape from `bounds.shape_children`, so
+that check does not cover the shapes; `StaticTree`'s in-order validation
+and the pinned first-access depths do.
 """
 
 from __future__ import annotations
 
-from .core import AccessSequence, CostReport, Key
-from .errors import KeyOutOfRangeError
+from itertools import chain
 
-INITIAL_SHAPES = ("balanced", "left_spine", "right_spine")
+from .bounds import INITIAL_SHAPES, shape_children
+from .core import AccessSequence, CostReport, Key, check_key
 
 
 class _Node:
@@ -35,40 +38,27 @@ class SplayTree:
     def __init__(self, n: int, initial: str = "balanced"):
         if n < 1:
             raise ValueError(f"tree size must be positive, got {n}")
-        if initial not in INITIAL_SHAPES:
-            raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {initial!r}")
         self.n = n
         self.rotations = 0
         self.root = self._build(n, initial)
 
     @staticmethod
     def _build(n: int, initial: str) -> _Node:
-        if initial == "balanced":
-            def rec(lo: int, hi: int) -> _Node | None:
-                if lo > hi:
-                    return None
-                mid = (lo + hi) // 2
-                node = _Node(mid)
-                node.left = rec(lo, mid - 1)
-                node.right = rec(mid + 1, hi)
-                if node.left:
-                    node.left.parent = node
-                if node.right:
-                    node.right.parent = node
-                return node
-
-            return rec(1, n)
-        nodes = [_Node(k) for k in range(1, n + 1)]
-        if initial == "left_spine":
-            # Root n, each left child one key smaller.
-            for k in range(n, 1, -1):
-                nodes[k - 1].left = nodes[k - 2]
-                nodes[k - 2].parent = nodes[k - 1]
-            return nodes[-1]
-        for k in range(1, n):
-            nodes[k - 1].right = nodes[k]
-            nodes[k].parent = nodes[k - 1]
-        return nodes[0]
+        root, left, right = shape_children(n, initial)
+        # Key each node with the int object the child lists already hold, so
+        # the build keeps no second set of n key objects alive.
+        nodes: list[_Node | None] = [None] * (n + 1)
+        for k in chain((root,), left, right):
+            if k:
+                nodes[k] = _Node(k)
+        for node, l, r in zip(nodes, left, right):
+            if l:
+                node.left = nodes[l]
+                node.left.parent = node
+            if r:
+                node.right = nodes[r]
+                node.right.parent = node
+        return nodes[root]
 
     def _rotate_right(self, x: _Node) -> None:
         y = x.left
@@ -126,8 +116,7 @@ class SplayTree:
 
     def access(self, key: Key) -> int:
         """Search for key, return the path node count, then splay it up."""
-        if not 1 <= key <= self.n:
-            raise KeyOutOfRangeError(f"key {key} outside [1, {self.n}]")
+        check_key(key, self.n)
         node = self.root
         cost = 0
         while True:
@@ -177,30 +166,8 @@ def _ref_replace_child(links: dict[int, list[int]], par: int, old: int, new: int
 
 def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Parent-free differential re-implementation of `run_splay`."""
-    n = seq.n
-    if initial not in INITIAL_SHAPES:
-        raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {initial!r}")
-    links: dict[int, list[int]] = {k: [0, 0] for k in range(1, n + 1)}
-    if initial == "balanced":
-        stack = [(1, n, 0, False)]
-        root = (1 + n) // 2
-        while stack:
-            lo, hi, par, is_right = stack.pop()
-            if lo > hi:
-                continue
-            mid = (lo + hi) // 2
-            if par:
-                links[par][1 if is_right else 0] = mid
-            stack.append((lo, mid - 1, mid, False))
-            stack.append((mid + 1, hi, mid, True))
-    elif initial == "left_spine":
-        for k in range(2, n + 1):
-            links[k][0] = k - 1
-        root = n
-    else:
-        for k in range(1, n):
-            links[k][1] = k + 1
-        root = 1
+    root, left, right = shape_children(seq.n, initial)
+    links = {k: [left[k], right[k]] for k in range(1, seq.n + 1)}
     costs: list[int] = []
     for x in seq:
         path = [root]

@@ -23,7 +23,7 @@ exercise every library invariant:
 
 The suites are built from check routines that raise `CheckFailure` naming
 the first counterexample and return how many instances they checked; the
-random ones take their seeded generator. Four of them are also the
+random ones take their seeded generator. Five of them are also the
 acceptance criteria in tests/test_acceptance.py, which call them (with their
 own seeds where a generator is taken) and pin the returned counts:
 
@@ -31,16 +31,18 @@ own seeds where a generator is taken) and pin the returned counts:
     check_greedy_minimality  minimality suite;   test_c02_greedy_minimality
     check_opt_dominance      opt suite;          test_c03_opt_dominance
     check_depth_bound        depth suite;        test_c09_tree_depth_bound
+    check_bound_terms        depth suite;        test_c04_bound_calculator
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import islice, product
 
 from .core import AccessSequence, Point, PointSet, WeightAssignment
 from .bounds import (
+    INITIAL_SHAPES,
     best_static_finger_cost,
     dynamic_finger_bound,
     iter_bsts,
@@ -50,10 +52,14 @@ from .bounds import (
     weights_from_tree,
     wdf_term,
 )
-from .geometry import first_violation, is_arborally_satisfied, unsatisfied_pairs
+from .geometry import (
+    first_violation,
+    is_arborally_satisfied,
+    minimum_supersets,
+    unsatisfied_pairs,
+)
 from .greedy import (
     GreedyState,
-    brute_min_row,
     greedy_execute,
     greedy_row,
     greedy_row_reference,
@@ -151,7 +157,10 @@ def _suite_satisfaction(seed: int, lines: list[str]) -> int:
 def check_greedy_minimality() -> int:
     """Every greedy row of every sequence with n, m <= 5 equals the
     exhaustive minimum completion, and that minimum is unique. Returns the
-    number of rows checked."""
+    number of rows checked.
+
+    Every state is the previous step's satisfied minimum completion, so the
+    search needs no satisfaction check of its own input."""
     checked = 0
     for n in range(1, 6):
         for m in range(1, 6):
@@ -159,21 +168,15 @@ def check_greedy_minimality() -> int:
                 state = GreedyState(n)
                 for t, x in enumerate(accesses, start=1):
                     row = greedy_row(state, x)
-                    oracle = brute_min_row(state.emitted(), x, t, n)
+                    others = [Point(k, t) for k in range(1, n + 1) if k != x]
+                    found = list(islice(minimum_supersets(
+                        list(state.emitted()) + [Point(x, t)], others), 2))
+                    oracle = set(found[0].row_keys(t))
                     if row != oracle:
                         raise CheckFailure(
                             f"row mismatch at t={t} of {accesses}: greedy {sorted(row)} "
                             f"vs oracle {sorted(oracle)}")
-                    base = list(state.emitted())
-                    others = [k for k in range(1, n + 1) if k != x]
-                    feasible = 0
-                    for combo in combinations(others, len(oracle) - 1):
-                        cand = PointSet(base + [Point(y, t) for y in {x, *combo}])
-                        if is_arborally_satisfied(cand):
-                            feasible += 1
-                            if feasible > 1:
-                                break
-                    if feasible != 1:
+                    if len(found) > 1:
                         raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
                     state.step(x)
                     checked += 1
@@ -240,15 +243,13 @@ def check_depth_bound(rng: Splitmix64) -> int:
     return checked
 
 
-def _suite_depth(seed: int, lines: list[str]) -> int:
-    rng = Splitmix64(seed)
-    checked = check_depth_bound(rng)
-    lines.append(f"{checked} weight vectors respected the depth bound")
-    # bound calculator: naive re-evaluation, scale invariance, symmetry, floor
-    rechecks = 0
-    for _ in range(300):
-        n = rng.below(96) + 1
-        m = rng.below(48) + 1
+def check_bound_terms(rng: Splitmix64) -> int:
+    """The weighted finger terms of 1000 random sequences (n <= 128, m <= 64,
+    weights in [0.5, 2]) are at least 1 and within relative 1e-12 of a naive
+    `fsum` re-evaluation."""
+    for _ in range(1000):
+        n = rng.below(128) + 1
+        m = rng.below(64) + 1
         w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
         seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
         report = weighted_df_bound(seq, w)
@@ -264,6 +265,23 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
             if got < 1.0 or abs(got - naive) > 1e-12 * max(1.0, abs(naive)):
                 raise CheckFailure(f"term {i} = {got} vs naive {naive} on {seq.accesses}")
             prev = cur
+    return 1000
+
+
+def _suite_depth(seed: int, lines: list[str]) -> int:
+    rng = Splitmix64(seed)
+    checked = check_depth_bound(rng)
+    lines.append(f"{checked} weight vectors respected the depth bound")
+    terms = check_bound_terms(rng)
+    lines.append(f"{terms} sequences' bound terms matched naive re-evaluation")
+    # bound calculator: scale invariance, symmetry, range weights, equal weights
+    rechecks = 0
+    for _ in range(300):
+        n = rng.below(96) + 1
+        m = rng.below(48) + 1
+        w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
+        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
+        report = weighted_df_bound(seq, w)
         scaled = weighted_df_bound(seq, w.scaled(1000.0))
         for x, y in zip(report.per_access, scaled.per_access):
             if abs(x - y) > 1e-9 * max(1.0, abs(x)):
@@ -279,7 +297,7 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
                 seq, WeightAssignment.equal(n)).per_access:
             raise CheckFailure(f"equal-weights specialization differs on {seq.accesses}")
         rechecks += 1
-    lines.append(f"{rechecks} sequences re-evaluated naively; scaling and symmetry held")
+    lines.append(f"{rechecks} sequences held scaling, symmetry and equal weights")
     # static trees: enumerated optimum agrees with direct recomputation
     agree = 0
     for _ in range(8):
@@ -296,7 +314,7 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
                 raise CheckFailure("weights_from_tree disagrees with depths")
         agree += 1
     lines.append(f"{agree} exhaustive static-tree optimizations cross-checked")
-    return checked + rechecks + agree
+    return checked + terms + rechecks + agree
 
 
 def _suite_roundtrip(seed: int, lines: list[str]) -> int:
@@ -374,11 +392,10 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
             raise CheckFailure(f"prefix points differ at t={t} on {seq.accesses}")
         checked += 1
     lines.append(f"{checked} greedy runs: fast path = scan, online and deterministic")
-    shapes = ("balanced", "left_spine", "right_spine")
     splay_runs = 0
     for i in range(500):
         seq = _random_sequence(rng, 128, 1024)
-        initial = shapes[rng.below(3)]
+        initial = INITIAL_SHAPES[rng.below(3)]
         a = run_splay(seq, initial)
         b = run_splay_reference(seq, initial)
         if a.per_access != b.per_access:
@@ -388,7 +405,7 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
     inorder_runs = 0
     for _ in range(60):
         n = rng.below(64) + 1
-        tree = SplayTree(n, shapes[rng.below(3)])
+        tree = SplayTree(n, INITIAL_SHAPES[rng.below(3)])
         expect = list(range(1, n + 1))
         for _ in range(40):
             x = rng.below(n) + 1

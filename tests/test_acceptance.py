@@ -23,6 +23,7 @@ from fingerbound.bounds import (
 from fingerbound.greedy import greedy_cost
 from fingerbound.splay import SplayTree, run_splay
 from fingerbound.verify import (
+    check_bound_terms,
     check_depth_bound,
     check_greedy_minimality,
     check_greedy_satisfied,
@@ -70,22 +71,7 @@ def test_c03_opt_dominance():
 def test_c04_bound_calculator():
     rng = Splitmix64(44)
     # naive independent re-evaluation at relative error 1e-12
-    for _ in range(1000):
-        n = rng.below(128) + 1
-        m = rng.below(64) + 1
-        w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
-        report = fb.weighted_df_bound(seq, w)
-        prev = seq.accesses[0]
-        for i, cur in enumerate(seq.accesses):
-            if i == 0:
-                naive = 1.0
-            else:
-                lo, hi = min(prev, cur), max(prev, cur)
-                num = math.fsum(w.weights[lo - 1:hi])
-                naive = 1.0 + math.log2(num / min(w.weight(prev), w.weight(cur)))
-            assert report.per_access[i] == pytest.approx(naive, rel=1e-12)
-            prev = cur
+    assert check_bound_terms(rng) == 1000
     # scale invariance at 1e-9
     for _ in range(50):
         n = rng.below(64) + 1

@@ -147,3 +147,11 @@ class TestPointSet:
 
 def test_cost_report_total():
     assert CostReport((1, 2, 2)).total == 5
+
+
+def test_public_names_are_unique_and_resolve():
+    import fingerbound
+
+    assert len(fingerbound.__all__) == len(set(fingerbound.__all__))
+    for name in fingerbound.__all__:
+        assert hasattr(fingerbound, name), name

@@ -1,7 +1,12 @@
 from hypothesis import given, settings, strategies as st
 
 from fingerbound.core import Point, PointSet
-from fingerbound.geometry import first_violation, is_arborally_satisfied, unsatisfied_pairs
+from fingerbound.geometry import (
+    first_violation,
+    is_arborally_satisfied,
+    minimum_supersets,
+    unsatisfied_pairs,
+)
 
 
 def ps(*pairs):
@@ -81,3 +86,9 @@ def test_degenerate_lines_always_satisfied(fixed, varying):
     row = PointSet(Point(k, fixed) for k in varying)
     assert is_arborally_satisfied(column)
     assert is_arborally_satisfied(row)
+
+
+def test_minimum_supersets_yields_every_smallest_and_stops():
+    base = [Point(1, 1), Point(2, 2)]
+    found = list(minimum_supersets(base, [Point(2, 1), Point(1, 2)]))
+    assert found == [ps((1, 1), (2, 2), (2, 1)), ps((1, 1), (2, 2), (1, 2))]

@@ -1,8 +1,10 @@
 import pytest
 
+from fingerbound.bounds import StaticTree
 from fingerbound.core import AccessSequence
 from fingerbound.errors import KeyOutOfRangeError
 from fingerbound.splay import (
+    INITIAL_SHAPES,
     SplayTree,
     run_splay,
     run_splay_reference,
@@ -61,6 +63,19 @@ class TestRunSplay:
     def test_bad_initial(self):
         with pytest.raises(ValueError):
             run_splay(AccessSequence(3, (1,)), "bushy")
+        with pytest.raises(ValueError):
+            SplayTree(3, "bushy")
+        with pytest.raises(ValueError):
+            run_splay_reference(AccessSequence(3, (1,)), "bushy")
+
+    def test_first_access_costs_static_depth_plus_one(self):
+        for n in range(1, 34):
+            for initial in INITIAL_SHAPES:
+                depth = getattr(StaticTree, initial)(n).depth
+                for k in range(1, n + 1):
+                    seq = AccessSequence(n, (k,))
+                    assert run_splay(seq, initial).per_access == (depth[k] + 1,)
+                    assert run_splay_reference(seq, initial).per_access == (depth[k] + 1,)
 
 
 def test_inorder_preserved_and_root_updated():
