@@ -18,18 +18,18 @@ from .bounds import (
     best_static_finger_cost,
     weighted_df_bound,
 )
-from .greedy import greedy_execute
+from .greedy import greedy_execute, greedy_sweep
 from .harness import ALGORITHMS, _bound_and_fit, experiment_rows, fit, run_experiment
 from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
-from .workloads import WORKLOAD_KINDS, WorkloadSpec, generate, read_trace, read_weights, write_trace
+from .workloads import (WORKLOAD_KINDS, WorkloadSpec, generate, read_ascii_lines, read_trace,
+                        read_weights, write_trace)
 
 
 def _emit(header: str, rows: Iterable[tuple], out: str | None) -> None:
     lines = [header]
-    lines.extend(",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-                 for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)  # str(float) is its repr
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
@@ -63,9 +63,10 @@ def _cmd_run(args) -> int:
     w = _load_weights(args, seq.n)
     if args.points:
         # one sweep yields both the points and the per-access costs
-        points, cost = greedy_execute(seq)
+        state = greedy_sweep(seq)
+        cost = state.cost_report()
         bound, fr = _bound_and_fit(seq, cost, w, args.start)
-        _emit("time,key", ((p.time, p.key) for p in points), args.points)
+        _emit("time,key", state.point_rows(), args.points)
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
     _emit("i,key,cost,bound", experiment_rows(seq, cost, bound), args.out)
@@ -109,8 +110,7 @@ def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
     """Pull one numeric column from a headed CSV: the first header field
     matching a preferred name, else the last column. A row that lacks the
     column or holds no number there is an error naming its 1-based line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_ascii_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: expected a CSV header plus at least one data row")
     header = lines[0].split(",")

@@ -57,26 +57,20 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
             own = last[y]
             left_bound = row[i - 1] if i > 0 else 0
             right_bound = row[i + 1] if i + 1 < len(row) else pset.max_key + 1
+            # the witness is the gap's latest key nearest to y; no key in
+            # the gap is later than gap_max (tree leaf j is key j + 1)
             gap_max = tree.max_in(left_bound, y - 2)
             if gap_max > own:
-                z = _nearest_argmax(last, range(y - 1, left_bound, -1), gap_max)
+                z = tree.rightmost_above(y - 2, gap_max - 1) + 1
                 return Point(z, last[z]), Point(y, t)
             gap_max = tree.max_in(y, right_bound - 2)
             if gap_max > own:
-                z = _nearest_argmax(last, range(y + 1, right_bound), gap_max)
+                z = tree.leftmost_above(y, gap_max - 1) + 1
                 return Point(z, last[z]), Point(y, t)
         for y in row:
             last[y] = t
             tree.raise_to(y - 1, t)
     return None
-
-
-def _nearest_argmax(last: list[int], keys: range, target: int) -> int:
-    """First key of the scan, nearest to the row point, touched at target."""
-    for z in keys:
-        if last[z] == target:
-            return z
-    raise AssertionError("gap maximum vanished")
 
 
 def minimum_supersets(base: list[Point], free: Sequence[Point]) -> Iterator[PointSet]:

@@ -15,14 +15,18 @@ This is exactly the unique minimum completion, which the exhaustive
 
 Cost of an access = number of points placed on its row.
 
-`greedy_row` walks the staircase through a max segment tree (O(log n) per
-touched key). `greedy_row_reference` is a plain O(n) prefix-maximum scan kept
-for differential testing, and `brute_min_row` is the exhaustive
-minimum-cardinality oracle for tiny instances, the first answer of
-`geometry.minimum_supersets` over the row's other keys.
+`greedy_row` walks the staircase through a max segment tree, searching
+outward from each touched key: O(log gap) per touched key, gap keys past
+the previous one, O(log n) at worst. `greedy_row_reference` is a plain O(n)
+prefix-maximum scan kept for differential testing, and `brute_min_row` is
+the exhaustive minimum-cardinality oracle for tiny instances, the first
+answer of `geometry.minimum_supersets` over the row's other keys.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from typing import Iterator
 
 from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
 from .geometry import is_arborally_satisfied, minimum_supersets
@@ -32,39 +36,46 @@ from .segtree import MaxSegTree
 class GreedyState:
     """Mutable sweep state: last-touch times plus the emitted rows so far.
 
-    track_points=False drops the emitted-point log (long cost-only runs).
+    The emitted points are logged as one flat list of keys, each row's keys
+    sorted; `per_row_cost` gives the row lengths. track_points=False drops
+    the log (long cost-only runs).
     """
 
-    __slots__ = ("n", "time", "_times", "_tree", "_points", "per_row_cost")
+    __slots__ = ("n", "_times", "_tree", "_log", "per_row_cost")
 
     def __init__(self, n: int, track_points: bool = True):
         if n < 1:
             raise ValueError(f"keyspace size must be positive, got {n}")
         self.n = n
-        self.time = 0
         self._times = [0] * (n + 1)
         self._tree = MaxSegTree(n)
-        self._points: list[Point] | None = [] if track_points else None
+        self._log: list[Key] | None = [] if track_points else None
         self.per_row_cost: list[int] = []
 
     def step(self, x: Key) -> set[Key]:
         """Process the next access: emit row points and update touch times."""
         row = greedy_row(self, x)
-        t = self.time + 1
-        self.time = t
+        t = len(self.per_row_cost) + 1
         ordered = sorted(row)
         for y in ordered:
             self._times[y] = t
             self._tree.raise_to(y - 1, t)
-        if self._points is not None:
-            self._points.extend(Point(y, t) for y in ordered)
+        if self._log is not None:
+            self._log.extend(ordered)
         self.per_row_cost.append(len(row))
         return row
 
-    def emitted(self) -> PointSet:
-        if self._points is None:
+    def point_rows(self) -> Iterator[tuple[int, Key]]:
+        """Emitted points as (time, key) pairs in time-then-key order, the
+        iteration order of `PointSet`."""
+        if self._log is None:
             raise ValueError("point tracking was disabled for this state")
-        return PointSet(self._points)
+        row_times = chain.from_iterable(
+            repeat(t, c) for t, c in enumerate(self.per_row_cost, start=1))
+        return zip(row_times, self._log)
+
+    def emitted(self) -> PointSet:
+        return PointSet((k, t) for t, k in self.point_rows())
 
     def cost_report(self) -> CostReport:
         return CostReport(tuple(self.per_row_cost))
@@ -73,31 +84,20 @@ class GreedyState:
 def greedy_row(state: GreedyState, x: Key) -> set[Key]:
     """Touched key set for an access to x, without mutating the state."""
     check_key(x, state.n)
-    tree = state._tree
     times = state._times
+    tree = state._tree
     touched = {x}
-    # Left staircase: strict records of last-touch time above x's own.
-    thr = times[x]
-    hi = x - 2
-    while hi >= 0:
-        j = tree.rightmost_above(hi, thr)
-        if j < 0:
-            break
-        key = j + 1
-        touched.add(key)
-        thr = times[key]
-        hi = j - 1
+    # Left staircase: strict records of last-touch time above x's own; each
+    # search starts next to the last record found (tree leaf j is key j + 1).
+    j = tree.rightmost_above(x - 2, times[x])
+    while j >= 0:
+        touched.add(j + 1)
+        j = tree.rightmost_above(j - 1, times[j + 1])
     # Right staircase, symmetric.
-    thr = times[x]
-    lo = x
-    while lo <= state.n - 1:
-        j = tree.leftmost_above(lo, thr)
-        if j < 0:
-            break
-        key = j + 1
-        touched.add(key)
-        thr = times[key]
-        lo = j + 1
+    j = tree.leftmost_above(x, times[x])
+    while j >= 0:
+        touched.add(j + 1)
+        j = tree.leftmost_above(j + 1, times[j + 1])
     return touched
 
 
@@ -121,20 +121,23 @@ def greedy_row_reference(state: GreedyState, x: Key) -> set[Key]:
     return touched
 
 
-def greedy_execute(seq: AccessSequence) -> tuple[PointSet, CostReport]:
-    """Run the full sweep; returns the emitted point set and per-row costs."""
-    state = GreedyState(seq.n)
+def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
+    """Run the full sweep and return its final state."""
+    state = GreedyState(seq.n, track_points)
     for x in seq:
         state.step(x)
+    return state
+
+
+def greedy_execute(seq: AccessSequence) -> tuple[PointSet, CostReport]:
+    """Run the full sweep; returns the emitted point set and per-row costs."""
+    state = greedy_sweep(seq)
     return state.emitted(), state.cost_report()
 
 
 def greedy_cost(seq: AccessSequence) -> CostReport:
     """Per-row costs only, skipping point-set assembly (for long runs)."""
-    state = GreedyState(seq.n, track_points=False)
-    for x in seq:
-        state.step(x)
-    return state.cost_report()
+    return greedy_sweep(seq, track_points=False).cost_report()
 
 
 def brute_min_row(pset: PointSet, x: Key, t: int, n: int) -> set[Key]:

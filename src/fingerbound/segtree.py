@@ -3,7 +3,8 @@
 Leaves hold last-touch times (0 = never touched). Beyond range maxima, the
 tree answers the two directional threshold queries the staircase walks need:
 rightmost leaf in a prefix with value above a threshold, and leftmost leaf in
-a suffix with value above a threshold. Both run in O(log n).
+a suffix with value above a threshold. Both search outward from the end
+of their range: O(log gap) for a hit gap leaves away, O(log n) at worst.
 """
 
 from __future__ import annotations
@@ -54,40 +55,28 @@ class MaxSegTree:
             r >>= 1
         return best
 
-    def _segments(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
-        """Canonical node cover of [lo, hi]; left-to-right order is
-        segs_l + reversed(segs_r)."""
-        segs_l: list[int] = []
-        segs_r: list[int] = []
-        l = lo + self.size
-        r = hi + self.size + 1
-        while l < r:
-            if l & 1:
-                segs_l.append(l)
-                l += 1
-            if r & 1:
-                r -= 1
-                segs_r.append(r)
-            l >>= 1
-            r >>= 1
-        return segs_l, segs_r
-
     def rightmost_above(self, hi: int, thr: int) -> int:
-        """Rightmost leaf index in [0, hi] with value > thr, or -1."""
+        """Rightmost leaf index in [0, hi] with value > thr, or -1. From
+        leaf hi, a failing node climbs while it is a left child and passes
+        the search to its left sibling; a hit descends to its nearest leaf."""
         if hi >= self.n:
             hi = self.n - 1
         if hi < 0:
             return -1
         t = self.tree
-        segs_l, segs_r = self._segments(0, hi)
-        for node in (*segs_r, *reversed(segs_l)):
-            if t[node] > thr:
-                while node < self.size:
-                    node <<= 1
-                    if t[node | 1] > thr:
-                        node |= 1
-                return node - self.size
-        return -1
+        size = self.size
+        i = hi + size
+        while t[i] <= thr:
+            if not i & (i - 1):  # leftmost node of its level
+                return -1
+            while not i & 1:
+                i >>= 1
+            i -= 1
+        while i < size:
+            i = 2 * i + 1
+            if t[i] <= thr:
+                i -= 1
+        return i - size
 
     def leftmost_above(self, lo: int, thr: int) -> int:
         """Leftmost leaf index in [lo, n-1] with value > thr, or -1."""
@@ -96,12 +85,16 @@ class MaxSegTree:
         if lo > self.n - 1:
             return -1
         t = self.tree
-        segs_l, segs_r = self._segments(lo, self.n - 1)
-        for node in (*segs_l, *reversed(segs_r)):
-            if t[node] > thr:
-                while node < self.size:
-                    node <<= 1
-                    if not t[node] > thr:
-                        node |= 1
-                return node - self.size
-        return -1
+        size = self.size
+        i = lo + size
+        while t[i] <= thr:
+            if not (i + 1) & i:  # rightmost node of its level
+                return -1
+            while i & 1:
+                i >>= 1
+            i += 1
+        while i < size:
+            i <<= 1
+            if t[i] <= thr:
+                i += 1
+        return i - size

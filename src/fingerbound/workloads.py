@@ -142,10 +142,21 @@ def _reverse_bits(v: int, width: int) -> int:
     return r
 
 
+def read_ascii_lines(path: str | Path) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte raises
+    `TraceParseError` naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:  # "x" stands in for the bad byte
+        line = len((data[:exc.start] + b"x").decode("ascii").splitlines())
+        raise TraceParseError(
+            line, f"non-ASCII byte {data[exc.start]:#04x} in {path}") from None
+
+
 def read_trace(path: str | Path) -> AccessSequence:
     """Parse a trace file, reporting the offending line on any defect."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_ascii_lines(path)
     if not lines:
         raise TraceParseError(1, "empty trace file; expected 'n m' header")
     head = lines[0].split()
@@ -181,8 +192,7 @@ def write_trace(seq: AccessSequence, path: str | Path) -> None:
 
 def read_weights(path: str | Path) -> WeightAssignment:
     """Parse a weights file: one strictly positive decimal per line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_ascii_lines(path)
     if not lines:
         raise TraceParseError(1, "empty weights file")
     values: list[float] = []

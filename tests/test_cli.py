@@ -1,7 +1,8 @@
 import pytest
 
 from fingerbound.cli import main
-from fingerbound.workloads import WorkloadSpec, generate, write_trace
+from fingerbound.greedy import greedy_execute
+from fingerbound.workloads import WorkloadSpec, generate, read_trace, write_trace
 
 
 @pytest.fixture
@@ -71,6 +72,10 @@ class TestRun:
         lines = pts.read_text().splitlines()
         assert lines[0] == "time,key"
         assert lines[1] == "1,16"  # walk starts at the midpoint
+        # the flat log is written in PointSet order: time, then key
+        points, _ = greedy_execute(read_trace(trace))
+        assert pts.read_bytes() == "".join(
+            ["time,key\n"] + [f"{p.time},{p.key}\n" for p in points]).encode()
 
     def test_points_sweeps_greedy_once(self, capsys, trace, tmp_path, monkeypatch):
         from fingerbound.greedy import GreedyState
@@ -187,6 +192,15 @@ class TestFitCmd:
         code, _, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
         assert code == 2
         assert f"{cost}: line {line}:" in err
+
+    def test_non_ascii_byte_names_its_line(self, capsys, tmp_path):
+        cost = tmp_path / "c.csv"
+        bound = tmp_path / "b.csv"
+        cost.write_bytes(b"i,cost\n1,2.0\n2,\xc3\xa9\n")
+        bound.write_text("i,bound\n1,1.0\n2,2.0\n")
+        code, _, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
+        assert code == 2
+        assert f"line 3: non-ASCII byte 0xc3 in {cost}" in err
 
     def test_fit_picks_named_columns_from_run_output(self, capsys, trace, tmp_path):
         # `run` emits i,key,cost,bound; fitting that file against a bound CSV

@@ -88,6 +88,14 @@ class TestGreedyExecute:
         _, cost = greedy_execute(seq)
         assert greedy_cost(seq).per_access == cost.per_access
 
+    def test_untracked_state_has_no_points(self):
+        state = GreedyState(3, track_points=False)
+        state.step(2)
+        with pytest.raises(ValueError):
+            state.emitted()
+        with pytest.raises(ValueError):
+            state.point_rows()
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
@@ -115,9 +123,12 @@ def test_execution_properties(data):
 
 def test_fast_path_matches_reference_scan():
     rng = Splitmix64(2024)
-    for _ in range(150):
-        n = rng.below(48) + 1
-        m = rng.below(80) + 1
+    # 150 random small sizes, then sizes either side of a power of two
+    for n in [None] * 150 + [63, 64, 65, 1023, 1024, 1025]:
+        if n is None:
+            n, m = rng.below(48) + 1, rng.below(80) + 1
+        else:
+            m = 300
         state = GreedyState(n)
         for _ in range(m):
             x = rng.below(n) + 1

@@ -138,6 +138,14 @@ class TestTraceIO:
             read_trace(p)
         assert exc.value.line == 3
 
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"3 2\n1\n\xc3\xa9\n")
+        with pytest.raises(TraceParseError) as exc:
+            read_trace(p)
+        assert exc.value.line == 3
+        assert f"non-ASCII byte 0xc3 in {p}" in str(exc.value)
+
     def test_round_trip_generated(self, tmp_path):
         seq = generate(WorkloadSpec("uniform", 64, 100, seed=7))
         p = tmp_path / "t.txt"
@@ -158,6 +166,15 @@ class TestWeightsIO:
         p = tmp_path / "w.txt"
         write_weights(w, p)
         assert read_weights(p).weights == w.weights
+
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        # CRLF line ends, the bad byte in the middle of line 2
+        p = tmp_path / "w.txt"
+        p.write_bytes(b"1.0\r\n2.\xb05\r\n3.0\r\n")
+        with pytest.raises(TraceParseError) as exc:
+            read_weights(p)
+        assert exc.value.line == 2
+        assert f"non-ASCII byte 0xb0 in {p}" in str(exc.value)
 
     def test_rejects_nonpositive(self, tmp_path):
         p = tmp_path / "w.txt"
