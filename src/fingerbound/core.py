@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -72,18 +74,20 @@ class WeightAssignment:
     prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
+        ws = tuple(map(float, self.weights))
         if not ws:
             raise BadKeyspaceError("weight vector is empty")
         object.__setattr__(self, "weights", ws)
-        acc = [0.0]
-        for i, w in enumerate(ws, start=1):
-            if not math.isfinite(w) or w <= 0.0:
-                raise ValueError(f"weight {i} must be a finite positive number, got {w!r}")
-            acc.append(acc[-1] + w)
-            if not acc[-1] > acc[-2]:
-                raise ValueError(f"weight {i} vanishes in the prefix sum; rescale the vector")
-        object.__setattr__(self, "prefix", tuple(acc))
+        prefix = tuple(accumulate(ws, initial=0.0))
+        if not (all(map(math.isfinite, ws)) and min(ws) > 0.0
+                and all(map(lt, prefix, islice(prefix, 1, None)))):
+            # name the first bad weight: earlier prefix sums are exact
+            for i, w in enumerate(ws, start=1):
+                if not math.isfinite(w) or w <= 0.0:
+                    raise ValueError(f"weight {i} must be a finite positive number, got {w!r}")
+                if not prefix[i] > prefix[i - 1]:
+                    raise ValueError(f"weight {i} vanishes in the prefix sum; rescale the vector")
+        object.__setattr__(self, "prefix", prefix)
 
     @classmethod
     def equal(cls, n: int) -> "WeightAssignment":

@@ -30,8 +30,10 @@ class BadSpecError(ValueError):
 
 
 class TraceParseError(ValueError):
-    """A trace or weights file is malformed; carries the offending line number."""
+    """A trace or weights file is malformed; carries the offending line
+    number and the file's path, and names both in its message."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int, message: str, path):
+        super().__init__(f"line {line}: {message} in {path}")
         self.line = line
+        self.path = path

@@ -21,18 +21,91 @@ gap keys are witnessed by their blockers, and stale column points are
 witnessed by their successors in the same column, so the gap maximum is the
 only comparison left. The two routes are cross-checked in the test suite.
 
+So row t's verdict depends only on row t's keys and the last-touch times of
+the rows before it. `RowSweep` carries those times from row to row: it checks
+one row against them (`violation`), then folds the row in (`commit`). The
+sweep is causal, which the exhaustive search below relies on.
+
 `minimum_supersets` is the one exhaustive search over point additions: the
 greedy minimum-row oracle, the exact optimum and the uniqueness check of the
-minimality suite all take their answers from it.
+minimality suite all take their answers from it. It walks the subsets of its
+time-major `free` list depth first, checks each row once no later choice can
+add to it, and drops every subset sharing a failed row. A caller whose
+earlier rows are fixed passes their `RowSweep`, so only the later rows are
+searched and checked.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import Point, PointSet
+from .core import Key, Point, PointSet
 from .segtree import MaxSegTree
+
+
+class RowSweep:
+    """Last-touch time of each key 1..n (0 for never) after the committed
+    rows, up to row `time`, with a max segment tree over them (tree leaf j
+    is key j + 1). Rows are sorted key sequences, committed in increasing
+    time."""
+
+    __slots__ = ("n", "time", "last", "tree")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.time = 0
+        self.last = [0] * (n + 1)
+        self.tree = MaxSegTree(n)
+
+    def copy(self) -> "RowSweep":
+        other = RowSweep.__new__(RowSweep)
+        other.n, other.time = self.n, self.time
+        other.last, other.tree = self.last[:], self.tree.copy()
+        return other
+
+    def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
+        """A pair spanning an empty rectangle that row t would form with the
+        committed rows, earlier point first, or None."""
+        last = self.last
+        tree = self.tree
+        n = self.n
+        prev = 0
+        # each open gap between neighbouring row keys (or the keyspace ends)
+        # is checked against its left neighbour, then its right neighbour;
+        # the witness is the gap's latest key nearest to that neighbour, and
+        # no key in the gap is later than gap_max (tree leaf j is key j + 1)
+        for y in (*row, n + 1):
+            gap_max = tree.max_in(prev, y - 2)
+            if gap_max:
+                if prev and gap_max > last[prev]:
+                    z = tree.leftmost_above(prev, gap_max - 1) + 1
+                    return Point(z, last[z]), Point(prev, t)
+                if y <= n and gap_max > last[y]:
+                    z = tree.rightmost_above(y - 2, gap_max - 1) + 1
+                    return Point(z, last[z]), Point(y, t)
+            prev = y
+        return None
+
+    def commit(self, row: Sequence[Key], t: int) -> None:
+        """Fold row t in: its keys were last touched at t."""
+        if t <= self.time:
+            raise ValueError(f"row {t} does not follow committed row {self.time}")
+        last = self.last
+        tree = self.tree
+        for y in row:
+            last[y] = t
+            tree.raise_to(y - 1, t)
+        self.time = t
+
+    def sweep(self, rows: Iterable[tuple[int, Sequence[Key]]]) -> tuple[Point, Point] | None:
+        """Check and commit (time, keys) rows in turn; the first row's
+        violation, or None once all are committed."""
+        for t, row in rows:
+            bad = self.violation(row, t)
+            if bad is not None:
+                return bad
+            self.commit(row, t)
+        return None
 
 
 def is_arborally_satisfied(pset: PointSet) -> bool:
@@ -49,45 +122,94 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     """
     if len(pset) < 2:
         return None
-    tree = MaxSegTree(pset.max_key)
-    last = [0] * (pset.max_key + 1)
-    for t in pset.times:
-        row = pset.row_keys(t)
-        for i, y in enumerate(row):
-            own = last[y]
-            left_bound = row[i - 1] if i > 0 else 0
-            right_bound = row[i + 1] if i + 1 < len(row) else pset.max_key + 1
-            # the witness is the gap's latest key nearest to y; no key in
-            # the gap is later than gap_max (tree leaf j is key j + 1)
-            gap_max = tree.max_in(left_bound, y - 2)
-            if gap_max > own:
-                z = tree.rightmost_above(y - 2, gap_max - 1) + 1
-                return Point(z, last[z]), Point(y, t)
-            gap_max = tree.max_in(y, right_bound - 2)
-            if gap_max > own:
-                z = tree.leftmost_above(y, gap_max - 1) + 1
-                return Point(z, last[z]), Point(y, t)
-        for y in row:
-            last[y] = t
-            tree.raise_to(y - 1, t)
-    return None
+    return RowSweep(pset.max_key).sweep((t, pset.row_keys(t)) for t in pset.times)
 
 
-def minimum_supersets(base: list[Point], free: Sequence[Point]) -> Iterator[PointSet]:
+def minimum_supersets(base: list[Point], free: Sequence[Point],
+                      sweep: RowSweep | None = None) -> Iterator[PointSet]:
     """Every arborally satisfied superset of `base` that adds the fewest
     points of `free`.
 
-    Tries subsets of `free` by increasing size, in `itertools.combinations`
-    order, yields each satisfied superset of the first size that has one,
-    then stops. Exhaustive: meant for tiny instances.
+    Yields, in `itertools.combinations` order, each satisfied `base` plus
+    subset of `free` of the first size that has one, then stops. `free`
+    must be time-major. `sweep`, if given, holds the committed rows before
+    every point of `base` and `free`, which the yielded sets leave out; it
+    is not changed. Exhaustive: meant for tiny instances.
+
+    Subsets are built depth first over `free`. Once the next chosen point
+    lies past a row, no later choice adds to that row, so it is checked and
+    committed then; a failed row rules out every subset through that
+    prefix, and the rest of them are skipped.
     """
-    for size in range(len(free) + 1):
+    free_times = [p.time for p in free]
+    if free_times != sorted(free_times):
+        raise ValueError("free points must be in time-major order")
+    points = [*base, *free]
+    if sweep is None:
+        sweep = RowSweep(max((k for k, _ in points), default=1))
+    for k, t in points:
+        if not (1 <= k <= sweep.n and t > sweep.time):
+            raise ValueError(f"point {(k, t)} needs a key in [1, {sweep.n}] "
+                             f"and a time after {sweep.time}")
+    base_keys: dict[int, set[Key]] = {}
+    for k, t in base:
+        base_keys.setdefault(t, set()).add(k)
+    times = sorted(base_keys.keys() | set(free_times))
+    last_row = len(times) - 1
+    base_rows = [sorted(base_keys.get(t, ())) for t in times]
+    row_of = {t: r for r, t in enumerate(times)}
+    free_rows = [row_of[t] for t in free_times]
+
+    def keys(r: int, extra: list[Key]) -> list[Key]:
+        return sorted({*base_rows[r], *extra}) if extra else base_rows[r]
+
+    def passes(state: RowSweep, r: int, extra: list[Key]) -> bool:
+        """Rows r.. pass on top of `state`, row r holding `extra` too."""
+        if r > last_row:
+            return True
+        row, owned = keys(r, extra), False
+        while state.violation(row, times[r]) is None:
+            if r == last_row:
+                return True
+            if not owned:
+                state, owned = state.copy(), True
+            state.commit(row, times[r])
+            r += 1
+            row = base_rows[r]
+        return False
+
+    def extend(state: RowSweep, cur: int, extra: list[Key], pos: int, need: int,
+               chosen: list[Point]) -> Iterator[PointSet]:
+        # `state` holds the rows before row cur, which holds `extra` so far;
+        # `ahead` holds the rows before row `reached`, a copy once past cur
+        ahead, reached = state, cur
+        for i in range(pos, len(free) - need + 1):
+            r = free_rows[i]
+            if r == cur:
+                sub, sub_extra = state, extra + [free[i].key]
+            else:
+                if ahead is state:
+                    ahead = state.copy()
+                while reached < r:
+                    row = keys(reached, extra) if reached == cur else base_rows[reached]
+                    if ahead.violation(row, times[reached]) is not None:
+                        return
+                    ahead.commit(row, times[reached])
+                    reached += 1
+                sub, sub_extra = ahead, [free[i].key]
+            if need > 1:
+                yield from extend(sub, r, sub_extra, i + 1, need - 1, chosen + [free[i]])
+            elif passes(sub, r, sub_extra):
+                yield PointSet(base + chosen + [free[i]])
+
+    if passes(sweep, 0, []):
+        yield PointSet(base)
+        return
+    for size in range(1, len(free) + 1):
         found = False
-        for combo in combinations(free, size):
-            candidate = PointSet(base + list(combo))
-            if is_arborally_satisfied(candidate):
-                found = True
-                yield candidate
+        for candidate in extend(sweep, 0, [], 0, size, []):
+            found = True
+            yield candidate
         if found:
             return
 

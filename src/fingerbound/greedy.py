@@ -20,16 +20,17 @@ outward from each touched key: O(log gap) per touched key, gap keys past
 the previous one, O(log n) at worst. `greedy_row_reference` is a plain O(n)
 prefix-maximum scan kept for differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances, the first
-answer of `geometry.minimum_supersets` over the row's other keys.
+answer of `geometry.minimum_supersets` over the row's other keys, searched
+on top of one `RowSweep` over the earlier rows.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import accumulate, chain, count, repeat
 from typing import Iterator
 
 from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
-from .geometry import is_arborally_satisfied, minimum_supersets
+from .geometry import RowSweep, minimum_supersets
 from .segtree import MaxSegTree
 
 
@@ -65,14 +66,25 @@ class GreedyState:
         self.per_row_cost.append(len(row))
         return row
 
+    def _points_log(self) -> list[Key]:
+        if self._log is None:
+            raise ValueError("point tracking was disabled for this state")
+        return self._log
+
     def point_rows(self) -> Iterator[tuple[int, Key]]:
         """Emitted points as (time, key) pairs in time-then-key order, the
         iteration order of `PointSet`."""
-        if self._log is None:
-            raise ValueError("point tracking was disabled for this state")
+        log = self._points_log()
         row_times = chain.from_iterable(
             repeat(t, c) for t, c in enumerate(self.per_row_cost, start=1))
-        return zip(row_times, self._log)
+        return zip(row_times, log)
+
+    def rows(self) -> Iterator[tuple[int, list[Key]]]:
+        """Emitted rows as (time, sorted keys) pairs in time order."""
+        log = self._points_log()
+        cost = self.per_row_cost
+        return ((t, log[end - c:end])
+                for t, c, end in zip(count(1), cost, accumulate(cost)))
 
     def emitted(self) -> PointSet:
         return PointSet((k, t) for t, k in self.point_rows())
@@ -144,14 +156,15 @@ def brute_min_row(pset: PointSet, x: Key, t: int, n: int) -> set[Key]:
     """Smallest row-t completion containing x that keeps the set satisfied.
 
     Enumerates subsets of {1..n} containing x by increasing cardinality, then
-    lexicographically, and returns the first feasible one. Exhaustive: meant
-    for n at most about 12.
+    lexicographically, and returns the first feasible one. One sweep over
+    `pset` checks it and carries its rows, so the search checks row t only.
+    Exhaustive: meant for n at most about 12.
     """
     check_key(x, n)
-    base = list(pset)
-    if any(p.time >= t for p in base):
+    if any(p.time >= t for p in pset):
         raise ValueError(f"point set must lie strictly before time {t}")
-    if not is_arborally_satisfied(pset):
+    sweep = RowSweep(max(n, pset.max_key))
+    if sweep.sweep((s, pset.row_keys(s)) for s in pset.times) is not None:
         raise ValueError("point set must be arborally satisfied")
     others = [Point(k, t) for k in range(1, n + 1) if k != x]
-    return set(next(minimum_supersets(base + [Point(x, t)], others)).row_keys(t))
+    return set(next(minimum_supersets([Point(x, t)], others, sweep)).row_keys(t))

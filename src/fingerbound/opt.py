@@ -2,8 +2,11 @@
 
 Takes the first answer of `geometry.minimum_supersets` over the grid
 {1..n} x {1..m}: it tries the added points by increasing count, so the first
-satisfied superset found has provably minimum size. Guarded to n, m <= 5;
-the grid blow-up is factorial beyond that.
+satisfied superset found has provably minimum size. The grid points are
+listed time-major, so the search checks each row once its added points are
+chosen and skips every extension of a choice whose row fails: a row's
+verdict depends only on the rows at or before it. Guarded to n, m <= 5; the
+grid blow-up is factorial beyond that.
 """
 
 from __future__ import annotations

@@ -20,6 +20,11 @@ class MaxSegTree:
         self.size = 1 << (n - 1).bit_length() if n > 1 else 1
         self.tree = [0] * (2 * self.size)
 
+    def copy(self) -> "MaxSegTree":
+        other = MaxSegTree.__new__(MaxSegTree)
+        other.n, other.size, other.tree = self.n, self.size, self.tree[:]
+        return other
+
     def raise_to(self, i: int, v: int) -> None:
         """Set leaf i to v; v must not be below the current value."""
         t = self.tree

@@ -53,7 +53,7 @@ from .bounds import (
     wdf_term,
 )
 from .geometry import (
-    first_violation,
+    RowSweep,
     is_arborally_satisfied,
     minimum_supersets,
     unsatisfied_pairs,
@@ -63,6 +63,7 @@ from .greedy import (
     greedy_execute,
     greedy_row,
     greedy_row_reference,
+    greedy_sweep,
 )
 from .opt import opt_satisfied_superset
 from .splay import SplayTree, run_splay, run_splay_reference
@@ -102,6 +103,13 @@ def _random_sequence(rng: Splitmix64, max_n: int, max_m: int) -> AccessSequence:
     return AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
 
 
+def _greedy_violation(seq: AccessSequence) -> tuple[GreedyState, tuple[Point, Point] | None]:
+    """Greedy's final state on seq, and the first violating pair of its rows,
+    swept straight from the point log."""
+    state = greedy_sweep(seq)
+    return state, RowSweep(seq.n).sweep(state.rows())
+
+
 def check_greedy_satisfied(rng: Splitmix64) -> int:
     """Greedy output on 1000 random sequences (n <= 64, m <= 256) and on every
     sequence with n, m <= 4 is arborally satisfied; on the random ones it
@@ -110,22 +118,24 @@ def check_greedy_satisfied(rng: Splitmix64) -> int:
     checked = 0
     for _ in range(1000):
         seq = _random_sequence(rng, 64, 256)
-        points, cost = greedy_execute(seq)
-        bad = first_violation(points)
+        state, bad = _greedy_violation(seq)
         if bad is not None:
             raise CheckFailure(f"violating pair {bad} on sequence {seq.accesses}")
-        for t, k in enumerate(seq, start=1):
-            if Point(k, t) not in points:
+        points = 0
+        for (t, row), k in zip(state.rows(), seq):
+            if k not in row:
                 raise CheckFailure(f"access point ({k},{t}) missing on {seq.accesses}")
-        if any(c < 1 for c in cost.per_access):
+            if row != sorted(set(row)):
+                raise CheckFailure(f"row {t} repeats or misorders keys on {seq.accesses}")
+            points += len(row)
+        if any(c < 1 for c in state.per_row_cost):
             raise CheckFailure(f"zero-cost row on {seq.accesses}")
-        if sum(cost.per_access) != len(points):
+        if sum(state.per_row_cost) != points:
             raise CheckFailure(f"cost total disagrees with point count on {seq.accesses}")
         checked += 1
     for n, m in product(range(1, 5), repeat=2):
         for accesses in product(range(1, n + 1), repeat=m):
-            points, _ = greedy_execute(AccessSequence(n, accesses))
-            if not is_arborally_satisfied(points):
+            if _greedy_violation(AccessSequence(n, accesses))[1] is not None:
                 raise CheckFailure(f"unsatisfied output on {accesses}")
             checked += 1
     return checked
@@ -159,18 +169,20 @@ def check_greedy_minimality() -> int:
     exhaustive minimum completion, and that minimum is unique. Returns the
     number of rows checked.
 
-    Every state is the previous step's satisfied minimum completion, so the
-    search needs no satisfaction check of its own input."""
+    A `RowSweep` carries greedy's rows alongside its `GreedyState`, so the
+    search over each row checks that row only. Every earlier row is the
+    previous step's satisfied minimum completion, so the carried rows need
+    no check of their own."""
     checked = 0
     for n in range(1, 6):
         for m in range(1, 6):
             for accesses in product(range(1, n + 1), repeat=m):
-                state = GreedyState(n)
+                state = GreedyState(n, track_points=False)
+                sweep = RowSweep(n)
                 for t, x in enumerate(accesses, start=1):
-                    row = greedy_row(state, x)
+                    row = state.step(x)
                     others = [Point(k, t) for k in range(1, n + 1) if k != x]
-                    found = list(islice(minimum_supersets(
-                        list(state.emitted()) + [Point(x, t)], others), 2))
+                    found = list(islice(minimum_supersets([Point(x, t)], others, sweep), 2))
                     oracle = set(found[0].row_keys(t))
                     if row != oracle:
                         raise CheckFailure(
@@ -178,7 +190,7 @@ def check_greedy_minimality() -> int:
                             f"vs oracle {sorted(oracle)}")
                     if len(found) > 1:
                         raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
-                    state.step(x)
+                    sweep.commit(sorted(row), t)
                     checked += 1
     return checked
 

@@ -150,35 +150,37 @@ def read_ascii_lines(path: str | Path) -> list[str]:
         return data.decode("ascii").splitlines()
     except UnicodeDecodeError as exc:  # "x" stands in for the bad byte
         line = len((data[:exc.start] + b"x").decode("ascii").splitlines())
-        raise TraceParseError(
-            line, f"non-ASCII byte {data[exc.start]:#04x} in {path}") from None
+        raise TraceParseError(line, f"non-ASCII byte {data[exc.start]:#04x}", path) from None
 
 
 def read_trace(path: str | Path) -> AccessSequence:
-    """Parse a trace file, reporting the offending line on any defect."""
+    """Parse a trace file, reporting the offending line and the path on any
+    defect."""
     lines = read_ascii_lines(path)
     if not lines:
-        raise TraceParseError(1, "empty trace file; expected 'n m' header")
+        raise TraceParseError(1, "empty trace file; expected 'n m' header", path)
     head = lines[0].split()
     if len(head) != 2:
-        raise TraceParseError(1, f"expected 'n m' header, got {lines[0]!r}")
+        raise TraceParseError(1, f"expected 'n m' header, got {lines[0]!r}", path)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise TraceParseError(1, f"expected integer header fields, got {lines[0]!r}") from None
+        raise TraceParseError(1, f"expected integer header fields, got {lines[0]!r}",
+                              path) from None
     if n < 1 or m < 1:
-        raise TraceParseError(1, f"n and m must be positive, got n={n}, m={m}")
+        raise TraceParseError(1, f"n and m must be positive, got n={n}, m={m}", path)
     if len(lines) != m + 1:
         raise TraceParseError(len(lines) + 1 if len(lines) < m + 1 else m + 2,
-                              f"expected {m} access lines after the header, found {len(lines) - 1}")
+                              f"expected {m} access lines after the header, found {len(lines) - 1}",
+                              path)
     keys: list[int] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
             k = int(raw)
         except ValueError:
-            raise TraceParseError(lineno, f"expected one integer key, got {raw!r}") from None
+            raise TraceParseError(lineno, f"expected one integer key, got {raw!r}", path) from None
         if not 1 <= k <= n:
-            raise TraceParseError(lineno, f"key {k} out of range [1, {n}]")
+            raise TraceParseError(lineno, f"key {k} out of range [1, {n}]", path)
         keys.append(k)
     return AccessSequence(n, tuple(keys))
 
@@ -194,15 +196,16 @@ def read_weights(path: str | Path) -> WeightAssignment:
     """Parse a weights file: one strictly positive decimal per line."""
     lines = read_ascii_lines(path)
     if not lines:
-        raise TraceParseError(1, "empty weights file")
+        raise TraceParseError(1, "empty weights file", path)
     values: list[float] = []
     for lineno, raw in enumerate(lines, start=1):
         try:
             w = float(raw)
         except ValueError:
-            raise TraceParseError(lineno, f"expected one decimal weight, got {raw!r}") from None
+            raise TraceParseError(lineno, f"expected one decimal weight, got {raw!r}",
+                                  path) from None
         if not math.isfinite(w) or w <= 0.0:
-            raise TraceParseError(lineno, f"weight must be finite and positive, got {raw!r}")
+            raise TraceParseError(lineno, f"weight must be finite and positive, got {raw!r}", path)
         values.append(w)
     return WeightAssignment(tuple(values))
 

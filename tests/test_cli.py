@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fingerbound.cli import main
@@ -113,6 +118,23 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--trace", "/nope.txt", "--algo", "greedy")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_parse_error_names_the_file_at_fault(self, capsys, tmp_path, swapped):
+        trace = tmp_path / "trace.txt"
+        weights = tmp_path / "weights.txt"
+        trace.write_text("2 2\n1\n2\n")
+        weights.write_text("1.0\n-2\n")
+        if swapped:  # the weights file read as the trace fails on its header
+            trace, weights = weights, trace
+        code, _, err = run_cli(capsys, "run", "--trace", str(trace), "--algo", "greedy",
+                               "--weights", str(weights))
+        assert code == 2
+        at_fault, other = (trace, weights) if swapped else (weights, trace)
+        line = 1 if swapped else 2
+        assert err.startswith(f"error: line {line}: ")
+        assert err.rstrip().endswith(f" in {at_fault}")
+        assert str(other) not in err
 
 
 class TestBound:
@@ -249,3 +271,13 @@ def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "fingerbound", "verify", "--suite", "opt"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("opt: pass")

@@ -113,6 +113,24 @@ class TestWeights:
         with pytest.raises(ValueError):
             WeightAssignment((1e300, 1e-300))
 
+    def test_error_names_the_first_bad_weight(self):
+        with pytest.raises(ValueError, match="weight 2 vanishes"):
+            WeightAssignment((1.0, 1e-17, -1.0))
+        with pytest.raises(ValueError, match="weight 2 must be a finite positive number"):
+            WeightAssignment((1.0, float("nan"), 1e-17))
+        with pytest.raises(ValueError, match="weight 3 must be a finite positive number"):
+            WeightAssignment((1e300, 1e300, float("inf")))
+
+    def test_prefix_is_the_running_sum(self):
+        rng = Splitmix64(7)
+        ws = tuple(rng.unit() + 1e-3 for _ in range(500))
+        acc, expect = 0.0, [0.0]
+        for w in ws:
+            acc += w
+            expect.append(acc)
+        assert WeightAssignment(ws).prefix == tuple(expect)
+        assert WeightAssignment.equal(5).prefix == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+
     def test_total(self):
         assert WeightAssignment((0.5, 2.0, 0.25)).total == pytest.approx(2.75)
 
