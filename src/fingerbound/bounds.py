@@ -63,6 +63,10 @@ class StaticTree:
             raise DimensionMismatchError("left/right arrays must have length n + 1")
         if not 1 <= self.root <= self.n:
             raise KeyOutOfRangeError(f"root {self.root} outside [1, {self.n}]")
+        for side, children in (("left", self.left), ("right", self.right)):
+            if min(children) < 0 or max(children) > self.n:
+                k, c = next((k, c) for k, c in enumerate(children) if not 0 <= c <= self.n)
+                raise KeyOutOfRangeError(f"{side}[{k}] = {c} outside [0, {self.n}]")
         parent = [0] * (self.n + 1)
         depth = [0] * (self.n + 1)
         order: list[int] = []

@@ -8,6 +8,7 @@ numeric CSV with a header row; summaries go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Iterable, Sequence
 
@@ -19,7 +20,7 @@ from .bounds import (
     weighted_df_bound,
 )
 from .greedy import greedy_execute, greedy_sweep
-from .harness import ALGORITHMS, _bound_and_fit, experiment_rows, fit, run_experiment
+from .harness import ALGORITHMS, _bound_and_fit, fit, run_experiment
 from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
@@ -66,10 +67,12 @@ def _cmd_run(args) -> int:
         state = greedy_sweep(seq)
         cost = state.cost_report()
         bound, fr = _bound_and_fit(seq, cost, w, args.start)
-        _emit("time,key", state.point_rows(), args.points)
+        _emit("time,key", ((t, k) for t, row in state.rows() for k in row), args.points)
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
-    _emit("i,key,cost,bound", experiment_rows(seq, cost, bound), args.out)
+    rows = ((i, k, c, b) for i, (k, c, b) in
+            enumerate(zip(seq.accesses, cost.per_access, bound.per_access), start=1))
+    _emit("i,key,cost,bound", rows, args.out)
     sys.stderr.write(
         f"total_cost={cost.total} total_bound={bound.total!r} ratio={fr.ratio!r} "
         f"slope={fr.slope!r} intercept={fr.intercept!r} r2={fr.r2!r}\n"
@@ -109,7 +112,8 @@ def _cmd_opt(args) -> int:
 def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
     """Pull one numeric column from a headed CSV: the first header field
     matching a preferred name, else the last column. A row that lacks the
-    column or holds no number there is an error naming its 1-based line."""
+    column or holds no finite number there is an error naming its 1-based
+    line."""
     lines = read_ascii_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: expected a CSV header plus at least one data row")
@@ -122,10 +126,13 @@ def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
     series = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            series.append(float(line.split(",")[idx]))
+            value = float(line.split(",")[idx])
         except (IndexError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: no number in column "
-                             f"{header[idx]!r}: {line!r}") from None
+                             f"{header[idx]!r}: {line!r}")
+        series.append(value)
     return series
 
 
@@ -153,8 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a workload trace")
-    p.add_argument("--workload", required=True,
-                   choices=[k for k in WORKLOAD_KINDS if k != "trace"])
+    p.add_argument("--workload", required=True, choices=WORKLOAD_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -24,7 +24,9 @@ only comparison left. The two routes are cross-checked in the test suite.
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
 one row against them (`violation`), then folds the row in (`commit`). The
-sweep is causal, which the exhaustive search below relies on.
+sweep is causal, which the exhaustive search below relies on. It is also the
+state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
+row it emits and logs it, so `commit` is the one place last-touch times rise.
 
 `minimum_supersets` is the one exhaustive search over point additions: the
 greedy minimum-row oracle, the exact optimum and the uniqueness check of the
@@ -52,6 +54,8 @@ class RowSweep:
     __slots__ = ("n", "time", "last", "tree")
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError(f"keyspace size must be positive, got {n}")
         self.n = n
         self.time = 0
         self.last = [0] * (n + 1)

@@ -15,6 +15,10 @@ This is exactly the unique minimum completion, which the exhaustive
 
 Cost of an access = number of points placed on its row.
 
+The sweep state is the satisfaction checker's: `GreedyState` is a
+`geometry.RowSweep` (last-touch time per key plus a max segment tree over
+them) that commits each emitted row and keeps a log of the rows.
+
 `greedy_row` walks the staircase through a max segment tree, searching
 outward from each touched key: O(log gap) per touched key, gap keys past
 the previous one, O(log n) at worst. `greedy_row_reference` is a plain O(n)
@@ -26,68 +30,51 @@ on top of one `RowSweep` over the earlier rows.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, count
 from typing import Iterator
 
 from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
 from .geometry import RowSweep, minimum_supersets
-from .segtree import MaxSegTree
 
 
-class GreedyState:
-    """Mutable sweep state: last-touch times plus the emitted rows so far.
+class GreedyState(RowSweep):
+    """Greedy's sweep state: a `RowSweep` over the emitted rows, plus their
+    log.
 
     The emitted points are logged as one flat list of keys, each row's keys
     sorted; `per_row_cost` gives the row lengths. track_points=False drops
-    the log (long cost-only runs).
+    the log (long cost-only runs). `copy()` is the inherited one and returns
+    a plain `RowSweep` without the log.
     """
 
-    __slots__ = ("n", "_times", "_tree", "_log", "per_row_cost")
+    __slots__ = ("_log", "per_row_cost")
 
     def __init__(self, n: int, track_points: bool = True):
-        if n < 1:
-            raise ValueError(f"keyspace size must be positive, got {n}")
-        self.n = n
-        self._times = [0] * (n + 1)
-        self._tree = MaxSegTree(n)
+        super().__init__(n)
         self._log: list[Key] | None = [] if track_points else None
         self.per_row_cost: list[int] = []
 
     def step(self, x: Key) -> set[Key]:
         """Process the next access: emit row points and update touch times."""
         row = greedy_row(self, x)
-        t = len(self.per_row_cost) + 1
         ordered = sorted(row)
-        for y in ordered:
-            self._times[y] = t
-            self._tree.raise_to(y - 1, t)
+        self.commit(ordered, self.time + 1)
         if self._log is not None:
             self._log.extend(ordered)
         self.per_row_cost.append(len(row))
         return row
 
-    def _points_log(self) -> list[Key]:
-        if self._log is None:
-            raise ValueError("point tracking was disabled for this state")
-        return self._log
-
-    def point_rows(self) -> Iterator[tuple[int, Key]]:
-        """Emitted points as (time, key) pairs in time-then-key order, the
-        iteration order of `PointSet`."""
-        log = self._points_log()
-        row_times = chain.from_iterable(
-            repeat(t, c) for t, c in enumerate(self.per_row_cost, start=1))
-        return zip(row_times, log)
-
     def rows(self) -> Iterator[tuple[int, list[Key]]]:
         """Emitted rows as (time, sorted keys) pairs in time order."""
-        log = self._points_log()
+        log = self._log
+        if log is None:
+            raise ValueError("point tracking was disabled for this state")
         cost = self.per_row_cost
         return ((t, log[end - c:end])
                 for t, c, end in zip(count(1), cost, accumulate(cost)))
 
     def emitted(self) -> PointSet:
-        return PointSet((k, t) for t, k in self.point_rows())
+        return PointSet((k, t) for t, row in self.rows() for k in row)
 
     def cost_report(self) -> CostReport:
         return CostReport(tuple(self.per_row_cost))
@@ -96,8 +83,8 @@ class GreedyState:
 def greedy_row(state: GreedyState, x: Key) -> set[Key]:
     """Touched key set for an access to x, without mutating the state."""
     check_key(x, state.n)
-    times = state._times
-    tree = state._tree
+    times = state.last
+    tree = state.tree
     touched = {x}
     # Left staircase: strict records of last-touch time above x's own; each
     # search starts next to the last record found (tree leaf j is key j + 1).
@@ -116,7 +103,7 @@ def greedy_row(state: GreedyState, x: Key) -> set[Key]:
 def greedy_row_reference(state: GreedyState, x: Key) -> set[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
     check_key(x, state.n)
-    times = state._times
+    times = state.last
     touched = {x}
     best = times[x]
     for y in range(x - 1, 0, -1):

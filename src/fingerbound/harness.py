@@ -9,7 +9,7 @@ cumulative bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import AccessSequence, BoundReport, CostReport, WeightAssignment
 from .errors import DimensionMismatchError
@@ -29,7 +29,8 @@ class FitResult:
 
 
 def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResult:
-    """Fit cumulative cost against cumulative bound."""
+    """Fit cumulative cost against cumulative bound, whose total must be
+    positive."""
     if len(cost_series) != len(bound_series):
         raise DimensionMismatchError(
             f"series lengths differ: {len(cost_series)} vs {len(bound_series)}"
@@ -44,6 +45,8 @@ def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResul
         tb += b
         cum_c.append(tc)
         cum_b.append(tb)
+    if not tb > 0:
+        raise ValueError(f"bound total must be positive, got {tb!r}")
     ratio = tc / tb
     k = len(cum_c)
     if k == 1:
@@ -89,13 +92,3 @@ def _bound_and_fit(
     per-access costs against it."""
     bound = weighted_df_bound(seq, w, start)
     return bound, fit(cost.per_access, bound.per_access)
-
-
-def experiment_rows(
-    seq: AccessSequence, cost: CostReport, bound: BoundReport
-) -> Iterator[tuple[int, int, int, float]]:
-    """Per-access CSV rows (i, key, cost, bound)."""
-    for i, (key, c, b) in enumerate(
-        zip(seq.accesses, cost.per_access, bound.per_access), start=1
-    ):
-        yield i, key, c, b

@@ -169,20 +169,19 @@ def check_greedy_minimality() -> int:
     exhaustive minimum completion, and that minimum is unique. Returns the
     number of rows checked.
 
-    A `RowSweep` carries greedy's rows alongside its `GreedyState`, so the
-    search over each row checks that row only. Every earlier row is the
-    previous step's satisfied minimum completion, so the carried rows need
-    no check of their own."""
+    Each row is searched on top of the greedy state itself, a `RowSweep`
+    over greedy's earlier rows, before `step` emits the row, so the search
+    checks that row only. Every earlier row is the previous step's satisfied
+    minimum completion, so the committed rows need no check of their own."""
     checked = 0
     for n in range(1, 6):
         for m in range(1, 6):
             for accesses in product(range(1, n + 1), repeat=m):
                 state = GreedyState(n, track_points=False)
-                sweep = RowSweep(n)
                 for t, x in enumerate(accesses, start=1):
-                    row = state.step(x)
                     others = [Point(k, t) for k in range(1, n + 1) if k != x]
-                    found = list(islice(minimum_supersets([Point(x, t)], others, sweep), 2))
+                    found = list(islice(minimum_supersets([Point(x, t)], others, state), 2))
+                    row = state.step(x)
                     oracle = set(found[0].row_keys(t))
                     if row != oracle:
                         raise CheckFailure(
@@ -190,7 +189,6 @@ def check_greedy_minimality() -> int:
                             f"vs oracle {sorted(oracle)}")
                     if len(found) > 1:
                         raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
-                    sweep.commit(sorted(row), t)
                     checked += 1
     return checked
 

@@ -32,7 +32,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-WORKLOAD_KINDS = ("sequential", "uniform", "walk", "zipf_finger", "bit_reversal", "trace")
+WORKLOAD_KINDS = ("sequential", "uniform", "walk", "zipf_finger", "bit_reversal")
 
 
 class Splitmix64:
@@ -71,14 +71,12 @@ class WorkloadSpec:
     seed: int = 0
     d: int | None = None          # walk: maximum step size
     theta: float | None = None    # zipf_finger: step-length exponent
-    path: str | None = None       # trace: file to ingest
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
             raise BadSpecError(f"unknown workload kind {self.kind!r}")
-        if self.kind != "trace":
-            if self.n < 1 or self.m < 1:
-                raise BadSpecError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        if self.n < 1 or self.m < 1:
+            raise BadSpecError(f"n and m must be positive, got n={self.n}, m={self.m}")
         if self.kind == "walk":
             if self.d is None or self.d < 1:
                 raise BadSpecError("walk workloads need a step bound d >= 1")
@@ -90,14 +88,10 @@ class WorkloadSpec:
                 raise BadSpecError(f"bit_reversal needs n to be a power of two, got {self.n}")
             if self.m != self.n:
                 raise BadSpecError(f"bit_reversal needs m = n, got m={self.m}, n={self.n}")
-        if self.kind == "trace" and not self.path:
-            raise BadSpecError("trace workloads need a file path")
 
 
 def generate(spec: WorkloadSpec) -> AccessSequence:
     """Materialize the access sequence for a spec; pure given the spec."""
-    if spec.kind == "trace":
-        return read_trace(spec.path)
     n, m = spec.n, spec.m
     if spec.kind == "sequential":
         return AccessSequence(n, tuple((i % n) + 1 for i in range(m)))

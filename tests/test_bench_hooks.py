@@ -1,0 +1,43 @@
+"""The benchmark's `--trace 1` hooks still find the package's entry points.
+
+`bench/run.py` wraps package functions by name from outside the package. This
+test installs those wrappers on a tiny greedy run, so a refactor that renames
+or moves a wrapped function fails here rather than in a traced benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from fingerbound import greedy
+from fingerbound.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_hooks_record_greedy_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its siblings
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    trace = tmp_path / "trace.txt"
+    trace.write_text("4 5\n2\n4\n1\n3\n2\n")
+    original = greedy.greedy_row
+    run.instrument(tracer, [])
+    try:
+        assert greedy.greedy_row is not original
+        assert main(["run", "--trace", str(trace), "--algo", "greedy",
+                     "--points", str(tmp_path / "points.csv"),
+                     "--out", str(tmp_path / "cost.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert greedy.greedy_row is original
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("greedy.row_search") == 5
+    assert names.count("greedy.row_update") == 5
+    assert tracer.counts["greedy.touched_keys"] > 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,3 +281,13 @@ def test_static_tree_validation():
     with pytest.raises(ValueError):
         # unreachable key
         StaticTree(2, 1, (0, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize("left, right, entry", [
+    ((0, 0, 0), (0, 5, 0), "right[1] = 5"),
+    ((0, 0, -1), (0, 2, 0), "left[2] = -1"),
+    ((0, 0, 0), (3, 2, 0), "right[0] = 3"),
+])
+def test_static_tree_rejects_out_of_range_child(left, right, entry):
+    with pytest.raises(KeyOutOfRangeError, match=re.escape(f"{entry} outside [0, 2]")):
+        StaticTree(2, 1, left, right)

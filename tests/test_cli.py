@@ -215,6 +215,26 @@ class TestFitCmd:
         assert code == 2
         assert f"{cost}: line {line}:" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_its_line(self, capsys, tmp_path, cell):
+        cost = tmp_path / "c.csv"
+        bound = tmp_path / "b.csv"
+        cost.write_text("i,cost\n1,2.0\n2,3.0\n")
+        bound.write_text(f"i,bound\n1,1.0\n2,{cell}\n")
+        code, out, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
+        assert code == 2 and out == ""
+        assert f"{bound}: line 3: no number in column 'bound'" in err
+
+    def test_zero_bound_total_is_input_error(self, capsys, tmp_path):
+        cost = tmp_path / "c.csv"
+        bound = tmp_path / "b.csv"
+        cost.write_text("i,cost\n1,1\n2,1\n")
+        bound.write_text("i,bound\n1,0\n2,0\n")
+        code, out, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
+        assert code == 2 and out == ""
+        assert "bound total must be positive" in err
+        assert "Traceback" not in err
+
     def test_non_ascii_byte_names_its_line(self, capsys, tmp_path):
         cost = tmp_path / "c.csv"
         bound = tmp_path / "b.csv"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fingerbound.core import AccessSequence, Point, PointSet
 from fingerbound.errors import KeyOutOfRangeError
-from fingerbound.geometry import is_arborally_satisfied
+from fingerbound.geometry import RowSweep, is_arborally_satisfied, minimum_supersets
 from fingerbound.greedy import (
     GreedyState,
     brute_min_row,
@@ -94,7 +94,7 @@ class TestGreedyExecute:
         with pytest.raises(ValueError):
             state.emitted()
         with pytest.raises(ValueError):
-            state.point_rows()
+            state.rows()
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,6 +134,46 @@ def test_fast_path_matches_reference_scan():
             x = rng.below(n) + 1
             assert greedy_row(state, x) == greedy_row_reference(state, x)
             state.step(x)
+
+
+def test_state_is_the_sweep_over_its_rows():
+    # the greedy state holds exactly the last-touch state a plain RowSweep
+    # reaches by committing greedy's logged rows
+    rng = Splitmix64(77)
+    for _ in range(60):
+        n, m = rng.below(40) + 1, rng.below(60)
+        state = GreedyState(n)
+        for _ in range(m):
+            state.step(rng.below(n) + 1)
+        sweep = RowSweep(n)
+        for t, row in state.rows():
+            sweep.commit(row, t)
+        assert state.time == sweep.time == m
+        assert state.last == sweep.last
+        assert state.tree.tree == sweep.tree.tree
+
+
+def test_search_on_the_state_leaves_it_unchanged():
+    rng = Splitmix64(5)
+    for _ in range(40):
+        n = rng.below(5) + 1
+        state = GreedyState(n)
+        for _ in range(rng.below(5)):
+            state.step(rng.below(n) + 1)
+        before = (list(state.rows()), state.per_row_cost[:], state.last[:],
+                  state.tree.tree[:], state.time)
+        x, t = rng.below(n) + 1, state.time + 1
+        others = [Point(k, t) for k in range(1, n + 1) if k != x]
+        found = list(minimum_supersets([Point(x, t)], others, state))
+        assert [set(f.row_keys(t)) for f in found] == [greedy_row(state, x)]
+        assert (list(state.rows()), state.per_row_cost, state.last,
+                state.tree.tree, state.time) == before
+
+
+@pytest.mark.parametrize("cls", [RowSweep, GreedyState])
+def test_sweep_states_reject_empty_keyspace(cls):
+    with pytest.raises(ValueError, match="keyspace size must be positive, got 0"):
+        cls(0)
 
 
 def test_exhaustive_minimality_small():

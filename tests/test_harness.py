@@ -28,6 +28,11 @@ class TestFit:
         with pytest.raises(DimensionMismatchError):
             fit([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bound", [[0.0, 0.0], [1.0, -1.0], [-2.0]])
+    def test_bound_total_must_be_positive(self, bound):
+        with pytest.raises(ValueError, match="bound total must be positive"):
+            fit([1.0] * len(bound), bound)
+
     def test_single_row(self):
         fr = fit([3.0], [2.0])
         assert fr.ratio == pytest.approx(1.5)

@@ -101,6 +101,8 @@ class TestGenerate:
             WorkloadSpec("mystery", 4, 4)
         with pytest.raises(BadSpecError):
             WorkloadSpec("uniform", 0, 4)
+        with pytest.raises(BadSpecError):
+            WorkloadSpec("trace", 4, 4)  # traces are read with read_trace
 
 
 class TestTraceIO:
