@@ -14,8 +14,10 @@ The equivalence constructions map a static tree to weights (w_i = c^-depth_i)
 and weights back to a tree by recursive weighted-median splits, which
 guarantees depth(i) <= log2(W_total / w_i) + 1.
 
-`shape_children` builds the named initial shapes (balanced and the two
-spines) once, for `StaticTree` and for both splay implementations.
+`SHAPE_ROOTS` holds the one rule behind the named initial shapes (balanced
+and the two spines): the root each gives the subtree over a key interval.
+`shape_children` applies it eagerly, for `StaticTree` and the reference
+splay; `SplayTree` applies it lazily, node by node.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key
 from .errors import (
@@ -35,7 +37,14 @@ from .errors import (
     TooLargeError,
 )
 
-INITIAL_SHAPES = ("balanced", "left_spine", "right_spine")
+# The root a named shape gives the subtree over keys [lo, hi], lo <= hi. A
+# shape over 1..n is its rule applied to [1, n], then to each side.
+SHAPE_ROOTS = {
+    "balanced": lambda lo, hi: (lo + hi) // 2,
+    "left_spine": lambda lo, hi: hi,
+    "right_spine": lambda lo, hi: lo,
+}
+INITIAL_SHAPES = tuple(SHAPE_ROOTS)
 START_SELF = "self"
 START_ROOT = "root"
 MAX_ENUM_N = 12
@@ -61,9 +70,14 @@ class StaticTree:
             raise BadKeyspaceError(f"tree size must be positive, got {self.n}")
         if len(self.left) != self.n + 1 or len(self.right) != self.n + 1:
             raise DimensionMismatchError("left/right arrays must have length n + 1")
+        if type(self.root) is not int:
+            raise KeyOutOfRangeError(f"root {self.root!r} is not an integer key")
         if not 1 <= self.root <= self.n:
             raise KeyOutOfRangeError(f"root {self.root} outside [1, {self.n}]")
         for side, children in (("left", self.left), ("right", self.right)):
+            if set(map(type, children)) != {int}:
+                k, c = next((k, c) for k, c in enumerate(children) if type(c) is not int)
+                raise KeyOutOfRangeError(f"{side}[{k}] = {c!r} is not an integer key")
             if min(children) < 0 or max(children) > self.n:
                 k, c = next((k, c) for k, c in enumerate(children) if not 0 <= c <= self.n)
                 raise KeyOutOfRangeError(f"{side}[{k}] = {c} outside [0, {self.n}]")
@@ -122,33 +136,30 @@ class StaticTree:
         return _finger_costs(self.root, self.left, self.right, self.depth, (a, b))[1]
 
 
+def shape_rule(shape: str) -> Callable[[int, int], int]:
+    """The root-of-interval rule of a named shape, one of `INITIAL_SHAPES`."""
+    if shape not in SHAPE_ROOTS:
+        raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {shape!r}")
+    return SHAPE_ROOTS[shape]
+
+
 def shape_children(n: int, shape: str) -> tuple[int, list[int], list[int]]:
     """Root and 1-indexed left/right child lists (entry 0 unused, 0 = absent)
     of a named shape over keys 1..n, one of `INITIAL_SHAPES`."""
-    if shape not in INITIAL_SHAPES:
-        raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {shape!r}")
+    root_of = shape_rule(shape)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    if shape == "left_spine":
-        left[2:] = range(1, n)
-        return n, left, right
-    if shape == "right_spine":
-        right[1:n] = range(2, n + 1)
-        return 1, left, right
-    stack = [(1, n, 0, False)]
+    root = root_of(1, n)
+    stack = [(1, n, root)]
     while stack:
-        lo, hi, par, is_right = stack.pop()
-        mid = (lo + hi) // 2
-        if par:
-            if is_right:
-                right[par] = mid
-            else:
-                left[par] = mid
-        if lo < mid:
-            stack.append((lo, mid - 1, mid, False))
-        if mid < hi:
-            stack.append((mid + 1, hi, mid, True))
-    return (1 + n) // 2, left, right
+        lo, hi, k = stack.pop()
+        if lo < k:
+            left[k] = c = root_of(lo, k - 1)
+            stack.append((lo, k - 1, c))
+        if k < hi:
+            right[k] = c = root_of(k + 1, hi)
+            stack.append((k + 1, hi, c))
+    return root, left, right
 
 
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:

@@ -8,6 +8,7 @@ cumulative bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,14 +30,18 @@ class FitResult:
 
 
 def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResult:
-    """Fit cumulative cost against cumulative bound, whose total must be
-    positive."""
+    """Fit cumulative cost against cumulative bound. Every value must be
+    finite and the bound total positive."""
     if len(cost_series) != len(bound_series):
         raise DimensionMismatchError(
             f"series lengths differ: {len(cost_series)} vs {len(bound_series)}"
         )
     if not cost_series:
         raise DimensionMismatchError("series are empty")
+    for name, series in (("cost", cost_series), ("bound", bound_series)):
+        if not all(map(math.isfinite, series)):
+            i, v = next((i, v) for i, v in enumerate(series) if not math.isfinite(v))
+            raise ValueError(f"{name}[{i}] = {v!r} is not finite")
     cum_c: list[float] = []
     cum_b: list[float] = []
     tc = tb = 0.0

@@ -6,59 +6,105 @@ measured before any restructuring, which makes costs comparable with the
 geometric greedy's touched-point counts. Every access then splays the key to
 the root; the number of rotations performed always equals cost - 1.
 
+The initial tree is built lazily. A subtree no search has reached is one
+unbuilt node standing for its key interval; the first read or write of its
+`left` or `right` builds its two children, unbuilt in turn. So a run builds
+only the nodes its searches reach, and n may be far larger than the number
+of nodes memory could hold.
+
 `run_splay_reference` re-implements the same splaying over a parent-free
-link dict, rotating along an explicit search path. It exists purely as a
-differential check of the pointer implementation's searches, costs and
-rotations. Both take their initial shape from `bounds.shape_children`, so
-that check does not cover the shapes; `StaticTree`'s in-order validation
-and the pinned first-access depths do.
+link dict, rotating along an explicit search path, on an initial shape built
+eagerly by `bounds.shape_children`. Both trees take their shape from one
+rule, `bounds.SHAPE_ROOTS`, by two routes, so the differential check of
+their costs covers the lazy build too.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
-from .bounds import INITIAL_SHAPES, shape_children
+from .bounds import INITIAL_SHAPES, SHAPE_ROOTS, shape_children, shape_rule
 from .core import AccessSequence, CostReport, Key, check_key
+from .errors import BadKeyspaceError
 
 
 class _Node:
     __slots__ = ("key", "left", "right", "parent")
 
-    def __init__(self, key: Key):
+    def __init__(self, key: Key, parent: _Node | None):
         self.key = key
         self.left: _Node | None = None
         self.right: _Node | None = None
-        self.parent: _Node | None = None
+        self.parent = parent
+
+
+# The slot descriptors, which `_Unbuilt` shadows with properties.
+_LEFT = _Node.left
+_RIGHT = _Node.right
+
+
+class _Unbuilt(_Node):
+    """The root of a subtree over keys [lo, hi], lo < hi, that no search has
+    reached. lo and hi sit in the `left` and `right` slots; reading or writing
+    `left` or `right` first builds both children and turns this node into a
+    plain `_Node`. Each shape has a subclass whose `root_of` is its rule."""
+
+    __slots__ = ()
+    root_of = None
+
+    def __init__(self, lo: Key, hi: Key, parent: _Node | None):
+        self.key = self.root_of(lo, hi)
+        _LEFT.__set__(self, lo)
+        _RIGHT.__set__(self, hi)
+        self.parent = parent
+
+    def _grow(self) -> None:
+        lo, hi, k = _LEFT.__get__(self), _RIGHT.__get__(self), self.key
+        _LEFT.__set__(self, _subtree(type(self), lo, k - 1, self) if lo < k else None)
+        _RIGHT.__set__(self, _subtree(type(self), k + 1, hi, self) if k < hi else None)
+        self.__class__ = _Node
+
+    @property
+    def left(self) -> _Node | None:
+        self._grow()
+        return self.left
+
+    @left.setter
+    def left(self, node: _Node | None) -> None:
+        self._grow()
+        self.left = node
+
+    @property
+    def right(self) -> _Node | None:
+        self._grow()
+        return self.right
+
+    @right.setter
+    def right(self, node: _Node | None) -> None:
+        self._grow()
+        self.right = node
+
+
+def _subtree(unbuilt: type[_Unbuilt], lo: Key, hi: Key, parent: _Node | None) -> _Node:
+    """The root of a not yet reached subtree over [lo, hi]: a leaf when the
+    interval holds one key, else an unbuilt node."""
+    return _Node(lo, parent) if lo == hi else unbuilt(lo, hi, parent)
+
+
+# The unbuilt-node class of each shape rule.
+_UNBUILT = {rule: type("_Unbuilt", (_Unbuilt,), {"__slots__": (), "root_of": staticmethod(rule)})
+            for rule in SHAPE_ROOTS.values()}
 
 
 class SplayTree:
-    """A splay tree holding exactly the keys 1..n."""
+    """A splay tree holding exactly the keys 1..n, built as searches reach it."""
 
     def __init__(self, n: int, initial: str = "balanced"):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
         if n < 1:
-            raise ValueError(f"tree size must be positive, got {n}")
+            raise BadKeyspaceError(f"tree size must be positive, got {n}")
         self.n = n
         self.rotations = 0
-        self.root = self._build(n, initial)
-
-    @staticmethod
-    def _build(n: int, initial: str) -> _Node:
-        root, left, right = shape_children(n, initial)
-        # Key each node with the int object the child lists already hold, so
-        # the build keeps no second set of n key objects alive.
-        nodes: list[_Node | None] = [None] * (n + 1)
-        for k in chain((root,), left, right):
-            if k:
-                nodes[k] = _Node(k)
-        for node, l, r in zip(nodes, left, right):
-            if l:
-                node.left = nodes[l]
-                node.left.parent = node
-            if r:
-                node.right = nodes[r]
-                node.right.parent = node
-        return nodes[root]
+        self.root = _subtree(_UNBUILT[shape_rule(initial)], 1, n, None)
 
     def _rotate_right(self, x: _Node) -> None:
         y = x.left
@@ -128,6 +174,7 @@ class SplayTree:
         return cost
 
     def in_order(self) -> list[Key]:
+        """All keys in order; builds every node not yet built."""
         out: list[Key] = []
         stack: list[_Node] = []
         node = self.root
@@ -165,7 +212,8 @@ def _ref_replace_child(links: dict[int, list[int]], par: int, old: int, new: int
 
 
 def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> CostReport:
-    """Parent-free differential re-implementation of `run_splay`."""
+    """Parent-free differential re-implementation of `run_splay`, on an
+    eagerly built initial shape."""
     root, left, right = shape_children(seq.n, initial)
     links = {k: [left[k], right[k]] for k in range(1, seq.n + 1)}
     costs: list[int] = []

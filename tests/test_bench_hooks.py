@@ -1,14 +1,15 @@
 """The benchmark's `--trace 1` hooks still find the package's entry points.
 
-`bench/run.py` wraps package functions by name from outside the package. This
-test installs those wrappers on a tiny greedy run, so a refactor that renames
-or moves a wrapped function fails here rather than in a traced benchmark.
+`bench/run.py` wraps package functions by name from outside the package. These
+tests install those wrappers on tiny greedy and splay runs, so a refactor that
+renames or moves a wrapped function fails here rather than in a traced
+benchmark.
 """
 
 import importlib.util
 from pathlib import Path
 
-from fingerbound import greedy
+from fingerbound import greedy, splay
 from fingerbound.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -21,12 +22,17 @@ def load_bench_module(name):
     return module
 
 
+def five_access_trace(tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("4 5\n2\n4\n1\n3\n2\n")
+    return trace
+
+
 def test_trace_hooks_record_greedy_spans(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its siblings
     run = load_bench_module("run")
     tracer = load_bench_module("tracing").Tracer()
-    trace = tmp_path / "trace.txt"
-    trace.write_text("4 5\n2\n4\n1\n3\n2\n")
+    trace = five_access_trace(tmp_path)
     original = greedy.greedy_row
     run.instrument(tracer, [])
     try:
@@ -41,3 +47,27 @@ def test_trace_hooks_record_greedy_spans(tmp_path, monkeypatch):
     assert names.count("greedy.row_search") == 5
     assert names.count("greedy.row_update") == 5
     assert tracer.counts["greedy.touched_keys"] > 0
+
+
+def test_trace_hooks_record_splay_run(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    trace = five_access_trace(tmp_path)
+    original = splay.SplayTree.__init__
+    trees = []
+    run.instrument(tracer, trees)
+    try:
+        assert splay.SplayTree.__init__ is not original
+        assert main(["run", "--trace", str(trace), "--algo", "splay",
+                     "--out", str(tmp_path / "cost.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert splay.SplayTree.__init__ is original
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert "splay.run" in names
+    assert len(trees) == 1
+    costs = [int(line.split(",")[2])
+             for line in (tmp_path / "cost.csv").read_text().splitlines()[1:]]
+    assert len(costs) == 5
+    assert trees[0].rotations == sum(costs) - len(costs)

@@ -291,3 +291,14 @@ def test_static_tree_validation():
 def test_static_tree_rejects_out_of_range_child(left, right, entry):
     with pytest.raises(KeyOutOfRangeError, match=re.escape(f"{entry} outside [0, 2]")):
         StaticTree(2, 1, left, right)
+
+
+@pytest.mark.parametrize("root, left, right, entry", [
+    (1, (0, 0, 0), (0, 2.0, 0), "right[1] = 2.0"),
+    (1, (0, 0, None), (0, 2, 0), "left[2] = None"),
+    (1, (0, 0, 0), (True, 2, 0), "right[0] = True"),
+    (1.0, (0, 0, 0), (0, 2, 0), "root 1.0"),
+])
+def test_static_tree_rejects_non_integer_entry(root, left, right, entry):
+    with pytest.raises(KeyOutOfRangeError, match=re.escape(f"{entry} is not an integer key")):
+        StaticTree(2, root, left, right)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fingerbound.core import AccessSequence, WeightAssignment
@@ -32,6 +34,15 @@ class TestFit:
     def test_bound_total_must_be_positive(self, bound):
         with pytest.raises(ValueError, match="bound total must be positive"):
             fit([1.0] * len(bound), bound)
+
+    @pytest.mark.parametrize("cost, bound, entry", [
+        ([float("nan"), 1.0], [1.0, 1.0], "cost[0] = nan"),
+        ([1.0, float("inf")], [1.0, 1.0], "cost[1] = inf"),
+        ([1.0, 2.0, 3.0], [1.0, 1.0, float("-inf")], "bound[2] = -inf"),
+    ])
+    def test_non_finite_values_are_named(self, cost, bound, entry):
+        with pytest.raises(ValueError, match=re.escape(f"{entry} is not finite")):
+            fit(cost, bound)
 
     def test_single_row(self):
         fr = fit([3.0], [2.0])

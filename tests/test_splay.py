@@ -1,8 +1,8 @@
 import pytest
 
-from fingerbound.bounds import StaticTree
+from fingerbound.bounds import StaticTree, shape_children
 from fingerbound.core import AccessSequence
-from fingerbound.errors import KeyOutOfRangeError
+from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
 from fingerbound.splay import (
     INITIAL_SHAPES,
     SplayTree,
@@ -42,6 +42,54 @@ class TestAccess:
     def test_out_of_range(self):
         with pytest.raises(KeyOutOfRangeError):
             SplayTree(3).access(4)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+    def test_non_integer_size(self, n):
+        with pytest.raises(BadKeyspaceError, match="keyspace size must be a positive integer"):
+            SplayTree(n)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_size(self, n):
+        with pytest.raises(BadKeyspaceError, match=f"tree size must be positive, got {n}"):
+            SplayTree(n)
+
+    def test_fresh_tree_is_the_named_shape(self):
+        for n in range(1, 70):
+            for initial in INITIAL_SHAPES:
+                tree = SplayTree(n, initial)
+                left, right = [0] * (n + 1), [0] * (n + 1)
+                stack = [tree.root]
+                while stack:
+                    node = stack.pop()
+                    for children, child in ((left, node.left), (right, node.right)):
+                        if child is not None:
+                            assert child.parent is node
+                            children[node.key] = child.key
+                            stack.append(child)
+                assert tree.root.parent is None
+                assert (tree.root.key, left, right) == shape_children(n, initial)
+
+    @pytest.mark.parametrize("key", [1, 2**40, 2**39])
+    def test_huge_keyspace_first_access(self, key):
+        # an eager build of 2^40 nodes would not fit in memory
+        n = 2**40
+        lo, hi, depth = 1, n, 0
+        mid = (lo + hi) // 2
+        while mid != key:
+            if key < mid:
+                hi = mid - 1
+            else:
+                lo = mid + 1
+            mid = (lo + hi) // 2
+            depth += 1
+        assert depth == {1: 39, 2**40: 40, 2**39: 0}[key]
+        tree = SplayTree(n)
+        assert tree.access(key) == depth + 1
+        assert tree.rotations == depth
+        assert tree.root.key == key
+        assert tree.access(key) == 1
 
 
 class TestRunSplay:
