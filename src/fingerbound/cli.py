@@ -3,6 +3,11 @@
 Subcommands: gen, run, bound, beststatic, opt, fit, verify. All output is
 numeric CSV with a header row; summaries go to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or input errors.
+
+CSV columns are formatted and read back a whole column at a time, in builtin
+passes (`map`, `zip`, `all`, `writelines`) with no per-row Python loop. The
+per-line loop in `_read_series` runs only when a pass fails, to name the
+first bad line.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import AccessSequence, WeightAssignment
@@ -25,18 +32,21 @@ from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
 from .workloads import (WORKLOAD_KINDS, WorkloadSpec, generate, read_ascii_lines, read_trace,
-                        read_weights, write_trace)
+                        read_weights, trace_text, write_trace)
 
 
 def _emit(header: str, rows: Iterable[tuple], out: str | None) -> None:
-    lines = [header]
-    lines.extend(",".join(map(str, row)) for row in rows)  # str(float) is its repr
-    text = "\n".join(lines) + "\n"
+    """Write a headed CSV, one line per row tuple, streamed. `%s` of a float
+    is its repr and of an int its str."""
+    row_format = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    lines = map(row_format.__mod__, rows)
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.write(header + "\n")
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(header + "\n")
+        sys.stdout.writelines(lines)
 
 
 def _load_weights(args, n: int) -> WeightAssignment:
@@ -52,8 +62,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         write_trace(seq, args.out)
     else:
-        sys.stdout.write(f"{seq.n} {seq.m}\n")
-        sys.stdout.writelines(f"{k}\n" for k in seq)
+        sys.stdout.write(trace_text(seq))
     return 0
 
 
@@ -67,12 +76,11 @@ def _cmd_run(args) -> int:
         state = greedy_sweep(seq)
         cost = state.cost_report()
         bound, fr = _bound_and_fit(seq, cost, w, args.start)
-        _emit("time,key", ((t, k) for t, row in state.rows() for k in row), args.points)
+        _emit("time,key", state.points(), args.points)
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
-    rows = ((i, k, c, b) for i, (k, c, b) in
-            enumerate(zip(seq.accesses, cost.per_access, bound.per_access), start=1))
-    _emit("i,key,cost,bound", rows, args.out)
+    _emit("i,key,cost,bound",
+          zip(count(1), seq.accesses, cost.per_access, bound.per_access), args.out)
     sys.stderr.write(
         f"total_cost={cost.total} total_bound={bound.total!r} ratio={fr.ratio!r} "
         f"slope={fr.slope!r} intercept={fr.intercept!r} r2={fr.r2!r}\n"
@@ -84,8 +92,7 @@ def _cmd_bound(args) -> int:
     seq = read_trace(args.trace)
     w = _load_weights(args, seq.n)
     report = weighted_df_bound(seq, w, args.start)
-    rows = ((i, k, t) for i, (k, t) in enumerate(zip(seq.accesses, report.per_access), start=1))
-    _emit("i,key,term", rows, args.out)
+    _emit("i,key,term", zip(count(1), seq.accesses, report.per_access), args.out)
     sys.stderr.write(f"total_bound={report.total!r}\n")
     return 0
 
@@ -123,16 +130,22 @@ def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
         if name in header:
             idx = header.index(name)
             break
-    series = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            value = float(line.split(",")[idx])
-        except (IndexError, ValueError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: line {lineno}: no number in column "
-                             f"{header[idx]!r}: {line!r}")
-        series.append(value)
+    del lines[0]
+    # at most idx + 1 splits leave field idx whole and the rest unsplit
+    fields = map(itemgetter(idx), map(str.split, lines, repeat(","), repeat(idx + 1)))
+    try:
+        series = list(map(float, fields))
+    except (IndexError, ValueError):
+        series = []
+    if not (series and all(map(math.isfinite, series))):
+        for lineno, line in enumerate(lines, start=2):  # name the first bad line
+            try:
+                value = float(line.split(",")[idx])
+            except (IndexError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: no number in column "
+                                 f"{header[idx]!r}: {line!r}")
     return series
 
 

@@ -8,9 +8,10 @@ only on key order.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import lt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -24,7 +25,13 @@ Key = int
 
 
 def check_key(k: Key, n: int) -> None:
-    """Raise `KeyOutOfRangeError` unless 1 <= k <= n."""
+    """Raise `KeyOutOfRangeError` unless k is an integer with 1 <= k <= n.
+    Integer-like keys (those with `__index__`, such as numpy ints) pass."""
+    if type(k) is not int:
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise KeyOutOfRangeError(f"key {k!r} is not an integer") from None
     if not 1 <= k <= n:
         raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
 
@@ -39,12 +46,15 @@ class AccessSequence:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise BadKeyspaceError(f"keyspace size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "accesses", tuple(self.accesses))
-        if not self.accesses:
+        accs = tuple(self.accesses)
+        object.__setattr__(self, "accesses", accs)
+        if not accs:
             raise EmptySequenceError("access sequence is empty")
-        for i, k in enumerate(self.accesses, start=1):
-            if not isinstance(k, int) or not 1 <= k <= self.n:
-                raise KeyOutOfRangeError(f"access {i}: key {k!r} outside [1, {self.n}]")
+        if not (all(map(isinstance, accs, repeat(int))) and 1 <= min(accs)
+                and max(accs) <= self.n):
+            for i, k in enumerate(accs, start=1):  # name the first bad access
+                if not isinstance(k, int) or not 1 <= k <= self.n:
+                    raise KeyOutOfRangeError(f"access {i}: key {k!r} outside [1, {self.n}]")
 
     @property
     def m(self) -> int:

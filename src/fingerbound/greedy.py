@@ -30,7 +30,7 @@ on top of one `RowSweep` over the earlier rows.
 
 from __future__ import annotations
 
-from itertools import accumulate, count
+from itertools import accumulate, chain, count, repeat
 from typing import Iterator
 
 from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
@@ -64,17 +64,26 @@ class GreedyState(RowSweep):
         self.per_row_cost.append(len(row))
         return row
 
+    def _tracked_log(self) -> list[Key]:
+        if self._log is None:
+            raise ValueError("point tracking was disabled for this state")
+        return self._log
+
     def rows(self) -> Iterator[tuple[int, list[Key]]]:
         """Emitted rows as (time, sorted keys) pairs in time order."""
-        log = self._log
-        if log is None:
-            raise ValueError("point tracking was disabled for this state")
+        log = self._tracked_log()
         cost = self.per_row_cost
         return ((t, log[end - c:end])
                 for t, c, end in zip(count(1), cost, accumulate(cost)))
 
+    def points(self) -> Iterator[tuple[int, Key]]:
+        """Emitted points as (time, key) pairs in (time, key) order, from an
+        iterator that runs in C: each row's time repeated once per key."""
+        log = self._tracked_log()
+        return zip(chain.from_iterable(map(repeat, count(1), self.per_row_cost)), log)
+
     def emitted(self) -> PointSet:
-        return PointSet((k, t) for t, row in self.rows() for k in row)
+        return PointSet((k, t) for t, k in self.points())
 
     def cost_report(self) -> CostReport:
         return CostReport(tuple(self.per_row_cost))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .core import AccessSequence, BoundReport, CostReport, WeightAssignment
@@ -38,18 +39,18 @@ def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResul
         )
     if not cost_series:
         raise DimensionMismatchError("series are empty")
-    for name, series in (("cost", cost_series), ("bound", bound_series)):
-        if not all(map(math.isfinite, series)):
-            i, v = next((i, v) for i, v in enumerate(series) if not math.isfinite(v))
-            raise ValueError(f"{name}[{i}] = {v!r} is not finite")
-    cum_c: list[float] = []
-    cum_b: list[float] = []
-    tc = tb = 0.0
-    for c, b in zip(cost_series, bound_series):
-        tc += c
-        tb += b
-        cum_c.append(tc)
-        cum_b.append(tb)
+    # Cumulative sums from 0.0, so int costs add as floats. A sum of floats
+    # is finite only if every term is, so finite totals skip the entry check.
+    try:
+        cum_c = list(islice(accumulate(cost_series, initial=0.0), 1, None))
+        cum_b = list(islice(accumulate(bound_series, initial=0.0), 1, None))
+        finite = math.isfinite(cum_c[-1]) and math.isfinite(cum_b[-1])
+    except OverflowError:  # an int too large for a float, named below
+        finite = False
+    if not finite:
+        _check_finite("cost", cost_series)
+        _check_finite("bound", bound_series)
+    tc, tb = cum_c[-1], cum_b[-1]
     if not tb > 0:
         raise ValueError(f"bound total must be positive, got {tb!r}")
     ratio = tc / tb
@@ -70,6 +71,18 @@ def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResul
         intercept = my - slope * mx
         r2 = 1.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
     return FitResult(ratio=ratio, slope=slope, intercept=intercept, r2=r2)
+
+
+def _check_finite(name: str, series: Sequence[float]) -> None:
+    """Raise `ValueError` naming the first entry that is not a finite
+    number; an int too large for a float counts as not finite."""
+    for i, v in enumerate(series):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name}[{i}] = {v!r} is not finite")
 
 
 def run_experiment(

@@ -15,6 +15,11 @@ reproducibility contract.
 
 Trace file format: line 1 is "n m", then m lines with one key each.
 Weights file format: n lines, one strictly positive decimal per line.
+
+Files are converted, checked and written a whole column at a time, in
+builtin passes (`map`, `min`/`max`, `all`, one `%` over a whole column) with
+no per-line Python loop. A reader walks its lines one by one only when a
+pass fails, and that loop only names the first bad line.
 """
 
 from __future__ import annotations
@@ -167,23 +172,32 @@ def read_trace(path: str | Path) -> AccessSequence:
         raise TraceParseError(len(lines) + 1 if len(lines) < m + 1 else m + 2,
                               f"expected {m} access lines after the header, found {len(lines) - 1}",
                               path)
-    keys: list[int] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        try:
-            k = int(raw)
-        except ValueError:
-            raise TraceParseError(lineno, f"expected one integer key, got {raw!r}", path) from None
-        if not 1 <= k <= n:
-            raise TraceParseError(lineno, f"key {k} out of range [1, {n}]", path)
-        keys.append(k)
-    return AccessSequence(n, tuple(keys))
+    del lines[0]
+    try:
+        keys = tuple(map(int, lines))
+    except ValueError:
+        keys = ()
+    if not (keys and 1 <= min(keys) and max(keys) <= n):
+        for lineno, raw in enumerate(lines, start=2):  # name the first bad line
+            try:
+                k = int(raw)
+            except ValueError:
+                raise TraceParseError(lineno, f"expected one integer key, got {raw!r}",
+                                      path) from None
+            if not 1 <= k <= n:
+                raise TraceParseError(lineno, f"key {k} out of range [1, {n}]", path)
+    return AccessSequence(n, keys)
+
+
+def trace_text(seq: AccessSequence) -> str:
+    """A trace file's text: the "n m" header, then one key per line, all
+    formatted by one `%` over the whole key tuple."""
+    return f"{seq.n} {seq.m}\n" + ("%s\n" * seq.m) % seq.accesses
 
 
 def write_trace(seq: AccessSequence, path: str | Path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{seq.n} {seq.m}\n")
-        for k in seq:
-            fh.write(f"{k}\n")
+        fh.write(trace_text(seq))
 
 
 def read_weights(path: str | Path) -> WeightAssignment:
@@ -191,20 +205,23 @@ def read_weights(path: str | Path) -> WeightAssignment:
     lines = read_ascii_lines(path)
     if not lines:
         raise TraceParseError(1, "empty weights file", path)
-    values: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            w = float(raw)
-        except ValueError:
-            raise TraceParseError(lineno, f"expected one decimal weight, got {raw!r}",
-                                  path) from None
-        if not math.isfinite(w) or w <= 0.0:
-            raise TraceParseError(lineno, f"weight must be finite and positive, got {raw!r}", path)
-        values.append(w)
-    return WeightAssignment(tuple(values))
+    try:
+        values = tuple(map(float, lines))
+    except ValueError:
+        values = ()
+    if not (values and all(map(math.isfinite, values)) and min(values) > 0.0):
+        for lineno, raw in enumerate(lines, start=1):  # name the first bad line
+            try:
+                w = float(raw)
+            except ValueError:
+                raise TraceParseError(lineno, f"expected one decimal weight, got {raw!r}",
+                                      path) from None
+            if not math.isfinite(w) or w <= 0.0:
+                raise TraceParseError(lineno, f"weight must be finite and positive, got {raw!r}",
+                                      path)
+    return WeightAssignment(values)
 
 
 def write_weights(w: WeightAssignment, path: str | Path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for value in w.weights:
-            fh.write(f"{value!r}\n")
+        fh.write(("%r\n" * w.n) % w.weights)

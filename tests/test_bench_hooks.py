@@ -71,3 +71,27 @@ def test_trace_hooks_record_splay_run(tmp_path, monkeypatch):
              for line in (tmp_path / "cost.csv").read_text().splitlines()[1:]]
     assert len(costs) == 5
     assert trees[0].rotations == sum(costs) - len(costs)
+
+
+def test_trace_hooks_record_io_and_fit_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    trace = tmp_path / "trace.txt"
+    weights = tmp_path / "weights.txt"
+    weights.write_text("1.0\n0.5\n2.0\n0.25\n")
+    bound = tmp_path / "bound.csv"
+    run.instrument(tracer, [])
+    try:
+        assert main(["gen", "--workload", "uniform", "--n", "4", "--m", "6",
+                     "--seed", "2", "--out", str(trace)]) == 0
+        assert main(["bound", "--trace", str(trace), "--weights", str(weights),
+                     "--out", str(bound)]) == 0
+        assert main(["fit", "--cost", str(bound), "--bound", str(bound),
+                     "--out", str(tmp_path / "fit.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {tracer.names[i] for i in tracer.name_id}
+    assert names >= {"workloads.generate", "workloads.write_trace", "workloads.read_trace",
+                     "workloads.read_weights", "core.sequence_validate",
+                     "core.weights_build", "bounds.wdf", "harness.fit"}

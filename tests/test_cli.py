@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fingerbound.cli import main
+from fingerbound.cli import _emit, main
 from fingerbound.greedy import greedy_execute
 from fingerbound.workloads import WorkloadSpec, generate, read_trace, write_trace
 
@@ -30,6 +30,30 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestEmit:
+    ROWS = [(1, 2, 3, 1.5), (2, -0.0, 0.0, 5e-324), (3, 1e16, 1e15, -2.5e-7),
+            (4, float("nan"), float("inf"), float("-inf")), (10**20, 7, 0.1, 1 / 3)]
+
+    @staticmethod
+    def joined(header, rows):
+        """The CSV text as a per-row `",".join(map(str, row))` loop gives it."""
+        return "".join(f"{line}\n" for line in [header] + [",".join(map(str, r)) for r in rows])
+
+    @pytest.mark.parametrize("count", [0, 1, len(ROWS)])
+    def test_bytes_match_joined_rows(self, capsys, tmp_path, count):
+        rows = self.ROWS[:count]
+        _emit("i,key,cost,bound", iter(rows), None)
+        assert capsys.readouterr().out == self.joined("i,key,cost,bound", rows)
+        out = tmp_path / "o.csv"
+        _emit("i,key,cost,bound", iter(rows), str(out))
+        assert out.read_bytes() == self.joined("i,key,cost,bound", rows).encode("ascii")
+
+    def test_one_column(self, tmp_path):
+        out = tmp_path / "o.csv"
+        _emit("total", [(2.0,), (-0.0,), (3,)], str(out))
+        assert out.read_text() == "total\n2.0\n-0.0\n3\n"
+
+
 class TestGen:
     def test_writes_trace_file(self, capsys, tmp_path):
         out = tmp_path / "t.txt"
@@ -47,6 +71,15 @@ class TestGen:
                                  "--m", "9", "--seed", "3", "--d", "2")
         assert code == code2 == 0
         assert out1 == out2
+
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        argv = ["gen", "--workload", "uniform", "--n", "300", "--m", "40", "--seed", "5"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "t.txt"
+        assert main(argv + ["--out", str(path)]) == 0
+        keys = read_trace(path).accesses
+        assert path.read_text() == out == "300 40\n" + "".join(f"{k}\n" for k in keys)
 
     def test_missing_param_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--workload", "walk", "--n", "8", "--m", "5")
@@ -214,6 +247,16 @@ class TestFitCmd:
         code, _, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
         assert code == 2
         assert f"{cost}: line {line}:" in err
+
+    @pytest.mark.parametrize("early", ["nan", "1e999", "", "x"])
+    def test_earliest_bad_line_is_named(self, capsys, tmp_path, early):
+        cost = tmp_path / "c.csv"
+        bound = tmp_path / "b.csv"
+        cost.write_text(f"i,cost\n1,2.0\n2,{early}\n3,1.0\n4,abc\n5\n")
+        bound.write_text("i,bound\n" + "".join(f"{i},1.0\n" for i in range(1, 6)))
+        code, out, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
+        assert code == 2 and out == ""
+        assert err == f"error: {cost}: line 3: no number in column 'cost': '2,{early}'\n"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_its_line(self, capsys, tmp_path, cell):

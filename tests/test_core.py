@@ -1,8 +1,10 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fingerbound.bounds import StaticTree
 from fingerbound.core import (
     AccessSequence,
     CostReport,
@@ -10,6 +12,8 @@ from fingerbound.core import (
     PointSet,
     WeightAssignment,
 )
+from fingerbound.greedy import GreedyState, greedy_row
+from fingerbound.splay import SplayTree
 from fingerbound.errors import (
     BadKeyspaceError,
     EmptySequenceError,
@@ -40,6 +44,38 @@ class TestValidateSequence:
     def test_prefix(self):
         seq = AccessSequence(3, [1, 2, 3])
         assert seq.prefix(2).accesses == (1, 2)
+
+    @pytest.mark.parametrize("accs, named", [
+        ([1, 0, 9, 2.5], "access 2: key 0 "),
+        ([1, 2.5, 9, 0], "access 2: key 2.5 "),
+        ([2, 3, 1, 4], "access 4: key 4 "),
+        ([1, "1", 0], "access 2: key '1' "),
+    ])
+    def test_first_bad_access_is_named(self, accs, named):
+        with pytest.raises(KeyOutOfRangeError, match=re.escape(named + "outside [1, 3]")):
+            AccessSequence(3, accs)
+
+
+class TestCheckKey:
+    CALLERS = {
+        "splay": lambda k: SplayTree(10).access(k),
+        "path_nodes": lambda k: StaticTree.balanced(10).path_nodes(k, 3),
+        "greedy_row": lambda k: greedy_row(GreedyState(10), k),
+        "weight": lambda k: WeightAssignment.equal(10).weight(k),
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize("key", [2.5, 2.0, "2", None])
+    def test_non_integer_key_is_rejected(self, caller, key):
+        with pytest.raises(KeyOutOfRangeError, match=f"key {key!r} is not an integer"):
+            self.CALLERS[caller](key)
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_integer_keys_still_pass(self, caller):
+        self.CALLERS[caller](2)
+        self.CALLERS[caller](True)  # a bool is an int, as in AccessSequence
+        with pytest.raises(KeyOutOfRangeError, match="key 11 outside"):
+            self.CALLERS[caller](11)
 
 
 class TestRangeWeight:

@@ -13,8 +13,9 @@ from fingerbound.greedy import (
     greedy_execute,
     greedy_row,
     greedy_row_reference,
+    greedy_sweep,
 )
-from fingerbound.workloads import Splitmix64
+from fingerbound.workloads import Splitmix64, WorkloadSpec, generate
 
 
 def state_after(n, accesses):
@@ -95,6 +96,12 @@ class TestGreedyExecute:
             state.emitted()
         with pytest.raises(ValueError):
             state.rows()
+        with pytest.raises(ValueError):
+            state.points()
+
+    def test_points_flatten_the_rows(self):
+        state = greedy_sweep(generate(WorkloadSpec("uniform", 30, 80, seed=9)))
+        assert list(state.points()) == [(t, k) for t, row in state.rows() for k in row]
 
 
 @settings(max_examples=150, deadline=None)

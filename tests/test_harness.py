@@ -4,8 +4,33 @@ import pytest
 
 from fingerbound.core import AccessSequence, WeightAssignment
 from fingerbound.errors import DimensionMismatchError
-from fingerbound.harness import fit, run_experiment
-from fingerbound.workloads import WorkloadSpec, generate
+from fingerbound.harness import FitResult, fit, run_experiment
+from fingerbound.workloads import Splitmix64, WorkloadSpec, generate
+
+
+def loop_fit(cost_series, bound_series):
+    """The fit as a plain per-row loop, for exact comparison."""
+    cum_c, cum_b = [], []
+    tc = tb = 0.0
+    for c, b in zip(cost_series, bound_series):
+        tc += c
+        tb += b
+        cum_c.append(tc)
+        cum_b.append(tb)
+    ratio = tc / tb
+    k = len(cum_c)
+    if k == 1:
+        return FitResult(ratio=ratio, slope=ratio, intercept=0.0, r2=1.0)
+    mx = sum(cum_b) / k
+    my = sum(cum_c) / k
+    sxx = sum((x - mx) ** 2 for x in cum_b)
+    syy = sum((y - my) ** 2 for y in cum_c)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(cum_b, cum_c))
+    if sxx == 0.0:
+        return FitResult(ratio, 0.0, my, 1.0 if syy == 0.0 else 0.0)
+    slope = sxy / sxx
+    r2 = 1.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
+    return FitResult(ratio, slope, my - slope * mx, r2)
 
 
 class TestFit:
@@ -48,6 +73,29 @@ class TestFit:
         fr = fit([3.0], [2.0])
         assert fr.ratio == pytest.approx(1.5)
         assert fr.r2 == 1.0
+
+    def test_int_too_large_for_a_float_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("cost[0] = 1000")) as exc:
+            fit([10**400], [1.0])
+        assert str(exc.value).endswith("is not finite")
+        with pytest.raises(ValueError, match=re.escape("bound[1] = -1000")):
+            fit([1, 1], [1.0, -10**400])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_loop_exactly(self, seed):
+        rng = Splitmix64(seed)
+        for k in (1, 2, 3, 50, 1000):
+            costs = [rng.below(40) + 1 for _ in range(k)]  # ints, as the algorithms give
+            bounds = [1.0 + 20 * rng.unit() for _ in range(k)]
+            floats = [c * rng.unit() for c in costs]
+            assert fit(costs, bounds) == loop_fit(costs, bounds)
+            assert fit(floats, bounds) == loop_fit(floats, bounds)
+            assert fit(bounds, bounds) == loop_fit(bounds, bounds)
+
+    def test_equals_the_loop_on_constant_and_huge_series(self):
+        for costs, bounds in [([5] * 7, [2.0] * 7), ([2**60 + 1] * 3, [1.0, 2.0, 3.0]),
+                              ([-0.0, 0.0, 1e-300], [5e-324, 1e16, 1.0])]:
+            assert fit(costs, bounds) == loop_fit(costs, bounds)
 
 
 class TestRunExperiment:

@@ -148,6 +148,19 @@ class TestTraceIO:
         assert exc.value.line == 3
         assert f"non-ASCII byte 0xc3 in {p}" in str(exc.value)
 
+    @pytest.mark.parametrize("early, message", [
+        ("0", "key 0 out of range [1, 3]"),
+        ("4", "key 4 out of range [1, 3]"),
+        ("2.0", "expected one integer key, got '2.0'"),
+    ])
+    def test_earliest_bad_line_is_named(self, tmp_path, early, message):
+        p = tmp_path / "t.txt"
+        p.write_text(f"3 5\n1\n{early}\n2\nx\n9\n")
+        with pytest.raises(TraceParseError) as exc:
+            read_trace(p)
+        assert exc.value.line == 3
+        assert str(exc.value) == f"line 3: {message} in {p}"
+
     def test_round_trip_generated(self, tmp_path):
         seq = generate(WorkloadSpec("uniform", 64, 100, seed=7))
         p = tmp_path / "t.txt"
@@ -177,6 +190,26 @@ class TestWeightsIO:
             read_weights(p)
         assert exc.value.line == 2
         assert f"non-ASCII byte 0xb0 in {p}" in str(exc.value)
+
+    @pytest.mark.parametrize("early, message", [
+        ("inf", "weight must be finite and positive, got 'inf'"),
+        ("nan", "weight must be finite and positive, got 'nan'"),
+        ("0.0", "weight must be finite and positive, got '0.0'"),
+        ("1e999", "weight must be finite and positive, got '1e999'"),
+        ("one", "expected one decimal weight, got 'one'"),
+    ])
+    def test_earliest_bad_line_is_named(self, tmp_path, early, message):
+        p = tmp_path / "w.txt"
+        p.write_text(f"1.0\n{early}\n2.0\nx\n-1\n")
+        with pytest.raises(TraceParseError) as exc:
+            read_weights(p)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: {message} in {p}"
+
+    def test_write_weights_bytes(self, tmp_path):
+        p = tmp_path / "w.txt"
+        write_weights(WeightAssignment((5e-324, 0.1, 1e16)), p)
+        assert p.read_text() == "5e-324\n0.1\n1e+16\n"
 
     def test_rejects_nonpositive(self, tmp_path):
         p = tmp_path / "w.txt"
