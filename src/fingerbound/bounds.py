@@ -28,7 +28,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .core import AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key
+from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key,
+                   first_bad)
 from .errors import (
     BadBaseError,
     BadKeyspaceError,
@@ -75,12 +76,12 @@ class StaticTree:
         if not 1 <= self.root <= self.n:
             raise KeyOutOfRangeError(f"root {self.root} outside [1, {self.n}]")
         for side, children in (("left", self.left), ("right", self.right)):
-            if set(map(type, children)) != {int}:
-                k, c = next((k, c) for k, c in enumerate(children) if type(c) is not int)
-                raise KeyOutOfRangeError(f"{side}[{k}] = {c!r} is not an integer key")
-            if min(children) < 0 or max(children) > self.n:
-                k, c = next((k, c) for k, c in enumerate(children) if not 0 <= c <= self.n)
-                raise KeyOutOfRangeError(f"{side}[{k}] = {c} outside [0, {self.n}]")
+            k = first_bad(children, lambda cs: set(map(type, cs)) == {int}
+                          and 0 <= min(cs) and max(cs) <= self.n)
+            if k is not None:
+                c = children[k]
+                fault = "is not an integer key" if type(c) is not int else f"outside [0, {self.n}]"
+                raise KeyOutOfRangeError(f"{side}[{k}] = {c!r} {fault}")
         parent = [0] * (self.n + 1)
         depth = [0] * (self.n + 1)
         order: list[int] = []

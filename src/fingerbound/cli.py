@@ -5,9 +5,8 @@ numeric CSV with a header row; summaries go to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or input errors.
 
 CSV columns are formatted and read back a whole column at a time, in builtin
-passes (`map`, `zip`, `all`, `writelines`) with no per-row Python loop. The
-per-line loop in `_read_series` runs only when a pass fails, to name the
-first bad line.
+passes (`map`, `zip`, `all`, `writelines`) with no per-row Python loop. When
+`_read_series` rejects a column, `core.first_bad` finds its first bad line.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from itertools import count, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import AccessSequence, WeightAssignment
+from .core import WeightAssignment, first_bad
 from .bounds import (
     START_ROOT,
     START_SELF,
@@ -131,22 +130,20 @@ def _read_series(path: str, preferred: tuple[str, ...]) -> list[float]:
             idx = header.index(name)
             break
     del lines[0]
-    # at most idx + 1 splits leave field idx whole and the rest unsplit
-    fields = map(itemgetter(idx), map(str.split, lines, repeat(","), repeat(idx + 1)))
-    try:
+
+    def numbers(rows: list[str]) -> list[float]:
+        # at most idx + 1 splits leave field idx whole and the rest unsplit
+        fields = map(itemgetter(idx), map(str.split, rows, repeat(","), repeat(idx + 1)))
         series = list(map(float, fields))
+        if not all(map(math.isfinite, series)):
+            raise ValueError("not a finite number")
+        return series
+
+    try:
+        return numbers(lines)
     except (IndexError, ValueError):
-        series = []
-    if not (series and all(map(math.isfinite, series))):
-        for lineno, line in enumerate(lines, start=2):  # name the first bad line
-            try:
-                value = float(line.split(",")[idx])
-            except (IndexError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: no number in column "
-                                 f"{header[idx]!r}: {line!r}")
-    return series
+        bad = first_bad(lines, numbers)
+    raise ValueError(f"{path}: line {bad + 2}: no number in column {header[idx]!r}: {lines[bad]!r}")
 
 
 def _cmd_fit(args) -> int:

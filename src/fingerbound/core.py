@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
 from operator import lt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BadKeyspaceError,
@@ -36,6 +36,28 @@ def check_key(k: Key, n: int) -> None:
         raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
 
 
+def first_bad(column: Sequence, accept: Callable[[Sequence], object]) -> int | None:
+    """Index of the first entry of a non-empty column that `accept` rejects,
+    or None, at the cost of one call, when it accepts the whole column.
+
+    `accept` judges a column in builtin passes (`map`, `min`/`max`, `all`)
+    and rejects by returning a false value or by raising `ValueError`,
+    `TypeError`, `OverflowError` or `IndexError`, as on an entry it cannot
+    convert. It must reject every column that starts with one it rejects:
+    the shortest rejected prefix is then found in O(log len) more calls,
+    and its last entry is the earliest to fail conversion or acceptance.
+    """
+    def rejects(part: Sequence) -> bool:
+        try:
+            return not accept(part)
+        except (IndexError, OverflowError, TypeError, ValueError):
+            return True
+
+    if not rejects(column):
+        return None
+    return bisect_left(range(len(column)), True, key=lambda i: rejects(column[:i + 1]))
+
+
 @dataclass(frozen=True)
 class AccessSequence:
     """A validated stream of key accesses s_1..s_m over the keyspace 1..n."""
@@ -50,11 +72,10 @@ class AccessSequence:
         object.__setattr__(self, "accesses", accs)
         if not accs:
             raise EmptySequenceError("access sequence is empty")
-        if not (all(map(isinstance, accs, repeat(int))) and 1 <= min(accs)
-                and max(accs) <= self.n):
-            for i, k in enumerate(accs, start=1):  # name the first bad access
-                if not isinstance(k, int) or not 1 <= k <= self.n:
-                    raise KeyOutOfRangeError(f"access {i}: key {k!r} outside [1, {self.n}]")
+        bad = first_bad(accs, lambda ks: all(map(isinstance, ks, repeat(int)))
+                        and 1 <= min(ks) and max(ks) <= self.n)
+        if bad is not None:
+            raise KeyOutOfRangeError(f"access {bad + 1}: key {accs[bad]!r} outside [1, {self.n}]")
 
     @property
     def m(self) -> int:
@@ -76,8 +97,9 @@ class WeightAssignment:
     """Strictly positive per-key weights with prefix sums for range queries.
 
     prefix[k] holds the sum of the first k weights, prefix[0] = 0. Prefix
-    entries must be strictly increasing, which rules out weights so skewed
-    that they underflow into the running sum.
+    entries must be strictly increasing and finite, which rules out weights
+    so skewed that they vanish in the running sum, and a total past the
+    float range.
     """
 
     weights: tuple[float, ...]
@@ -89,21 +111,26 @@ class WeightAssignment:
             raise BadKeyspaceError("weight vector is empty")
         object.__setattr__(self, "weights", ws)
         prefix = tuple(accumulate(ws, initial=0.0))
-        if not (all(map(math.isfinite, ws)) and min(ws) > 0.0
-                and all(map(lt, prefix, islice(prefix, 1, None)))):
-            # name the first bad weight: earlier prefix sums are exact
-            for i, w in enumerate(ws, start=1):
-                if not math.isfinite(w) or w <= 0.0:
-                    raise ValueError(f"weight {i} must be a finite positive number, got {w!r}")
-                if not prefix[i] > prefix[i - 1]:
-                    raise ValueError(f"weight {i} vanishes in the prefix sum; rescale the vector")
+        # The sums rise strictly to a finite total exactly when every weight
+        # is finite and positive and no running sum vanishes or overflows.
+        i = first_bad(prefix, lambda p: all(map(lt, p, islice(p, 1, None))) and p[-1] < math.inf)
+        if i is not None:  # prefix[i] is the first bad sum, and weight i broke it
+            w = ws[i - 1]
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"weight {i} must be a finite positive number, got {w!r}")
+            fault = ("takes the prefix sum past the float range" if prefix[i] == math.inf
+                     else "vanishes in the prefix sum")
+            raise ValueError(f"weight {i} {fault}; rescale the vector")
         object.__setattr__(self, "prefix", prefix)
 
     @classmethod
     def equal(cls, n: int) -> "WeightAssignment":
         if n < 1:
             raise BadKeyspaceError(f"keyspace size must be positive, got {n}")
-        return cls((1.0,) * n)
+        try:
+            return cls((1.0,) * n)
+        except (OverflowError, MemoryError):
+            raise BadKeyspaceError(f"keyspace size {n} is too large for equal weights") from None
 
     @property
     def n(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Sequence
 
-from .core import AccessSequence, BoundReport, CostReport, WeightAssignment
+from .core import AccessSequence, BoundReport, CostReport, WeightAssignment, first_bad
 from .errors import DimensionMismatchError
 from .bounds import START_SELF, weighted_df_bound
 from .greedy import greedy_cost
@@ -32,24 +32,22 @@ class FitResult:
 
 def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResult:
     """Fit cumulative cost against cumulative bound. Every value must be
-    finite and the bound total positive."""
+    finite, the bound total positive, and the fit's sums of centred squares
+    within the float range."""
     if len(cost_series) != len(bound_series):
         raise DimensionMismatchError(
             f"series lengths differ: {len(cost_series)} vs {len(bound_series)}"
         )
     if not cost_series:
         raise DimensionMismatchError("series are empty")
-    # Cumulative sums from 0.0, so int costs add as floats. A sum of floats
-    # is finite only if every term is, so finite totals skip the entry check.
-    try:
-        cum_c = list(islice(accumulate(cost_series, initial=0.0), 1, None))
-        cum_b = list(islice(accumulate(bound_series, initial=0.0), 1, None))
-        finite = math.isfinite(cum_c[-1]) and math.isfinite(cum_b[-1])
-    except OverflowError:  # an int too large for a float, named below
-        finite = False
-    if not finite:
-        _check_finite("cost", cost_series)
-        _check_finite("bound", bound_series)
+    for name, series in (("cost", cost_series), ("bound", bound_series)):
+        # an int too large for a float makes `isfinite` raise, and counts as bad
+        bad = first_bad(series, lambda vs: all(map(math.isfinite, vs)))
+        if bad is not None:
+            raise ValueError(f"{name}[{bad}] = {series[bad]!r} is not finite")
+    # cumulative sums from 0.0, so int costs add as floats
+    cum_c = list(islice(accumulate(cost_series, initial=0.0), 1, None))
+    cum_b = list(islice(accumulate(bound_series, initial=0.0), 1, None))
     tc, tb = cum_c[-1], cum_b[-1]
     if not tb > 0:
         raise ValueError(f"bound total must be positive, got {tb!r}")
@@ -59,9 +57,14 @@ def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResul
         return FitResult(ratio=ratio, slope=ratio, intercept=0.0, r2=1.0)
     mx = sum(cum_b) / k
     my = sum(cum_c) / k
-    sxx = sum((x - mx) ** 2 for x in cum_b)
-    syy = sum((y - my) ** 2 for y in cum_c)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(cum_b, cum_c))
+    try:
+        sxx = sum((x - mx) ** 2 for x in cum_b)
+        syy = sum((y - my) ** 2 for y in cum_c)
+        sxy = sum((x - mx) * (y - my) for x, y in zip(cum_b, cum_c))
+    except OverflowError:  # a centred square past the float range
+        sxx = syy = sxy = math.inf
+    if not (math.isfinite(sxx * syy) and math.isfinite(sxy * sxy)):
+        raise ValueError("the cumulative series leave the float range in the fit; rescale them")
     if sxx == 0.0:
         slope = 0.0
         intercept = my
@@ -71,18 +74,6 @@ def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResul
         intercept = my - slope * mx
         r2 = 1.0 if syy == 0.0 else min(1.0, (sxy * sxy) / (sxx * syy))
     return FitResult(ratio=ratio, slope=slope, intercept=intercept, r2=r2)
-
-
-def _check_finite(name: str, series: Sequence[float]) -> None:
-    """Raise `ValueError` naming the first entry that is not a finite
-    number; an int too large for a float counts as not finite."""
-    for i, v in enumerate(series):
-        try:
-            finite = math.isfinite(v)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"{name}[{i}] = {v!r} is not finite")
 
 
 def run_experiment(

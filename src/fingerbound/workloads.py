@@ -16,10 +16,10 @@ reproducibility contract.
 Trace file format: line 1 is "n m", then m lines with one key each.
 Weights file format: n lines, one strictly positive decimal per line.
 
-Files are converted, checked and written a whole column at a time, in
-builtin passes (`map`, `min`/`max`, `all`, one `%` over a whole column) with
-no per-line Python loop. A reader walks its lines one by one only when a
-pass fails, and that loop only names the first bad line.
+Files are converted and written a whole column at a time, in builtin passes
+(`map`, one `%` over a whole column) with no per-line Python loop. The
+values are checked once, by `AccessSequence` and `WeightAssignment`; when
+they reject a file, `core.first_bad` finds its first bad line.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import AccessSequence, Key, WeightAssignment
+from .core import AccessSequence, Key, WeightAssignment, first_bad
 from .errors import BadSpecError, TraceParseError
 
 _MASK = (1 << 64) - 1
@@ -173,20 +173,20 @@ def read_trace(path: str | Path) -> AccessSequence:
                               f"expected {m} access lines after the header, found {len(lines) - 1}",
                               path)
     del lines[0]
+
+    def parse(rows: list[str]) -> AccessSequence:
+        return AccessSequence(n, tuple(map(int, rows)))
+
     try:
-        keys = tuple(map(int, lines))
+        return parse(lines)
     except ValueError:
-        keys = ()
-    if not (keys and 1 <= min(keys) and max(keys) <= n):
-        for lineno, raw in enumerate(lines, start=2):  # name the first bad line
-            try:
-                k = int(raw)
-            except ValueError:
-                raise TraceParseError(lineno, f"expected one integer key, got {raw!r}",
-                                      path) from None
-            if not 1 <= k <= n:
-                raise TraceParseError(lineno, f"key {k} out of range [1, {n}]", path)
-    return AccessSequence(n, keys)
+        bad = first_bad(lines, parse)
+    raw = lines[bad]
+    try:
+        key = int(raw)
+    except ValueError:
+        raise TraceParseError(bad + 2, f"expected one integer key, got {raw!r}", path) from None
+    raise TraceParseError(bad + 2, f"key {key} out of range [1, {n}]", path)
 
 
 def trace_text(seq: AccessSequence) -> str:
@@ -206,20 +206,21 @@ def read_weights(path: str | Path) -> WeightAssignment:
     if not lines:
         raise TraceParseError(1, "empty weights file", path)
     try:
-        values = tuple(map(float, lines))
+        return WeightAssignment(lines)  # which converts each line with `float`
     except ValueError:
-        values = ()
-    if not (values and all(map(math.isfinite, values)) and min(values) > 0.0):
-        for lineno, raw in enumerate(lines, start=1):  # name the first bad line
-            try:
-                w = float(raw)
-            except ValueError:
-                raise TraceParseError(lineno, f"expected one decimal weight, got {raw!r}",
-                                      path) from None
-            if not math.isfinite(w) or w <= 0.0:
-                raise TraceParseError(lineno, f"weight must be finite and positive, got {raw!r}",
-                                      path)
-    return WeightAssignment(values)
+        bad = first_bad(lines, WeightAssignment)
+    raw = lines[bad]
+    try:
+        w = float(raw)
+    except ValueError:
+        raise TraceParseError(bad + 1, f"expected one decimal weight, got {raw!r}", path) from None
+    if not 0.0 < w < math.inf:
+        raise TraceParseError(bad + 1, f"weight must be finite and positive, got {raw!r}", path)
+    # the weight is fine, so the sum of those before it vanishes it or overflows
+    overflows = WeightAssignment(lines[:bad]).total + w == math.inf
+    fault = ("takes the running sum past the float range" if overflows
+             else "vanishes in the running sum")
+    raise TraceParseError(bad + 1, f"weight {raw!r} {fault}; rescale the weights", path)
 
 
 def write_weights(w: WeightAssignment, path: str | Path) -> None:

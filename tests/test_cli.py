@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fingerbound.cli import _emit, main
 from fingerbound.greedy import greedy_execute
@@ -304,6 +307,105 @@ class TestFitCmd:
         cost_total = sum(int(r.split(",")[2]) for r in rows)
         bound_total = sum(float(r.split(",")[3]) for r in rows)
         assert ratio == pytest.approx(cost_total / bound_total, rel=1e-12)
+
+
+class TestInputRange:
+    def test_fit_past_the_float_range_is_input_error(self, capsys, tmp_path):
+        cost = tmp_path / "c.csv"
+        bound = tmp_path / "b.csv"
+        cost.write_text("i,cost\n1,1e300\n2,1e300\n")
+        bound.write_text("i,bound\n1,1.0\n2,1.0\n")
+        code, out, err = run_cli(capsys, "fit", "--cost", str(cost), "--bound", str(bound))
+        assert code == 2 and out == ""
+        assert err == ("error: the cumulative series leave the float range in the fit; "
+                       "rescale them\n")
+
+    @pytest.mark.parametrize("argv", [("run", "--algo", "greedy"), ("run", "--algo", "splay"),
+                                      ("bound",)])
+    def test_huge_keyspace_is_input_error(self, capsys, tmp_path, argv):
+        # equal weights over 10**20 keys are refused before any allocation
+        trace = tmp_path / "t.txt"
+        trace.write_text("100000000000000000000 2\n1\n2\n")
+        code, out, err = run_cli(capsys, *argv, "--trace", str(trace))
+        assert code == 2 and out == ""
+        assert err == ("error: keyspace size 100000000000000000000 is too large for "
+                       "equal weights\n")
+
+    def test_weights_past_the_float_range_name_their_line(self, capsys, tiny_trace, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("1.0\n1e308\n1e308\n")
+        code, out, err = run_cli(capsys, "bound", "--trace", tiny_trace,
+                                 "--weights", str(weights))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: weight '1e308' takes the running sum past")
+        assert err.count("\n") == 1
+
+
+# Lines without line breaks, and numbers likely to be bad in each way the
+# readers know; keyspaces stay tiny except for one past any allocation.
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=5)
+NUMBER = st.one_of(st.floats().map(repr), st.integers(-2, 7).map(str), TEXT,
+                   st.sampled_from(["1e300", "1e-300", "1e308", "inf", "nan", ""]))
+FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def quiet_main(*argv):
+    """`main` with stdout and stderr captured; returns (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestCliFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli_fuzz")
+
+    @FUZZ
+    @given(n=st.one_of(st.integers(-1, 6), st.just(10**20)),
+           keys=st.lists(st.one_of(st.integers(-1, 7).map(str), TEXT), min_size=1, max_size=6),
+           weights=st.lists(NUMBER, min_size=1, max_size=6),
+           extra=st.integers(-1, 1))
+    def test_run_and_bound_exit_cleanly(self, fuzz_dir, n, keys, weights, extra):
+        trace, wfile = fuzz_dir / "t.txt", fuzz_dir / "w.txt"
+        trace.write_text(f"{n} {len(keys) + extra}\n" + "".join(f"{k}\n" for k in keys))
+        wfile.write_text("".join(f"{w}\n" for w in weights))
+        for argv in (("run", "--algo", "greedy"), ("run", "--algo", "splay"), ("bound",),
+                     ("bound", "--weights", wfile), ("run", "--algo", "splay", "--weights", wfile)):
+            code, err = quiet_main(*argv, "--trace", trace)
+            assert_clean_exit(code, err)
+            if "line " in err:
+                assert err.rstrip().endswith((f" in {trace}", f" in {wfile}"))
+
+    @FUZZ
+    @given(costs=st.lists(NUMBER, min_size=1, max_size=6),
+           bounds=st.lists(NUMBER, min_size=1, max_size=6),
+           header=st.sampled_from(["i,cost", "i,key,cost,bound", "x"]))
+    def test_fit_exits_cleanly(self, fuzz_dir, costs, bounds, header):
+        cost, bound = fuzz_dir / "c.csv", fuzz_dir / "b.csv"
+        cost.write_text(header + "\n" + "".join(f"{i},{v}\n" for i, v in enumerate(costs)))
+        bound.write_text("i,bound\n" + "".join(f"{i},{v}\n" for i, v in enumerate(bounds)))
+        code, err = quiet_main("fit", "--cost", cost, "--bound", bound)
+        assert_clean_exit(code, err)
+        # rows are "i,value": the cost column is the value, absent, or i
+        bad = {"i,cost": [i for i, v in enumerate(costs) if not finite(v)],
+               "i,key,cost,bound": [0], "x": []}[header]
+        if bad:
+            assert err.startswith(f"error: {cost}: line {bad[0] + 2}: no number")
+
+
+def finite(text):
+    try:
+        return abs(float(text)) < float("inf")
+    except ValueError:
+        return False
 
 
 class TestVerify:

@@ -11,6 +11,7 @@ from fingerbound.core import (
     Point,
     PointSet,
     WeightAssignment,
+    first_bad,
 )
 from fingerbound.greedy import GreedyState, greedy_row
 from fingerbound.splay import SplayTree
@@ -209,3 +210,52 @@ def test_public_names_are_unique_and_resolve():
     assert len(fingerbound.__all__) == len(set(fingerbound.__all__))
     for name in fingerbound.__all__:
         assert hasattr(fingerbound, name), name
+
+
+class TestFirstBad:
+    @staticmethod
+    def below(limit):
+        return lambda xs: max(xs) < limit
+
+    def test_accepted_column_costs_one_call(self):
+        calls = []
+        assert first_bad((1, 2, 3), lambda xs: calls.append(xs) or True) is None
+        assert calls == [(1, 2, 3)]
+
+    def test_names_the_first_rejected_entry(self):
+        assert first_bad((1, 5, 2, 9), self.below(5)) == 1
+        assert first_bad((9,), self.below(5)) == 0
+        assert first_bad([1, 2, 3, 4, 5, 6, 7], self.below(7)) == 6
+
+    def test_conversion_and_acceptance_together(self):
+        # the earlier of a value out of range and a line that is no number
+        ints = lambda rows: max(map(int, rows)) < 5
+        assert first_bad(["1", "7", "x"], ints) == 1
+        assert first_bad(["1", "x", "7"], ints) == 1
+        assert first_bad(["1", "2", "x"], ints) == 2
+        assert first_bad(["1", "2"], lambda rows: [][len(rows)]) == 0  # IndexError
+
+    def test_relational_check(self):
+        rising = lambda xs: all(a < b for a, b in zip(xs, xs[1:]))
+        assert first_bad((1, 2, 3, 3, 0), rising) == 3
+        assert first_bad((1, 2, 4), rising) is None
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(0, 10))
+    def test_matches_the_loop(self, xs, limit):
+        expect = next((i for i, x in enumerate(xs) if not x < limit), None)
+        assert first_bad(xs, self.below(limit)) == expect
+
+
+class TestWeightRange:
+    def test_total_past_the_float_range_is_named(self):
+        with pytest.raises(ValueError, match="weight 2 takes the prefix sum past the float range"):
+            WeightAssignment((1e308, 1e308))
+        with pytest.raises(ValueError, match="weight 3 takes the prefix sum past"):
+            WeightAssignment((1.0, 1e308, 1e308, -1.0))
+        assert WeightAssignment((1e308, 7e307)).total < math.inf
+
+    def test_equal_weights_on_a_huge_keyspace_is_a_typed_error(self):
+        # n past the largest sequence length fails before any allocation
+        with pytest.raises(BadKeyspaceError, match="too large for equal weights"):
+            WeightAssignment.equal(10**20)

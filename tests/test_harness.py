@@ -98,6 +98,17 @@ class TestFit:
             assert fit(costs, bounds) == loop_fit(costs, bounds)
 
 
+class TestFitRange:
+    @pytest.mark.parametrize("cost, bound", [
+        ([1e300, 1e300], [1.0, 1.0]),  # a centred square overflows
+        ([1e308, 1e308, 1.0], [1.0, 1.0, 1.0]),  # the cumulative cost overflows
+        ([1.0, 2.0], [1e308, 1e308]),  # the cumulative bound overflows
+    ])
+    def test_series_past_the_float_range_are_a_value_error(self, cost, bound):
+        with pytest.raises(ValueError, match="leave the float range in the fit"):
+            fit(cost, bound)
+
+
 class TestRunExperiment:
     def test_greedy_sequential_ratio(self):
         seq = generate(WorkloadSpec("sequential", 1000, 1000))

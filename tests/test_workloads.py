@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fingerbound.core import AccessSequence
 from fingerbound.errors import BadSpecError, TraceParseError
@@ -217,3 +220,96 @@ class TestWeightsIO:
         with pytest.raises(TraceParseError) as exc:
             read_weights(p)
         assert exc.value.line == 2
+
+
+class TestWeightsPrefixFaults:
+    @pytest.mark.parametrize("text, fault", [
+        ("1e300\n1e-300\n", "weight '1e-300' vanishes in the running sum"),
+        ("1e308\n1e308\n", "weight '1e308' takes the running sum past the float range"),
+        ("1e300\n1e-300\nx\n", "weight '1e-300' vanishes in the running sum"),
+    ])
+    def test_line_and_path_are_named(self, tmp_path, text, fault):
+        p = tmp_path / "w.txt"
+        p.write_text(text)
+        with pytest.raises(TraceParseError) as exc:
+            read_weights(p)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: {fault}; rescale the weights in {p}"
+
+
+# Lines without line breaks: printable ASCII, with numbers that are likely
+# to be bad in each way the readers know.
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+WEIGHT_LINES = st.lists(st.one_of(
+    st.floats().map(repr), st.integers(-3, 3).map(str), TEXT,
+    st.sampled_from(["1e300", "1e-300", "1e308", "5e-324", "inf", "nan", " 2 ", ""])),
+    min_size=1, max_size=8)
+FUZZ = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def first_bad_weight_line(lines):
+    """The reference: the 1-based line of the first weight that is no
+    number, not finite and positive, or lost in or past the running sum."""
+    total = 0.0
+    for line, raw in enumerate(lines, start=1):
+        try:
+            w = float(raw)
+        except ValueError:
+            return line
+        if not 0.0 < w < math.inf or not total < total + w < math.inf:
+            return line
+        total += w
+    return None
+
+
+def first_bad_key_line(lines, n):
+    for line, raw in enumerate(lines, start=2):
+        try:
+            k = int(raw)
+        except ValueError:
+            return line
+        if not 1 <= k <= n:
+            return line
+    return None
+
+
+class TestReaderFuzz:
+    @FUZZ
+    @given(lines=WEIGHT_LINES)
+    def test_weights_parse_or_name_the_first_bad_line(self, tmp_path_factory, lines):
+        p = tmp_path_factory.getbasetemp() / "fuzz_w.txt"
+        p.write_text("".join(f"{raw}\n" for raw in lines))
+        expect = first_bad_weight_line(lines)
+        if expect is None:
+            assert read_weights(p).weights == tuple(map(float, lines))
+        else:
+            with pytest.raises(TraceParseError) as exc:
+                read_weights(p)
+            assert exc.value.line == expect
+            assert str(exc.value).startswith(f"line {expect}: ")
+
+    @FUZZ
+    @given(n=st.integers(1, 6), lines=st.lists(
+        st.one_of(st.integers(-2, 8).map(str), TEXT), min_size=1, max_size=8))
+    def test_trace_parses_or_names_the_first_bad_line(self, tmp_path_factory, n, lines):
+        p = tmp_path_factory.getbasetemp() / "fuzz_t.txt"
+        p.write_text(f"{n} {len(lines)}\n" + "".join(f"{raw}\n" for raw in lines))
+        expect = first_bad_key_line(lines, n)
+        if expect is None:
+            assert read_trace(p) == AccessSequence(n, tuple(map(int, lines)))
+        else:
+            with pytest.raises(TraceParseError) as exc:
+                read_trace(p)
+            assert exc.value.line == expect
+
+    @FUZZ
+    @given(data=st.binary(max_size=40))
+    def test_any_bytes_parse_or_raise_a_parse_error(self, tmp_path_factory, data):
+        p = tmp_path_factory.getbasetemp() / "fuzz_b.txt"
+        p.write_bytes(data)
+        for reader in (read_trace, read_weights):
+            try:
+                reader(p)
+            except TraceParseError as exc:
+                assert 1 <= exc.line <= len(data.decode("latin-1").splitlines()) + 1
+                assert str(exc).startswith(f"line {exc.line}: ") and str(exc).endswith(f" in {p}")
