@@ -196,6 +196,15 @@ def weighted_df_bound(
         terms.append(1.0 + log2((prefix[hi] - prefix[lo - 1])
                                 / min(weights[prev - 1], weights[cur - 1])))
         prev = cur
+    if math.inf in terms:
+        # a quotient past the float range: the difference of the two logs
+        keys = (seq.accesses[0], *seq.accesses)
+        for i, term in enumerate(terms):
+            if term == math.inf:
+                prev, cur = keys[i], keys[i + 1]
+                lo, hi = (prev, cur) if prev < cur else (cur, prev)
+                total = prefix[hi] - prefix[lo - 1] if i else w.total
+                terms[i] = 1.0 + log2(total) - log2(min(weights[prev - 1], weights[cur - 1]))
     return BoundReport(tuple(terms))
 
 

@@ -25,7 +25,7 @@ from .bounds import (
     best_static_finger_cost,
     weighted_df_bound,
 )
-from .greedy import greedy_execute, greedy_sweep
+from .greedy import greedy_cost, greedy_sweep
 from .harness import ALGORITHMS, _bound_and_fit, fit, run_experiment
 from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
@@ -109,7 +109,7 @@ def _cmd_beststatic(args) -> int:
 def _cmd_opt(args) -> int:
     seq = read_trace(args.trace)
     res = opt_satisfied_superset(seq)
-    greedy_size = len(greedy_execute(seq)[0])
+    greedy_size = greedy_cost(seq).total
     _emit("opt_size,greedy_size,ratio",
           [(res.size, greedy_size, greedy_size / res.size)], args.out)
     return 0

@@ -8,18 +8,21 @@ impose no constraint.
 
 Two routes are provided. `unsatisfied_pairs` checks every pair against the
 definition directly and lists the violations. `is_arborally_satisfied` runs a
-row sweep that reduces the pair condition to one range-maximum comparison per
-row point and side:
+row sweep that reduces the pair condition to one outward record search per
+open gap of a row:
 
-    at row time t, for a row point y and its open key gap up to the nearest
-    same-row point (or keyspace boundary), the set is violated exactly when
-    some previously touched key in the gap has a last-touch time later than
-    the last touch of y's own column.
+    at row time t, for an open key gap between neighbouring row points (or
+    a row point and the keyspace boundary), the set is violated exactly
+    when some previously touched key in the gap has a last-touch time later
+    than the last touch of the earlier-touched bounding row point's column.
 
 Everything farther out is witnessed by the nearest same-row point, blocked
 gap keys are witnessed by their blockers, and stale column points are
-witnessed by their successors in the same column, so the gap maximum is the
-only comparison left. The two routes are cross-checked in the test suite.
+witnessed by their successors in the same column, so that comparison is the
+only one left. It is the search greedy's staircase walk makes: from the
+earlier-touched neighbour, the nearest key touched after it (`MaxSegTree`'s
+`leftmost_above` or `rightmost_above`), a violation exactly when the hit
+lies inside the gap. The two routes are cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
@@ -34,7 +37,8 @@ minimality suite all take their answers from it. It walks the subsets of its
 time-major `free` list depth first, checks each row once no later choice can
 add to it, and drops every subset sharing a failed row. A caller whose
 earlier rows are fixed passes their `RowSweep`, so only the later rows are
-searched and checked.
+searched and checked. Each answer is the list of points it adds, so a caller
+reads the added keys directly and builds no point set.
 """
 
 from __future__ import annotations
@@ -74,19 +78,21 @@ class RowSweep:
         tree = self.tree
         n = self.n
         prev = 0
-        # each open gap between neighbouring row keys (or the keyspace ends)
-        # is checked against its left neighbour, then its right neighbour;
-        # the witness is the gap's latest key nearest to that neighbour, and
-        # no key in the gap is later than gap_max (tree leaf j is key j + 1)
+        # each open gap between neighbouring row keys is searched outward
+        # from its earlier-touched neighbour (a keyspace end never bounds a
+        # rectangle) for the nearest key touched after it; a hit inside the
+        # gap spans an empty rectangle with that neighbour's row point, and
+        # no hit means every gap key is witnessed (tree leaf j is key j + 1)
         for y in (*row, n + 1):
-            gap_max = tree.max_in(prev, y - 2)
-            if gap_max:
-                if prev and gap_max > last[prev]:
-                    z = tree.leftmost_above(prev, gap_max - 1) + 1
-                    return Point(z, last[z]), Point(prev, t)
-                if y <= n and gap_max > last[y]:
-                    z = tree.rightmost_above(y - 2, gap_max - 1) + 1
-                    return Point(z, last[z]), Point(y, t)
+            if y - prev > 1:
+                if prev and (y > n or last[prev] <= last[y]):
+                    z = tree.leftmost_above(prev, last[prev]) + 1
+                    if 0 < z < y:
+                        return Point(z, last[z]), Point(prev, t)
+                elif y <= n:
+                    z = tree.rightmost_above(y - 2, last[y]) + 1
+                    if z > prev:
+                        return Point(z, last[z]), Point(y, t)
             prev = y
         return None
 
@@ -130,15 +136,15 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
 
 
 def minimum_supersets(base: list[Point], free: Sequence[Point],
-                      sweep: RowSweep | None = None) -> Iterator[PointSet]:
-    """Every arborally satisfied superset of `base` that adds the fewest
-    points of `free`.
+                      sweep: RowSweep | None = None) -> Iterator[list[Point]]:
+    """The points of `free` that each arborally satisfied superset of
+    `base` adds, for the fewest additions.
 
-    Yields, in `itertools.combinations` order, each satisfied `base` plus
-    subset of `free` of the first size that has one, then stops. `free`
-    must be time-major. `sweep`, if given, holds the committed rows before
-    every point of `base` and `free`, which the yielded sets leave out; it
-    is not changed. Exhaustive: meant for tiny instances.
+    Yields, in `itertools.combinations` order, each subset of `free` of the
+    first size whose union with `base` is satisfied, as a list, then stops.
+    `free` must be time-major. `sweep`, if given, holds the committed rows
+    before every point of `base` and `free`, which count toward
+    satisfaction; it is not changed. Exhaustive: meant for tiny instances.
 
     Subsets are built depth first over `free`. Once the next chosen point
     lies past a row, no later choice adds to that row, so it is checked and
@@ -183,7 +189,7 @@ def minimum_supersets(base: list[Point], free: Sequence[Point],
         return False
 
     def extend(state: RowSweep, cur: int, extra: list[Key], pos: int, need: int,
-               chosen: list[Point]) -> Iterator[PointSet]:
+               chosen: list[Point]) -> Iterator[list[Point]]:
         # `state` holds the rows before row cur, which holds `extra` so far;
         # `ahead` holds the rows before row `reached`, a copy once past cur
         ahead, reached = state, cur
@@ -204,10 +210,10 @@ def minimum_supersets(base: list[Point], free: Sequence[Point],
             if need > 1:
                 yield from extend(sub, r, sub_extra, i + 1, need - 1, chosen + [free[i]])
             elif passes(sub, r, sub_extra):
-                yield PointSet(base + chosen + [free[i]])
+                yield [*chosen, free[i]]
 
     if passes(sweep, 0, []):
-        yield PointSet(base)
+        yield []
         return
     for size in range(1, len(free) + 1):
         found = False

@@ -23,9 +23,9 @@ them) that commits each emitted row and keeps a log of the rows.
 outward from each touched key: O(log gap) per touched key, gap keys past
 the previous one, O(log n) at worst. `greedy_row_reference` is a plain O(n)
 prefix-maximum scan kept for differential testing, and `brute_min_row` is
-the exhaustive minimum-cardinality oracle for tiny instances, the first
-answer of `geometry.minimum_supersets` over the row's other keys, searched
-on top of one `RowSweep` over the earlier rows.
+the exhaustive minimum-cardinality oracle for tiny instances: x plus the
+keys that the first answer of `geometry.minimum_supersets` adds from the
+row's other keys, searched on top of one `RowSweep` over the earlier rows.
 """
 
 from __future__ import annotations
@@ -163,4 +163,4 @@ def brute_min_row(pset: PointSet, x: Key, t: int, n: int) -> set[Key]:
     if sweep.sweep((s, pset.row_keys(s)) for s in pset.times) is not None:
         raise ValueError("point set must be arborally satisfied")
     others = [Point(k, t) for k in range(1, n + 1) if k != x]
-    return set(next(minimum_supersets([Point(x, t)], others, sweep)).row_keys(t))
+    return {x, *(k for k, _ in next(minimum_supersets([Point(x, t)], others, sweep)))}

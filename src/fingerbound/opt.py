@@ -1,8 +1,9 @@
 """Exact minimum arborally satisfied superset for tiny instances.
 
 Takes the first answer of `geometry.minimum_supersets` over the grid
-{1..n} x {1..m}: it tries the added points by increasing count, so the first
-satisfied superset found has provably minimum size. The grid points are
+{1..n} x {1..m}: it tries the added points by increasing count, so the
+accesses plus the first points it adds form a satisfied superset of provably
+minimum size, the one witness built as a `PointSet`. The grid points are
 listed time-major, so the search checks each row once its added points are
 chosen and skips every extension of a choice whose row fails: a row's
 verdict depends only on the rows at or before it. Guarded to n, m <= 5; the
@@ -45,5 +46,5 @@ def opt_satisfied_superset(seq: AccessSequence) -> OptResult:
         for k in range(1, seq.n + 1)
         if Point(k, t) not in taken
     ]
-    witness = next(minimum_supersets(base, free))
-    return OptResult(len(witness), witness)
+    added = next(minimum_supersets(base, free))
+    return OptResult(len(base) + len(added), PointSet(base + added))

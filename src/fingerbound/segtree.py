@@ -1,10 +1,11 @@
 """Max segment tree over rank space, used as the staircase index.
 
-Leaves hold last-touch times (0 = never touched). Beyond range maxima, the
-tree answers the two directional threshold queries the staircase walks need:
-rightmost leaf in a prefix with value above a threshold, and leftmost leaf in
-a suffix with value above a threshold. Both search outward from the end
-of their range: O(log gap) for a hit gap leaves away, O(log n) at worst.
+Leaves hold last-touch times (0 = never touched). Internal nodes hold the
+maximum of their subtree, which answers the two directional threshold
+queries behind greedy's staircase walk and the satisfaction sweep's gap
+check: rightmost leaf in a prefix with value above a threshold, and leftmost
+leaf in a suffix with value above a threshold. Both search outward from the
+end of their range: O(log gap) for a hit gap leaves away, O(log n) at worst.
 """
 
 from __future__ import annotations
@@ -34,31 +35,6 @@ class MaxSegTree:
         while idx and t[idx] < v:
             t[idx] = v
             idx >>= 1
-
-    def max_in(self, lo: int, hi: int) -> int:
-        """Maximum over leaves [lo, hi]; 0 when the range is empty."""
-        if lo < 0:
-            lo = 0
-        if hi >= self.n:
-            hi = self.n - 1
-        if lo > hi:
-            return 0
-        t = self.tree
-        best = 0
-        l = lo + self.size
-        r = hi + self.size + 1
-        while l < r:
-            if l & 1:
-                if t[l] > best:
-                    best = t[l]
-                l += 1
-            if r & 1:
-                r -= 1
-                if t[r] > best:
-                    best = t[r]
-            l >>= 1
-            r >>= 1
-        return best
 
     def rightmost_above(self, hi: int, thr: int) -> int:
         """Rightmost leaf index in [0, hi] with value > thr, or -1. From

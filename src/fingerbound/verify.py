@@ -60,7 +60,7 @@ from .geometry import (
 )
 from .greedy import (
     GreedyState,
-    greedy_execute,
+    greedy_cost,
     greedy_row,
     greedy_row_reference,
     greedy_sweep,
@@ -182,7 +182,7 @@ def check_greedy_minimality() -> int:
                     others = [Point(k, t) for k in range(1, n + 1) if k != x]
                     found = list(islice(minimum_supersets([Point(x, t)], others, state), 2))
                     row = state.step(x)
-                    oracle = set(found[0].row_keys(t))
+                    oracle = {x, *(k for k, _ in found[0])}
                     if row != oracle:
                         raise CheckFailure(
                             f"row mismatch at t={t} of {accesses}: greedy {sorted(row)} "
@@ -211,7 +211,7 @@ def check_opt_dominance() -> tuple[int, float, tuple[int, ...]]:
         for m in range(1, 5):
             for accesses in product(range(1, n + 1), repeat=m):
                 seq = AccessSequence(n, accesses)
-                points, _ = greedy_execute(seq)
+                greedy_size = greedy_cost(seq).total
                 res = opt_satisfied_superset(seq)
                 if not is_arborally_satisfied(res.witness):
                     raise CheckFailure(f"opt witness unsatisfied on {accesses}")
@@ -220,10 +220,10 @@ def check_opt_dominance() -> tuple[int, float, tuple[int, ...]]:
                 if any(Point(k, t) not in res.witness
                        for t, k in enumerate(seq, start=1)):
                     raise CheckFailure(f"opt witness misses an access on {accesses}")
-                if res.size > len(points):
+                if res.size > greedy_size:
                     raise CheckFailure(
-                        f"opt {res.size} exceeds greedy {len(points)} on {accesses}")
-                ratio = len(points) / res.size
+                        f"opt {res.size} exceeds greedy {greedy_size} on {accesses}")
+                ratio = greedy_size / res.size
                 if ratio > worst:
                     worst = ratio
                     worst_seq = accesses
@@ -391,15 +391,13 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
             if fast != ref:
                 raise CheckFailure(f"greedy row mismatch at key {x} on {seq.accesses}")
             state.step(x)
-        again, cost = greedy_execute(seq)
-        if again != state.emitted() or cost.per_access != tuple(state.per_row_cost):
+        # equal rows have equal lengths, so equal costs too
+        rows = list(state.rows())
+        if list(greedy_sweep(seq).rows()) != rows:
             raise CheckFailure(f"greedy rerun differs on {seq.accesses}")
         t = rng.below(seq.m) + 1
-        pre_points, pre_cost = greedy_execute(seq.prefix(t))
-        if pre_cost.per_access != cost.per_access[:t]:
-            raise CheckFailure(f"prefix inconsistency at t={t} on {seq.accesses}")
-        if pre_points.points != frozenset(p for p in again if p.time <= t):
-            raise CheckFailure(f"prefix points differ at t={t} on {seq.accesses}")
+        if list(greedy_sweep(seq.prefix(t)).rows()) != rows[:t]:
+            raise CheckFailure(f"prefix rows differ at t={t} on {seq.accesses}")
         checked += 1
     lines.append(f"{checked} greedy runs: fast path = scan, online and deterministic")
     splay_runs = 0

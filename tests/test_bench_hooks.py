@@ -95,3 +95,19 @@ def test_trace_hooks_record_io_and_fit_spans(tmp_path, monkeypatch):
     assert names >= {"workloads.generate", "workloads.write_trace", "workloads.read_trace",
                      "workloads.read_weights", "core.sequence_validate",
                      "core.weights_build", "bounds.wdf", "harness.fit"}
+
+
+def test_trace_hooks_record_oracle_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    trace = tmp_path / "trace.txt"
+    trace.write_text("3 3\n1\n3\n2\n")
+    run.instrument(tracer, [])
+    try:
+        assert main(["opt", "--trace", str(trace), "--out", str(tmp_path / "opt.csv")]) == 0
+        assert main(["verify", "--suite", "opt"]) == 0
+    finally:
+        tracer.uninstall()
+    names = {tracer.names[i] for i in tracer.name_id}
+    assert names >= {"opt.superset", "greedy.sweep", "geometry.satisfied", "verify.opt"}

@@ -44,6 +44,15 @@ class TestWdfTerm:
         with pytest.raises(KeyOutOfRangeError):
             wdf_term(WeightAssignment.equal(3), 1, 4)
 
+    def test_quotient_past_the_float_range_stays_finite(self):
+        # W / min(w) = 1e10 / 5e-324 overflows; its log2 is about 1107.2
+        w = WeightAssignment((5e-324, 1e10))
+        expect = 1.0 + math.log2(1e10) - math.log2(5e-324)
+        assert wdf_term(w, 1, 2) == wdf_term(w, 2, 1) == expect
+        assert 1108.2 < expect < 1108.3
+        root = weighted_df_bound(AccessSequence(2, (1, 2)), w, "root").per_access
+        assert root == (expect, expect)
+
     def test_integer_like_keys(self):
         np = pytest.importorskip("numpy")
         w = WeightAssignment((8.0, 1.0))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,39 @@ class TestBound:
         code, _, err = run_cli(capsys, "bound", "--trace", tiny_trace,
                                "--weights", str(wpath))
         assert code == 2
+
+
+class TestOverflowingQuotient:
+    """Weights whose quotient W / min(w) overflows a float still give finite
+    terms: 1 + log2(1e10) - log2(5e-324), about 1108.2."""
+
+    TERM = 1.0 + math.log2(1e10) - math.log2(5e-324)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("2 2\n1\n2\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text("5e-324\n1e10\n")
+        return str(trace), str(weights)
+
+    @pytest.mark.parametrize("start", ["self", "root"])
+    def test_bound(self, capsys, files, start):
+        trace, weights = files
+        code, out, err = run_cli(capsys, "bound", "--trace", trace, "--weights", weights,
+                                 "--start", start)
+        assert code == 0
+        first = 1.0 if start == "self" else self.TERM
+        assert out == f"i,key,term\n1,1,{first!r}\n2,2,{self.TERM!r}\n"
+        assert f"total_bound={first + self.TERM!r}" in err
+
+    def test_run(self, capsys, files):
+        trace, weights = files
+        code, out, err = run_cli(capsys, "run", "--trace", trace, "--algo", "greedy",
+                                 "--weights", weights)
+        assert code == 0
+        assert out.splitlines()[2] == f"2,2,2,{self.TERM!r}"
+        assert "total_bound=" in err and "inf" not in err
 
 
 class TestOptAndBestStatic:

@@ -115,7 +115,8 @@ def test_degenerate_lines_always_satisfied(fixed, varying):
 
 def test_minimum_supersets_yields_every_smallest_and_stops():
     base = [Point(1, 1), Point(2, 2)]
-    found = list(minimum_supersets(base, [Point(2, 1), Point(1, 2)]))
+    found = [PointSet(base + added)
+             for added in minimum_supersets(base, [Point(2, 1), Point(1, 2)])]
     assert found == [ps((1, 1), (2, 2), (2, 1)), ps((1, 1), (2, 2), (1, 2))]
 
 
@@ -142,7 +143,8 @@ def test_pruned_search_matches_plain_enumeration():
         free = [Point(k, t) for t in range(1, m + 1) for k in range(1, n + 1)
                 if Point(k, t) not in base and rng.random() < keep]
         expect = _plain_minimum_supersets(base, free)
-        assert list(minimum_supersets(base, free)) == expect, (base, free)
+        got = [PointSet(base + added) for added in minimum_supersets(base, free)]
+        assert got == expect, (base, free)
         if not free:
             continue
         # the same search on top of the carried rows before the first free time
@@ -154,7 +156,7 @@ def test_pruned_search_matches_plain_enumeration():
             continue
         carried = (sweep.time, sweep.last[:], sweep.tree.tree[:])
         later = [p for p in base if p.time >= start]
-        got = list(minimum_supersets(later, free, sweep))
+        got = [PointSet(later + added) for added in minimum_supersets(later, free, sweep)]
         assert got == [PointSet(p for p in c if p.time >= start) for c in expect]
         assert (sweep.time, sweep.last, sweep.tree.tree) == carried
 
@@ -171,3 +173,51 @@ def test_minimum_supersets_rejects_points_the_sweep_covers():
         list(minimum_supersets([Point(1, 1)], [], sweep))
     with pytest.raises(ValueError):
         list(minimum_supersets([Point(4, 2)], [], sweep))
+
+
+# The gap rule, on hand-built rows: rows 1.. are committed, and the last row
+# is checked against them. Each case is also run mirrored (key k -> n + 1 - k),
+# which swaps the left and right record searches.
+GAP_CASES = [
+    # gap key 2 touched later than both neighbours
+    (3, [[1, 2, 3], [2]], [1, 3], True),
+    # gap key 2 touched later than the earlier neighbour 1 only
+    (3, [[1, 2, 3], [2, 3], [3]], [1, 3], True),
+    # the later neighbour 3 is the search's hit, on the gap's far end
+    (3, [[1, 2, 3], [3]], [1, 3], False),
+    # neighbours 2 and 4 tie, so the hit is key 5, past the far neighbour
+    (5, [[1, 2, 3, 4, 5], [5]], [2, 4, 5], False),
+    # a row holding key 1: the gap up to the keyspace end holds later key 3
+    (3, [[1, 2, 3], [3]], [1], True),
+    # a row holding key 1 and key n, whose gap key is no later than either
+    (3, [[2], [1, 2, 3]], [1, 3], False),
+    # keys 1 and n alone
+    (1, [[1]], [1], False),
+    # an empty row, after touched rows and on a fresh sweep
+    (3, [[1, 2, 3], [2]], [], False),
+    (3, [], [], False),
+]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("n, earlier, row, violated", GAP_CASES)
+def test_gap_rule_on_hand_built_rows(n, earlier, row, violated, mirror):
+    if mirror:
+        earlier = [sorted(n + 1 - k for k in keys) for keys in earlier]
+        row = sorted(n + 1 - k for k in row)
+    sweep = RowSweep(n)
+    for t, keys in enumerate(earlier, start=1):
+        assert sweep.violation(keys, t) is None
+        sweep.commit(keys, t)
+    t = len(earlier) + 1
+    pset = PointSet(Point(k, s) for s, keys in enumerate([*earlier, row], start=1)
+                    for k in keys)
+    bad = sweep.violation(row, t)
+    assert (bad is not None) == violated
+    if bad is None:
+        assert unsatisfied_pairs(pset) == []
+    else:
+        p, q = bad
+        assert p in pset and q in pset and q.time == t
+        assert p.key != q.key and p.time < q.time
+        assert not pset.has_third_point_in_rect(p, q)

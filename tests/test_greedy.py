@@ -172,7 +172,7 @@ def test_search_on_the_state_leaves_it_unchanged():
         x, t = rng.below(n) + 1, state.time + 1
         others = [Point(k, t) for k in range(1, n + 1) if k != x]
         found = list(minimum_supersets([Point(x, t)], others, state))
-        assert [set(f.row_keys(t)) for f in found] == [greedy_row(state, x)]
+        assert [{x, *(p.key for p in f)} for f in found] == [greedy_row(state, x)]
         assert (list(state.rows()), state.per_row_cost, state.last,
                 state.tree.tree, state.time) == before
 

@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 
-from fingerbound.core import AccessSequence, Point
+from fingerbound.cli import main
+from fingerbound.core import AccessSequence, Point, PointSet
 from fingerbound.errors import TooLargeError
-from fingerbound.geometry import is_arborally_satisfied
+from fingerbound.geometry import is_arborally_satisfied, minimum_supersets
 from fingerbound.greedy import greedy_execute
 from fingerbound.opt import opt_satisfied_superset
 
@@ -50,3 +51,41 @@ def test_greedy_dominates_opt_exhaustive_small():
         points, _ = greedy_execute(seq)
         res = opt_satisfied_superset(seq)
         assert res.size <= len(points)
+
+
+def count_pointsets(monkeypatch):
+    """A list that gains one entry per `PointSet` built from now on."""
+    built = []
+    init = PointSet.__init__
+
+    def counting_init(self, points):
+        built.append(1)
+        init(self, points)
+
+    monkeypatch.setattr(PointSet, "__init__", counting_init)
+    return built
+
+
+def test_opt_builds_only_its_witness(monkeypatch):
+    built = count_pointsets(monkeypatch)
+    res = opt_satisfied_superset(AccessSequence(4, (1, 4, 2, 3)))
+    assert len(built) == 1
+    assert len(res.witness) == res.size
+
+
+def test_opt_command_builds_one_point_set(monkeypatch, tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("4 4\n1\n4\n2\n3\n")
+    built = count_pointsets(monkeypatch)
+    assert main(["opt", "--trace", str(trace)]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.startswith("opt_size,greedy_size,ratio\n")
+
+
+def test_search_answers_build_no_point_sets(monkeypatch):
+    built = count_pointsets(monkeypatch)
+    base = [Point(k, t) for t, k in enumerate((1, 4, 2, 3), start=1)]
+    free = [Point(k, t) for t in range(1, 5) for k in range(1, 5) if Point(k, t) not in base]
+    answers = list(minimum_supersets(base, free))
+    assert answers and built == []
+    assert all(set(added) <= set(free) for added in answers)
