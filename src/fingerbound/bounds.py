@@ -14,10 +14,14 @@ The equivalence constructions map a static tree to weights (w_i = c^-depth_i)
 and weights back to a tree by recursive weighted-median splits, which
 guarantees depth(i) <= log2(W_total / w_i) + 1.
 
-`SHAPE_ROOTS` holds the one rule behind the named initial shapes (balanced
-and the two spines): the root each gives the subtree over a key interval.
-`shape_children` applies it eagerly, for `StaticTree` and the reference
-splay; `SplayTree` applies it lazily, node by node.
+Every static tree comes from one of two places. A root-of-interval rule gives
+the root of the subtree over each key interval: `SHAPE_ROOTS` holds the named
+shapes' rules (balanced and the two spines), and `tree_from_weights` uses the
+weighted median. `shape_children` applies a rule eagerly, for `StaticTree`,
+`tree_from_weights` and the reference splay; `SplayTree` applies a named rule
+lazily, node by node. The enumerator behind `iter_bsts` and
+`best_static_finger_cost` yields every shape over 1..n in turn, in one set of
+arrays it rewrites in place.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key,
                    first_bad)
@@ -67,8 +71,7 @@ class StaticTree:
     depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadKeyspaceError(f"tree size must be positive, got {self.n}")
+        _check_size(self.n)
         if len(self.left) != self.n + 1 or len(self.right) != self.n + 1:
             raise DimensionMismatchError("left/right arrays must have length n + 1")
         if type(self.root) is not int:
@@ -115,20 +118,17 @@ class StaticTree:
     @classmethod
     def balanced(cls, n: int) -> "StaticTree":
         """Root (1 + n) // 2, each subtree split at its lower median."""
-        root, left, right = shape_children(n, "balanced")
-        return cls(n, root, tuple(left), tuple(right))
+        return _ruled_tree(n, SHAPE_ROOTS["balanced"])
 
     @classmethod
     def left_spine(cls, n: int) -> "StaticTree":
         """Root n, every left child one key smaller."""
-        root, left, right = shape_children(n, "left_spine")
-        return cls(n, root, tuple(left), tuple(right))
+        return _ruled_tree(n, SHAPE_ROOTS["left_spine"])
 
     @classmethod
     def right_spine(cls, n: int) -> "StaticTree":
         """Root 1, every right child one key larger."""
-        root, left, right = shape_children(n, "right_spine")
-        return cls(n, root, tuple(left), tuple(right))
+        return _ruled_tree(n, SHAPE_ROOTS["right_spine"])
 
     def path_nodes(self, a: Key, b: Key) -> int:
         """Number of nodes on the unique tree path from a to b, inclusive."""
@@ -144,10 +144,16 @@ def shape_rule(shape: str) -> Callable[[int, int], int]:
     return SHAPE_ROOTS[shape]
 
 
-def shape_children(n: int, shape: str) -> tuple[int, list[int], list[int]]:
+def _check_size(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
+
+
+def shape_children(n: int, root_of: Callable[[int, int], int]) -> tuple[int, list[int], list[int]]:
     """Root and 1-indexed left/right child lists (entry 0 unused, 0 = absent)
-    of a named shape over keys 1..n, one of `INITIAL_SHAPES`."""
-    root_of = shape_rule(shape)
+    of the tree over keys 1..n whose subtree over each key interval [lo, hi]
+    has root root_of(lo, hi), a key in [lo, hi]."""
+    _check_size(n)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     root = root_of(1, n)
@@ -161,6 +167,11 @@ def shape_children(n: int, shape: str) -> tuple[int, list[int], list[int]]:
             right[k] = c = root_of(k + 1, hi)
             stack.append((k + 1, hi, c))
     return root, left, right
+
+
+def _ruled_tree(n: int, root_of: Callable[[int, int], int]) -> StaticTree:
+    root, left, right = shape_children(n, root_of)
+    return StaticTree(n, root, tuple(left), tuple(right))
 
 
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
@@ -238,62 +249,17 @@ def tree_from_weights(w: WeightAssignment) -> StaticTree:
     the smaller key. Both child intervals carry at most half the interval
     weight, giving depth(i) <= log2(W_total / w_i) + 1.
     """
-    n = w.n
     prefix = w.prefix
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    root = 0
-    stack: list[tuple[int, int, int, bool]] = [(1, n, 0, False)]
-    while stack:
-        lo, hi, par, is_right = stack.pop()
-        if lo > hi:
-            continue
-        target = (prefix[lo - 1] + prefix[hi]) / 2.0
-        r = bisect_left(prefix, target, lo, hi + 1)
-        if par == 0:
-            root = r
-        elif is_right:
-            right[par] = r
-        else:
-            left[par] = r
-        stack.append((lo, r - 1, r, False))
-        stack.append((r + 1, hi, r, True))
-    return StaticTree(n, root, tuple(left), tuple(right))
 
+    def median(lo: int, hi: int) -> int:
+        below, top = prefix[lo - 1], prefix[hi]
+        mid = (below + top) / 2.0
+        if mid == math.inf:
+            # the sum passed the float range; halving so large a float is exact
+            mid = below / 2.0 + top / 2.0
+        return bisect_left(prefix, mid, lo, hi + 1)
 
-def _interval_shapes(lo: int, hi: int, memo: dict) -> tuple:
-    """All BST shapes over [lo, hi] as nested (root, left, right) tuples."""
-    if lo > hi:
-        return (None,)
-    key = (lo, hi)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    out = []
-    for r in range(lo, hi + 1):
-        for ls in _interval_shapes(lo, r - 1, memo):
-            for rs in _interval_shapes(r + 1, hi, memo):
-                out.append((r, ls, rs))
-    memo[key] = tuple(out)
-    return memo[key]
-
-
-def _shape_arrays(n: int, shape: tuple) -> tuple[int, list[int], list[int], list[int]]:
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    depth = [0] * (n + 1)
-    root = shape[0]
-    stack = [(shape, 0)]
-    while stack:
-        (r, ls, rs), d = stack.pop()
-        depth[r] = d
-        if ls is not None:
-            left[r] = ls[0]
-            stack.append((ls, d + 1))
-        if rs is not None:
-            right[r] = rs[0]
-            stack.append((rs, d + 1))
-    return root, left, right, depth
+    return _ruled_tree(w.n, median)
 
 
 def _finger_costs(root: int, left: Sequence[int], right: Sequence[int],
@@ -316,33 +282,57 @@ def _finger_costs(root: int, left: Sequence[int], right: Sequence[int],
     return costs
 
 
+def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int], list[int]]:
+    """Every BST over 1..n, built one at a time in the same left, right and
+    depth lists (1-indexed, 0 = absent): the iterable yields each tree's root
+    once its lists hold that tree. Roots ascend, then left subtrees vary
+    before right ones, recursively; so the right spine comes first and the
+    left spine last. Guarded to n <= MAX_ENUM_N."""
+    _check_size(n)
+    if n > MAX_ENUM_N:
+        raise TooLargeError(f"BST enumeration is guarded to n <= {MAX_ENUM_N}, got n={n}")
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    depth = [0] * (n + 1)
+
+    def shapes(lo: int, hi: int, d: int) -> Iterable[int]:
+        # The roots of the shapes over [lo, hi] at depth d; 0 for no keys.
+        if lo < hi:
+            return roots(lo, hi, d)
+        if lo == hi:
+            left[lo] = right[lo] = 0
+            depth[lo] = d
+            return (lo,)
+        return (0,)
+
+    def roots(lo: int, hi: int, d: int) -> Iterator[int]:
+        for r in range(lo, hi + 1):
+            depth[r] = d
+            for left[r] in shapes(lo, r - 1, d + 1):
+                for right[r] in shapes(r + 1, hi, d + 1):
+                    yield r
+
+    return shapes(1, n, 0), left, right, depth
+
+
 def iter_bsts(n: int) -> Iterator[StaticTree]:
     """All BSTs over 1..n in deterministic (root-ascending) order."""
-    if n > MAX_ENUM_N:
-        raise TooLargeError(f"BST enumeration is guarded to n <= {MAX_ENUM_N}, got {n}")
-    memo: dict = {}
-    for shape in _interval_shapes(1, n, memo):
-        root, left, right, _ = _shape_arrays(n, shape)
-        yield StaticTree(n, root, tuple(left), tuple(right))
+    roots, left, right, _ = _each_bst(n)
+    return (StaticTree(n, root, tuple(left), tuple(right)) for root in roots)
 
 
 def best_static_finger_cost(seq: AccessSequence) -> tuple[StaticTree, int]:
     """Exhaustively optimal static finger tree for a sequence, with its cost.
 
-    Enumerates all Catalan(n) shapes; guarded to n <= 12. Ties go to the
-    first shape in enumeration order.
+    Enumerates all Catalan(n) shapes; guarded to n <= MAX_ENUM_N. Ties go to
+    the first shape in enumeration order.
     """
-    n = seq.n
-    if n > MAX_ENUM_N:
-        raise TooLargeError(f"static-tree search is guarded to n <= {MAX_ENUM_N}, got n={n}")
-    memo: dict = {}
-    best_total = None
-    best_shape = None
-    for shape in _interval_shapes(1, n, memo):
-        root, left, right, depth = _shape_arrays(n, shape)
-        total = sum(_finger_costs(root, left, right, depth, seq.accesses))
-        if best_total is None or total < best_total:
+    roots, left, right, depth = _each_bst(seq.n)
+    accesses = seq.accesses
+    best_total = math.inf
+    for root in roots:
+        total = sum(_finger_costs(root, left, right, depth, accesses))
+        if total < best_total:
             best_total = total
-            best_shape = shape
-    root, left, right, _ = _shape_arrays(n, best_shape)
-    return StaticTree(n, root, tuple(left), tuple(right)), best_total
+            best = (root, tuple(left), tuple(right))
+    return StaticTree(seq.n, *best), best_total

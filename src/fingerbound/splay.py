@@ -13,10 +13,11 @@ only the nodes its searches reach, and n may be far larger than the number
 of nodes memory could hold.
 
 `run_splay_reference` re-implements the same splaying over a parent-free
-link dict, rotating along an explicit search path, on an initial shape built
-eagerly by `bounds.shape_children`. Both trees take their shape from one
-rule, `bounds.SHAPE_ROOTS`, by two routes, so the differential check of
-their costs covers the lazy build too.
+link dict, rotating along an explicit search path, on an initial shape that
+`bounds.shape_children` builds eagerly from the rule `bounds.shape_rule`
+names. Both trees take their shape from the same rule in `bounds.SHAPE_ROOTS`,
+one lazily and one eagerly, so the differential check of their costs covers
+the lazy build too.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _ref_replace_child(links: dict[int, list[int]], par: int, old: int, new: int
 def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Parent-free differential re-implementation of `run_splay`, on an
     eagerly built initial shape."""
-    root, left, right = shape_children(seq.n, initial)
+    root, left, right = shape_children(seq.n, shape_rule(initial))
     links = {k: [left[k], right[k]] for k in range(1, seq.n + 1)}
     costs: list[int] = []
     for x in seq:

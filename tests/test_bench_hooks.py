@@ -1,14 +1,15 @@
 """The benchmark's `--trace 1` hooks still find the package's entry points.
 
 `bench/run.py` wraps package functions by name from outside the package. These
-tests install those wrappers on tiny greedy and splay runs, so a refactor that
-renames or moves a wrapped function fails here rather than in a traced
+tests install those wrappers on tiny runs of each wrapped layer, so a refactor
+that renames or moves a wrapped function fails here rather than in a traced
 benchmark.
 """
 
 import importlib.util
 from pathlib import Path
 
+import fingerbound as fb
 from fingerbound import greedy, splay
 from fingerbound.cli import main
 
@@ -111,3 +112,22 @@ def test_trace_hooks_record_oracle_spans(tmp_path, monkeypatch):
         tracer.uninstall()
     names = {tracer.names[i] for i in tracer.name_id}
     assert names >= {"opt.superset", "greedy.sweep", "geometry.satisfied", "verify.opt"}
+
+
+def test_trace_hooks_record_tree_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    trace = five_access_trace(tmp_path)
+    run.instrument(tracer, [])
+    try:
+        tree = fb.tree_from_weights(fb.WeightAssignment((1.0, 0.5, 2.0, 0.25)))
+        fb.static_finger_cost(tree, fb.AccessSequence(4, (2, 4, 1)))
+        fb.weights_from_tree(fb.StaticTree.left_spine(5))
+        assert main(["beststatic", "--trace", str(trace), "--tree", str(tmp_path / "tree.csv"),
+                     "--out", str(tmp_path / "best.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {tracer.names[i] for i in tracer.name_id}
+    assert names >= {"bounds.tree_from_weights", "bounds.static_finger",
+                     "bounds.weights_from_tree", "bounds.best_static"}

@@ -1,6 +1,6 @@
 import pytest
 
-from fingerbound.bounds import StaticTree, shape_children
+from fingerbound.bounds import SHAPE_ROOTS, StaticTree, shape_children
 from fingerbound.core import AccessSequence
 from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
 from fingerbound.splay import (
@@ -69,7 +69,7 @@ class TestBuild:
                             children[node.key] = child.key
                             stack.append(child)
                 assert tree.root.parent is None
-                assert (tree.root.key, left, right) == shape_children(n, initial)
+                assert (tree.root.key, left, right) == shape_children(n, SHAPE_ROOTS[initial])
 
     @pytest.mark.parametrize("key", [1, 2**40, 2**39])
     def test_huge_keyspace_first_access(self, key):
