@@ -46,6 +46,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .core import Key, Point, PointSet
+from .errors import BadKeyspaceError
 from .segtree import MaxSegTree
 
 
@@ -58,15 +59,18 @@ class RowSweep:
     __slots__ = ("n", "time", "last", "tree")
 
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
         if n < 1:
-            raise ValueError(f"keyspace size must be positive, got {n}")
+            raise BadKeyspaceError(f"keyspace size must be positive, got {n}")
         self.n = n
         self.time = 0
         self.last = [0] * (n + 1)
         self.tree = MaxSegTree(n)
 
     def copy(self) -> "RowSweep":
-        other = RowSweep.__new__(RowSweep)
+        """An independent sweep of the same type over the same rows."""
+        other = object.__new__(type(self))
         other.n, other.time = self.n, self.time
         other.last, other.tree = self.last[:], self.tree.copy()
         return other

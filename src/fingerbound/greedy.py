@@ -43,8 +43,9 @@ class GreedyState(RowSweep):
 
     The emitted points are logged as one flat list of keys, each row's keys
     sorted; `per_row_cost` gives the row lengths. track_points=False drops
-    the log (long cost-only runs). `copy()` is the inherited one and returns
-    a plain `RowSweep` without the log.
+    the log (long cost-only runs). `copy()` returns an independent
+    `GreedyState` with the row costs and, if tracked, the log, so an online
+    run can branch: each copy steps on from the same prefix.
     """
 
     __slots__ = ("_log", "per_row_cost")
@@ -53,6 +54,12 @@ class GreedyState(RowSweep):
         super().__init__(n)
         self._log: list[Key] | None = [] if track_points else None
         self.per_row_cost: list[int] = []
+
+    def copy(self) -> "GreedyState":
+        other = super().copy()
+        other._log = None if self._log is None else self._log[:]
+        other.per_row_cost = self.per_row_cost[:]
+        return other
 
     def step(self, x: Key) -> set[Key]:
         """Process the next access: emit row points and update touch times."""

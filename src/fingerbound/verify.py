@@ -167,30 +167,43 @@ def _suite_satisfaction(seed: int, lines: list[str]) -> int:
 def check_greedy_minimality() -> int:
     """Every greedy row of every sequence with n, m <= 5 equals the
     exhaustive minimum completion, and that minimum is unique. Returns the
-    number of rows checked.
+    number of rows checked, over all those sequences.
 
-    Each row is searched on top of the greedy state itself, a `RowSweep`
-    over greedy's earlier rows, before `step` emits the row, so the search
-    checks that row only. Every earlier row is the previous step's satisfied
-    minimum completion, so the committed rows need no check of their own."""
-    checked = 0
-    for n in range(1, 6):
-        for m in range(1, 6):
-            for accesses in product(range(1, n + 1), repeat=m):
-                state = GreedyState(n, track_points=False)
-                for t, x in enumerate(accesses, start=1):
-                    others = [Point(k, t) for k in range(1, n + 1) if k != x]
-                    found = list(islice(minimum_supersets([Point(x, t)], others, state), 2))
-                    row = state.step(x)
-                    oracle = {x, *(k for k, _ in found[0])}
-                    if row != oracle:
-                        raise CheckFailure(
-                            f"row mismatch at t={t} of {accesses}: greedy {sorted(row)} "
-                            f"vs oracle {sorted(oracle)}")
-                    if len(found) > 1:
-                        raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
-                    checked += 1
-    return checked
+    Greedy is online: row t, and the minimum completion it is compared
+    with, depend only on the prefix s_1..s_t. So the check walks the tree
+    of prefixes depth first, once per n, and checks each prefix once: a
+    node copies its parent's `GreedyState`, searches row t on top of it
+    before `step` emits the row, so the search checks that row only, and
+    recurses while t < 5. Every earlier row is a satisfied minimum
+    completion already checked at an ancestor, so the committed rows need
+    no check of their own. A prefix of length t is row t of the
+    sum(n**e for e <= 5 - t) sequences of length <= 5 that extend it, and
+    counts that often. A failure names the first failing prefix in
+    depth-first order; every shorter prefix of it has passed."""
+
+    def rows_after(state: GreedyState, prefix: tuple[int, ...]) -> int:
+        n, t = state.n, len(prefix) + 1
+        extensions = sum(n ** e for e in range(6 - t))
+        counted = 0
+        for x in range(1, n + 1):
+            child = state.copy()
+            others = [Point(k, t) for k in range(1, n + 1) if k != x]
+            found = list(islice(minimum_supersets([Point(x, t)], others, child), 2))
+            row = child.step(x)
+            accesses = (*prefix, x)
+            oracle = {x, *(k for k, _ in found[0])}
+            if row != oracle:
+                raise CheckFailure(
+                    f"row mismatch at t={t} of {accesses}: greedy {sorted(row)} "
+                    f"vs oracle {sorted(oracle)}")
+            if len(found) > 1:
+                raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
+            counted += extensions
+            if t < 5:
+                counted += rows_after(child, accesses)
+        return counted
+
+    return sum(rows_after(GreedyState(n, track_points=False), ()) for n in range(1, 6))
 
 
 def _suite_minimality(seed: int, lines: list[str]) -> int:

@@ -80,6 +80,10 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
             raise BadSpecError(f"unknown workload kind {self.kind!r}")
+        for name in ("n", "m", "seed", "d"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "d" and value is None):
+                raise BadSpecError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.m < 1:
             raise BadSpecError(f"n and m must be positive, got n={self.n}, m={self.m}")
         if self.kind == "walk":

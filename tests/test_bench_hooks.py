@@ -131,3 +131,20 @@ def test_trace_hooks_record_tree_spans(tmp_path, monkeypatch):
     names = {tracer.names[i] for i in tracer.name_id}
     assert names >= {"bounds.tree_from_weights", "bounds.static_finger",
                      "bounds.weights_from_tree", "bounds.best_static"}
+
+
+def test_trace_hooks_record_minimality_suite(monkeypatch):
+    # the minimality oracle checks each sequence prefix once: 5,699 greedy
+    # steps over n, m <= 5, counted as the 26,841 rows of every sequence
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    run.instrument(tracer, [])
+    try:
+        assert main(["verify", "--suite", "minimality"]) == 0
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert "verify.minimality" in names
+    assert tracer.counts["verify.checks"] == 26841
+    assert names.count("greedy.row_update") == 5699

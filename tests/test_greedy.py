@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fingerbound import greedy, verify
 from fingerbound.core import AccessSequence, Point, PointSet
-from fingerbound.errors import KeyOutOfRangeError
+from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
 from fingerbound.geometry import RowSweep, is_arborally_satisfied, minimum_supersets
 from fingerbound.greedy import (
     GreedyState,
@@ -181,6 +182,69 @@ def test_search_on_the_state_leaves_it_unchanged():
 def test_sweep_states_reject_empty_keyspace(cls):
     with pytest.raises(ValueError, match="keyspace size must be positive, got 0"):
         cls(0)
+
+
+@pytest.mark.parametrize("cls", [RowSweep, GreedyState])
+@pytest.mark.parametrize("n", [2.5, "3", True, None])
+def test_sweep_states_reject_non_integer_keyspace(cls, n):
+    with pytest.raises(BadKeyspaceError, match="keyspace size must be a positive integer"):
+        cls(n)
+
+
+@pytest.mark.parametrize("track_points", [True, False])
+def test_copy_is_an_independent_greedy_state(track_points):
+    def fields(state):
+        rows = list(state.rows()) if track_points else None
+        return (state.time, state.last[:], state.tree.tree[:], state.per_row_cost[:], rows)
+
+    state = GreedyState(6, track_points)
+    for x in (3, 1, 5, 3):
+        state.step(x)
+    before = fields(state)
+    other = state.copy()
+    assert type(other) is GreedyState
+    assert fields(other) == before
+    if not track_points:
+        with pytest.raises(ValueError, match="point tracking was disabled"):
+            other.rows()
+    for x in (6, 2):
+        other.step(x)
+    assert fields(state) == before
+    for x in (6, 2):
+        state.step(x)
+    assert fields(state) == fields(other)
+
+
+def test_minimality_suite_names_the_first_wrong_prefix(monkeypatch):
+    # greedy's row for prefix (2, 1) over n = 3 gains key 3; the walk checks
+    # every n < 3 and the subtree of (1,) first, so (2, 1) is the first failure
+    row = greedy.greedy_row
+
+    def wrong_row(state, x):
+        keys = row(state, x)
+        if state.n == 3 and state.time == 1 and state.last[2] == 1 and x == 1:
+            keys.add(3)
+        return keys
+
+    monkeypatch.setattr(greedy, "greedy_row", wrong_row)
+    report = verify.run_suite("minimality")
+    assert not report.passed
+    assert report.details == [
+        "row mismatch at t=2 of (2, 1): greedy [1, 2, 3] vs oracle [1, 2]"]
+
+
+def test_minimality_suite_reports_a_second_minimum(monkeypatch):
+    search = verify.minimum_supersets
+
+    def twice(base, free, sweep=None):
+        first = next(search(base, free, sweep))
+        yield first
+        yield first
+
+    monkeypatch.setattr(verify, "minimum_supersets", twice)
+    report = verify.run_suite("minimality")
+    assert not report.passed
+    assert report.details == ["non-unique minimal row at t=1 of (1,)"]
 
 
 def test_exhaustive_minimality_small():

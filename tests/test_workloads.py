@@ -107,6 +107,17 @@ class TestGenerate:
         with pytest.raises(BadSpecError):
             WorkloadSpec("trace", 4, 4)  # traces are read with read_trace
 
+    @pytest.mark.parametrize("fields", [
+        dict(kind="sequential", n=5, m=3.5),
+        dict(kind="uniform", n=5, m=3, seed=1.5),
+        dict(kind="walk", n=5, m=3, d=2.5),
+        dict(kind="uniform", n=5.0, m=3),
+        dict(kind="uniform", n=5, m="3"),
+    ])
+    def test_non_integer_specs(self, fields):
+        with pytest.raises(BadSpecError, match="must be an integer"):
+            WorkloadSpec(**fields)
+
 
 class TestTraceIO:
     def test_read(self, tmp_path):
