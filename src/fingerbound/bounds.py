@@ -19,9 +19,18 @@ the root of the subtree over each key interval: `SHAPE_ROOTS` holds the named
 shapes' rules (balanced and the two spines), and `tree_from_weights` uses the
 weighted median. `shape_children` applies a rule eagerly, for `StaticTree`,
 `tree_from_weights` and the reference splay; `SplayTree` applies a named rule
-lazily, node by node. The enumerator behind `iter_bsts` and
-`best_static_finger_cost` yields every shape over 1..n in turn, in one set of
-arrays it rewrites in place.
+lazily, node by node; `best_static_finger_cost` applies the leftmost
+optimal root of its interval DP.
+
+The best static finger tree comes from an O(n^3) interval DP (Knuth,
+*Optimum binary search trees*, Acta Inf. 1971, without his monotone-root
+speedup, which does not hold for finger costs). A pair's finger path holds
+the nodes whose subtree interval holds exactly one of its ends, plus their
+lowest common ancestor, so the total cost splits over subtree intervals;
+`best_static_finger_cost` gives the recurrence. Taking the leftmost optimal
+root of every interval reproduces the first minimum of the enumeration in
+`iter_bsts`, which yields every shape over 1..n in turn, in one set of
+arrays it rewrites in place, and stays as the DP's exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key,
@@ -53,6 +63,7 @@ INITIAL_SHAPES = tuple(SHAPE_ROOTS)
 START_SELF = "self"
 START_ROOT = "root"
 MAX_ENUM_N = 12
+MAX_STATIC_N = 768  # a walk trace at m = 2e4 takes 7-9 s (2-core VM, Python 3.11)
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,7 @@ class StaticTree:
         """Number of nodes on the unique tree path from a to b, inclusive."""
         check_key(a, self.n)
         check_key(b, self.n)
-        return _finger_costs(self.root, self.left, self.right, self.depth, (a, b))[1]
+        return _finger_costs(self, (a, b))[1]
 
 
 def shape_rule(shape: str) -> Callable[[int, int], int]:
@@ -230,8 +241,7 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
     so a repeated access costs 1."""
     if tree.n != seq.n:
         raise DimensionMismatchError(f"tree has n={tree.n} but sequence has n={seq.n}")
-    return CostReport(tuple(
-        _finger_costs(tree.root, tree.left, tree.right, tree.depth, seq.accesses)))
+    return CostReport(tuple(_finger_costs(tree, seq.accesses)))
 
 
 def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:
@@ -262,11 +272,11 @@ def tree_from_weights(w: WeightAssignment) -> StaticTree:
     return _ruled_tree(w.n, median)
 
 
-def _finger_costs(root: int, left: Sequence[int], right: Sequence[int],
-                  depth: Sequence[int], accesses: Sequence[int]) -> list[int]:
-    """Per-access node counts of the finger walk on a tree given as arrays:
-    root to the first key, then previous key to current key through their
-    lowest common ancestor, found by the key-interval walk from the root."""
+def _finger_costs(tree: StaticTree, accesses: Sequence[int]) -> list[int]:
+    """Per-access node counts of the finger walk on a tree: root to the
+    first key, then previous key to current key through their lowest common
+    ancestor, found by the key-interval walk from the root."""
+    root, left, right, depth = tree.root, tree.left, tree.right, tree.depth
     prev = accesses[0]
     costs = [depth[prev] + 1]
     for cur in accesses[1:]:
@@ -282,57 +292,100 @@ def _finger_costs(root: int, left: Sequence[int], right: Sequence[int],
     return costs
 
 
-def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int], list[int]]:
-    """Every BST over 1..n, built one at a time in the same left, right and
-    depth lists (1-indexed, 0 = absent): the iterable yields each tree's root
-    once its lists hold that tree. Roots ascend, then left subtrees vary
-    before right ones, recursively; so the right spine comes first and the
-    left spine last. Guarded to n <= MAX_ENUM_N."""
+def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int]]:
+    """Every BST over 1..n, built one at a time in the same left and right
+    lists (1-indexed, 0 = absent): the iterable yields each tree's root once
+    its lists hold that tree. Roots ascend, then left subtrees vary before
+    right ones, recursively; so the right spine comes first and the left
+    spine last. Guarded to n <= MAX_ENUM_N."""
     _check_size(n)
     if n > MAX_ENUM_N:
         raise TooLargeError(f"BST enumeration is guarded to n <= {MAX_ENUM_N}, got n={n}")
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    depth = [0] * (n + 1)
 
-    def shapes(lo: int, hi: int, d: int) -> Iterable[int]:
-        # The roots of the shapes over [lo, hi] at depth d; 0 for no keys.
+    def shapes(lo: int, hi: int) -> Iterable[int]:
+        # The roots of the shapes over [lo, hi]; 0 for no keys.
         if lo < hi:
-            return roots(lo, hi, d)
+            return roots(lo, hi)
         if lo == hi:
             left[lo] = right[lo] = 0
-            depth[lo] = d
             return (lo,)
         return (0,)
 
-    def roots(lo: int, hi: int, d: int) -> Iterator[int]:
+    def roots(lo: int, hi: int) -> Iterator[int]:
         for r in range(lo, hi + 1):
-            depth[r] = d
-            for left[r] in shapes(lo, r - 1, d + 1):
-                for right[r] in shapes(r + 1, hi, d + 1):
+            for left[r] in shapes(lo, r - 1):
+                for right[r] in shapes(r + 1, hi):
                     yield r
 
-    return shapes(1, n, 0), left, right, depth
+    return shapes(1, n), left, right
 
 
 def iter_bsts(n: int) -> Iterator[StaticTree]:
-    """All BSTs over 1..n in deterministic (root-ascending) order."""
-    roots, left, right, _ = _each_bst(n)
+    """All BSTs over 1..n in deterministic (root-ascending) order: the
+    exhaustive oracle for `best_static_finger_cost`."""
+    roots, left, right = _each_bst(n)
     return (StaticTree(n, root, tuple(left), tuple(right)) for root in roots)
 
 
 def best_static_finger_cost(seq: AccessSequence) -> tuple[StaticTree, int]:
-    """Exhaustively optimal static finger tree for a sequence, with its cost.
+    """Optimal static finger tree for a sequence, with its cost, by an
+    O(n^3) interval DP; guarded to n <= MAX_STATIC_N.
 
-    Enumerates all Catalan(n) shapes; guarded to n <= MAX_ENUM_N. Ties go to
-    the first shape in enumeration order.
+    A node lies on the finger path of a pair a != b exactly when its subtree
+    interval holds one of a and b, or it is their lowest common ancestor, the
+    root of the smallest subtree holding both. The first access costs one
+    per subtree holding s_1, and a repeated access costs 1. So with X(i, j)
+    the pairs a != b with exactly one end in [i, j], and [s_1 in [i, j]] 1
+    or 0, the cost of the best subtree over [i, j] without its LCA terms is
+
+        D[i][j] = X(i, j) + [s_1 in [i, j]] + min_r (D[i][r-1] + D[r+1][j])
+
+    over roots r in [i, j], with D = 0 on an empty interval. The total is
+    D[1][n] plus 1 for each of the m - 1 pairs: its LCA, or its one node if
+    a = b. X = E - 2P: E counts the pair ends inside [i, j] from one prefix
+    sum, and P the pairs with both ends inside by inclusion-exclusion over
+    the next shorter intervals. Ties go to the leftmost root at each
+    interval. The cost splits into the root's term
+    plus the two subtrees' costs, and `iter_bsts` runs roots ascending, then
+    left shapes, then right ones, so this is its first minimum.
     """
-    roots, left, right, depth = _each_bst(seq.n)
-    accesses = seq.accesses
-    best_total = math.inf
-    for root in roots:
-        total = sum(_finger_costs(root, left, right, depth, accesses))
-        if total < best_total:
-            best_total = total
-            best = (root, tuple(left), tuple(right))
-    return StaticTree(seq.n, *best), best_total
+    n, accesses = seq.n, seq.accesses
+    if n > MAX_STATIC_N:
+        raise TooLargeError(
+            f"best static tree search is guarded to n <= {MAX_STATIC_N}, got n={n}")
+    ends = [0] * (n + 1)
+    pairs: dict[tuple[int, int], int] = {}
+    for a, b in zip(accesses, accesses[1:]):
+        if a != b:
+            ends[a] += 1
+            ends[b] += 1
+            key = (a, b) if a < b else (b, a)
+            pairs[key] = pairs.get(key, 0) + 1
+    ends = list(accumulate(ends))
+    first = accesses[0]
+    # row[i] holds D[i][i-1], D[i][i], ... and col[j] holds D[j+1][j],
+    # D[j][j], ..., each up to the intervals done; inside[i] is P(i, i +
+    # size - 1) and shorter[i] is P(i, i + size - 2)
+    row = [[0] for _ in range(n + 1)]
+    col = [[0] for _ in range(n + 1)]
+    inside = [0] * (n + 2)
+    shorter = inside
+    add = operator.add
+    for size in range(1, n + 1):
+        shorter, inside = inside, [
+            inside[i] + inside[i + 1] - shorter[i + 1] + pairs.get((i, i + size - 1), 0)
+            for i in range(n + 2 - size)]
+        for i in range(1, n + 2 - size):
+            j = i + size - 1
+            cost = (ends[j] - ends[i - 1] - 2 * inside[i] + (i <= first <= j)
+                    + min(map(add, row[i], reversed(col[j]))))
+            row[i].append(cost)
+            col[j].append(cost)
+
+    def leftmost_root(lo: int, hi: int) -> int:
+        split = list(map(add, row[lo], col[hi][hi - lo::-1]))
+        return lo + split.index(min(split))
+
+    return _ruled_tree(n, leftmost_root), row[1][n] + len(accesses) - 1

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .core import WeightAssignment, first_bad
 from .bounds import (
+    MAX_STATIC_N,
     START_ROOT,
     START_SELF,
     best_static_finger_cost,
@@ -201,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("beststatic", help="exhaustively optimal static finger tree")
+    p = sub.add_parser("beststatic", help=f"optimal static finger tree (interval DP, n <= {MAX_STATIC_N})")
     p.add_argument("--trace", required=True)
     p.add_argument("--tree", default=None, help="write the optimal tree as CSV")
     p.add_argument("--out", default=None)

@@ -32,6 +32,11 @@ own seeds where a generator is taken) and pin the returned counts:
     check_opt_dominance      opt suite;          test_c03_opt_dominance
     check_depth_bound        depth suite;        test_c09_tree_depth_bound
     check_bound_terms        depth suite;        test_c04_bound_calculator
+
+`check_greedy_satisfied` checks greedy's rows on greedy's own sweep: each
+row is checked against the last-touch state greedy holds just before
+committing it, so no second sweep replays the rows. The tests cross-check
+that verdict against a fresh `RowSweep` replay of the logged rows.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice, product
+from typing import Sequence
 
-from .core import AccessSequence, Point, PointSet, WeightAssignment
+from .core import AccessSequence, Key, Point, PointSet, WeightAssignment
 from .bounds import (
     INITIAL_SHAPES,
     best_static_finger_cost,
@@ -53,7 +59,6 @@ from .bounds import (
     wdf_term,
 )
 from .geometry import (
-    RowSweep,
     is_arborally_satisfied,
     minimum_supersets,
     unsatisfied_pairs,
@@ -103,11 +108,31 @@ def _random_sequence(rng: Splitmix64, max_n: int, max_m: int) -> AccessSequence:
     return AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
 
 
+class _CheckedGreedy(GreedyState):
+    """Greedy's sweep that checks each row against the rows before it, in
+    the state greedy already holds, just before committing it; `bad` is the
+    first violating pair, or None."""
+
+    __slots__ = ("bad",)
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.bad: tuple[Point, Point] | None = None
+
+    def commit(self, row: Sequence[Key], t: int) -> None:
+        if self.bad is None:
+            self.bad = self.violation(row, t)
+        super().commit(row, t)
+
+
 def _greedy_violation(seq: AccessSequence) -> tuple[GreedyState, tuple[Point, Point] | None]:
-    """Greedy's final state on seq, and the first violating pair of its rows,
-    swept straight from the point log."""
-    state = greedy_sweep(seq)
-    return state, RowSweep(seq.n).sweep(state.rows())
+    """Greedy's final state on seq, and the first violating pair of its rows:
+    the pair `RowSweep(seq.n).sweep(state.rows())` would find, since each
+    row is checked against the same committed rows."""
+    state = _CheckedGreedy(seq.n)
+    for x in seq:
+        state.step(x)
+    return state, state.bad
 
 
 def check_greedy_satisfied(rng: Splitmix64) -> int:

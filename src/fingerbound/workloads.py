@@ -84,6 +84,8 @@ class WorkloadSpec:
             value = getattr(self, name)
             if type(value) is not int and not (name == "d" and value is None):
                 raise BadSpecError(f"{name} must be an integer, got {value!r}")
+        if type(self.theta) not in (int, float) and self.theta is not None:
+            raise BadSpecError(f"theta must be a number, got {self.theta!r}")
         if self.n < 1 or self.m < 1:
             raise BadSpecError(f"n and m must be positive, got n={self.n}, m={self.m}")
         if self.kind == "walk":

@@ -261,8 +261,8 @@ class TestBestStatic:
         assert tree.root == 2
 
     def test_guard(self):
-        with pytest.raises(TooLargeError):
-            best_static_finger_cost(AccessSequence(13, (1,)))
+        with pytest.raises(TooLargeError, match="guarded to n <= 768, got n=769"):
+            best_static_finger_cost(AccessSequence(769, (1,)))
 
     def test_agrees_with_direct_recomputation(self):
         rng = Splitmix64(47)

@@ -260,6 +260,19 @@ class TestOptAndBestStatic:
         assert out.splitlines()[0] == "n,m,total"
         assert tree_csv.read_text().splitlines()[0] == "key,parent,depth"
 
+    def test_beststatic_at_n256_and_past_its_guard(self, capsys, tmp_path):
+        path = tmp_path / "walk.txt"
+        write_trace(generate(WorkloadSpec("walk", 256, 400, seed=2, d=8)), path)
+        code, out, _ = run_cli(capsys, "beststatic", "--trace", str(path))
+        assert code == 0
+        assert out.splitlines()[1].startswith("256,400,")
+        path.write_text("769 2\n1\n769\n")
+        code, out, err = run_cli(capsys, "beststatic", "--trace", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: best static tree search is guarded to n <= 768, got n=769"]
+
 
 class TestFitCmd:
     def test_fit_from_files(self, capsys, tmp_path):

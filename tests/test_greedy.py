@@ -247,6 +247,40 @@ def test_minimality_suite_reports_a_second_minimum(monkeypatch):
     assert report.details == ["non-unique minimal row at t=1 of (1,)"]
 
 
+def drop_farthest(row):
+    """A greedy row rule that loses the touched key farthest from x."""
+    def dropped(state, x):
+        keys = row(state, x)
+        if len(keys) > 1:
+            keys.remove(max(keys, key=lambda k: abs(k - x)))
+        return keys
+    return dropped
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_satisfaction_on_greedys_sweep_matches_the_replay(monkeypatch, broken):
+    # the pair found while greedy commits its rows is the one a fresh sweep
+    # over the logged rows finds, violated or not
+    if broken:
+        monkeypatch.setattr(greedy, "greedy_row", drop_farthest(greedy.greedy_row))
+    rng = Splitmix64(89)
+    violated = 0
+    for _ in range(300):
+        n = rng.below(24) + 1
+        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(rng.below(60) + 1)))
+        state, bad = verify._greedy_violation(seq)
+        assert bad == RowSweep(n).sweep(state.rows()), seq.accesses
+        violated += bad is not None
+    assert (violated > 100) if broken else violated == 0
+
+
+def test_satisfaction_suite_catches_a_dropped_staircase_key(monkeypatch):
+    monkeypatch.setattr(greedy, "greedy_row", drop_farthest(greedy.greedy_row))
+    with pytest.raises(verify.CheckFailure,
+                       match=r"^violating pair \(Point\(key=\d+, time=\d+\), Point"):
+        verify.check_greedy_satisfied(Splitmix64(1))
+
+
 def test_exhaustive_minimality_small():
     # tiny slice of the exhaustive check; the acceptance suite runs n,m <= 5
     for n, m in ((3, 3), (4, 2)):

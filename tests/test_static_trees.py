@@ -16,7 +16,8 @@ from fingerbound.bounds import (
 )
 from fingerbound.core import AccessSequence, WeightAssignment
 from fingerbound.errors import BadKeyspaceError
-from fingerbound.workloads import Splitmix64
+from fingerbound.greedy import greedy_cost
+from fingerbound.workloads import Splitmix64, WorkloadSpec, generate
 
 
 def reference_shapes(lo, hi):
@@ -81,6 +82,32 @@ class TestEnumerator:
             assert links(tree) == links(first)
             assert tree.depth == first.depth
 
+    def test_interval_dp_is_first_minimum_up_to_n8(self):
+        # the DP's leftmost optimal roots give the enumeration's first
+        # minimum; each n's trees are enumerated once for all its sequences
+        rng = Splitmix64(73)
+        by_n = {n: [AccessSequence(n, (n,) * 5),              # constant
+                    AccessSequence(n, ((n + 1) // 2,)),       # single access
+                    AccessSequence(n, (1, n) * 4),            # two keys alternating
+                    AccessSequence(n, (n // 2 + 1, 1) * 3)]
+                for n in range(1, 9)}
+        for _ in range(160):
+            n = rng.below(8) + 1
+            m = rng.below(20) + 1
+            by_n[n].append(AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m))))
+        for n, seqs in by_n.items():
+            firsts = [None] * len(seqs)
+            for tree in iter_bsts(n):
+                for i, seq in enumerate(seqs):
+                    total = static_finger_cost(tree, seq).total
+                    if firsts[i] is None or total < firsts[i][0]:
+                        firsts[i] = (total, tree)
+            for seq, (low, first) in zip(seqs, firsts):
+                tree, total = best_static_finger_cost(seq)
+                assert total == low, seq.accesses
+                assert links(tree) == links(first), seq.accesses
+                assert tree.depth == first.depth
+
     def test_search_memory_stays_small(self):
         rng = Splitmix64(67)
         seq = AccessSequence(10, tuple(rng.below(10) + 1 for _ in range(30)))
@@ -132,3 +159,21 @@ class TestBuilder:
             StaticTree.left_spine(n)
         with pytest.raises(BadKeyspaceError):
             shape_children(n, lambda lo, hi: lo)
+
+
+class TestBestStaticAtScale:
+    """The interval DP at n = 256, far past the enumeration's n <= 12."""
+
+    @pytest.mark.parametrize("spec, greedy_total, best_total, ratio", [
+        (WorkloadSpec("walk", 256, 2000, seed=1, d=8), 6041, 8038, 0.7516),
+        (WorkloadSpec("zipf_finger", 256, 2000, seed=1, theta=2.5), 4414, 5314, 0.8306),
+    ])
+    def test_greedy_over_best_static_pinned(self, spec, greedy_total, best_total, ratio):
+        seq = generate(spec)
+        tree, total = best_static_finger_cost(seq)
+        assert total == best_total
+        assert static_finger_cost(tree, seq).total == total
+        assert total <= static_finger_cost(StaticTree.balanced(256), seq).total
+        assert greedy_cost(seq).total == greedy_total
+        assert round(greedy_total / best_total, 4) == ratio
+

@@ -118,6 +118,11 @@ class TestGenerate:
         with pytest.raises(BadSpecError, match="must be an integer"):
             WorkloadSpec(**fields)
 
+    @pytest.mark.parametrize("theta", ["2", True])
+    def test_non_numeric_theta(self, theta):
+        with pytest.raises(BadSpecError, match=f"theta must be a number, got {theta!r}"):
+            WorkloadSpec("zipf_finger", 5, 3, theta=theta)
+
 
 class TestTraceIO:
     def test_read(self, tmp_path):
