@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, starmap
 from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,13 +66,13 @@ class AccessSequence:
     accesses: tuple[Key, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise BadKeyspaceError(f"keyspace size must be a positive integer, got {self.n!r}")
         accs = tuple(self.accesses)
         object.__setattr__(self, "accesses", accs)
         if not accs:
             raise EmptySequenceError("access sequence is empty")
-        bad = first_bad(accs, lambda ks: all(map(isinstance, ks, repeat(int)))
+        bad = first_bad(accs, lambda ks: set(map(type, ks)) == {int}
                         and 1 <= min(ks) and max(ks) <= self.n)
         if bad is not None:
             raise KeyOutOfRangeError(f"access {bad + 1}: key {accs[bad]!r} outside [1, {self.n}]")
@@ -162,30 +162,24 @@ class Point(NamedTuple):
 
 
 class PointSet:
-    """Immutable set of distinct points with row and column indices.
+    """Immutable set of distinct points, the input format of the geometric
+    checks.
 
-    Rows are indexed by time (sorted key lists), columns by key (sorted time
-    lists). Iteration order is (time, key), which every listing operation
-    relies on for determinism.
+    Coordinates are positive integers (anything `operator.index` accepts).
+    Rows are held in increasing time, each as its sorted keys. Iteration
+    order is (time, key), which every listing operation relies on for
+    determinism.
     """
 
-    __slots__ = ("_points", "_rows", "_cols", "_times", "_keys")
+    __slots__ = ("_points", "_rows")
 
     def __init__(self, points: Iterable[Point]):
-        pts = frozenset(Point(int(k), int(t)) for (k, t) in points)
-        for p in pts:
-            if p.key < 1 or p.time < 1:
-                raise ValueError(f"point {p} has non-positive coordinates")
+        pts = frozenset(starmap(_point, points))
         rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for p in pts:
-            rows.setdefault(p.time, []).append(p.key)
-            cols.setdefault(p.key, []).append(p.time)
+        for k, t in pts:
+            rows.setdefault(t, []).append(k)
         self._points = pts
-        self._rows = {t: tuple(sorted(ks)) for t, ks in rows.items()}
-        self._cols = {k: tuple(sorted(ts)) for k, ts in cols.items()}
-        self._times = tuple(sorted(rows))
-        self._keys = tuple(sorted(cols))
+        self._rows = {t: tuple(sorted(rows[t])) for t in sorted(rows)}
 
     @property
     def points(self) -> frozenset[Point]:
@@ -193,42 +187,14 @@ class PointSet:
 
     @property
     def times(self) -> tuple[int, ...]:
-        return self._times
-
-    @property
-    def keys(self) -> tuple[int, ...]:
-        return self._keys
+        return tuple(self._rows)
 
     @property
     def max_key(self) -> int:
-        return self._keys[-1] if self._keys else 0
+        return max((ks[-1] for ks in self._rows.values()), default=0)
 
     def row_keys(self, t: int) -> tuple[int, ...]:
         return self._rows.get(t, ())
-
-    def col_times(self, k: Key) -> tuple[int, ...]:
-        return self._cols.get(k, ())
-
-    def keys_between(self, lo: Key, hi: Key) -> tuple[int, ...]:
-        """Distinct keys of the set lying in [lo, hi]."""
-        i = bisect_left(self._keys, lo)
-        j = bisect_right(self._keys, hi)
-        return self._keys[i:j]
-
-    def has_third_point_in_rect(self, p: Point, q: Point) -> bool:
-        """True iff the closed rectangle spanned by p and q contains a point
-        of the set other than p and q themselves."""
-        klo, khi = min(p.key, q.key), max(p.key, q.key)
-        tlo, thi = min(p.time, q.time), max(p.time, q.time)
-        for k in self.keys_between(klo, khi):
-            ts = self._cols[k]
-            i = bisect_left(ts, tlo)
-            while i < len(ts) and ts[i] <= thi:
-                cand = Point(k, ts[i])
-                if cand != p and cand != q:
-                    return True
-                i += 1
-        return False
 
     def __len__(self) -> int:
         return len(self._points)
@@ -237,8 +203,8 @@ class PointSet:
         return p in self._points
 
     def __iter__(self) -> Iterator[Point]:
-        for t in self._times:
-            for k in self._rows[t]:
+        for t, ks in self._rows.items():
+            for k in ks:
                 yield Point(k, t)
 
     def __eq__(self, other: object) -> bool:
@@ -250,7 +216,19 @@ class PointSet:
         return hash(self._points)
 
     def __repr__(self) -> str:
-        return f"PointSet({sorted(self._points, key=lambda p: (p.time, p.key))!r})"
+        return f"PointSet({list(self)!r})"
+
+
+def _point(k: Key, t: int) -> Point:
+    """The point (k, t); a `ValueError` naming it unless both coordinates
+    are positive integers."""
+    try:
+        p = Point(operator.index(k), operator.index(t))
+    except TypeError:
+        p = None
+    if p is None or p.key < 1 or p.time < 1:
+        raise ValueError(f"point {(k, t)!r} needs positive integer coordinates")
+    return p
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ point of the set. Boundary points count as witnesses; only the two defining
 corners are excluded. Pairs sharing a key or a time span no rectangle and
 impose no constraint.
 
-Two routes are provided. `unsatisfied_pairs` checks every pair against the
-definition directly and lists the violations. `is_arborally_satisfied` runs a
-row sweep that reduces the pair condition to one outward record search per
-open gap of a row:
+Two routes are provided. `unsatisfied_pairs` is the definition itself: it
+reads no index, checks each pair against every other point of the set and
+lists the violations. `is_arborally_satisfied` runs a row sweep over the
+ranks of the set's keys that reduces the pair condition to one outward
+record search per open gap of a row:
 
     at row time t, for an open key gap between neighbouring row points (or
     a row point and the keyspace boundary), the set is violated exactly
@@ -136,7 +137,13 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     """
     if len(pset) < 2:
         return None
-    return RowSweep(pset.max_key).sweep((t, pset.row_keys(t)) for t in pset.times)
+    # satisfaction depends only on key order: sweep the ranks of the set's
+    # keys, so the sweep's size is the number of distinct keys
+    keys = sorted({k for k, _ in pset.points})
+    rank = {k: r for r, k in enumerate(keys, start=1)}
+    bad = RowSweep(len(keys)).sweep((t, [rank[k] for k in pset.row_keys(t)])
+                                    for t in pset.times)
+    return bad and tuple(Point(keys[r - 1], t) for r, t in bad)
 
 
 def minimum_supersets(base: list[Point], free: Sequence[Point],
@@ -229,17 +236,21 @@ def minimum_supersets(base: list[Point], free: Sequence[Point],
 
 
 def unsatisfied_pairs(pset: PointSet) -> list[tuple[Point, Point]]:
-    """Every unordered pair spanning an empty rectangle.
+    """Every unordered pair spanning an empty rectangle, by the definition:
+    each pair with distinct keys and times against every other point.
 
     Points are ordered by (time, key) inside each pair and pairs are listed
     lexicographically in that order. Empty iff `is_arborally_satisfied`.
     """
-    pts = sorted(pset, key=lambda p: (p.time, p.key))
+    pts = list(pset)
     bad: list[tuple[Point, Point]] = []
     for i, p in enumerate(pts):
         for q in pts[i + 1 :]:
             if p.key == q.key or p.time == q.time:
                 continue
-            if not pset.has_third_point_in_rect(p, q):
+            # time-major order puts p's time below q's
+            lo, hi = sorted((p.key, q.key))
+            if not any(lo <= r.key <= hi and p.time <= r.time <= q.time
+                       for r in pts if r != p and r != q):
                 bad.append((p, q))
     return bad

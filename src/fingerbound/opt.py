@@ -12,6 +12,8 @@ grid blow-up is factorial beyond that.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .core import AccessSequence, Point, PointSet
 from .errors import TooLargeError
 from .geometry import minimum_supersets
@@ -20,17 +22,12 @@ MAX_N = 5
 MAX_M = 5
 
 
+@dataclass(frozen=True)
 class OptResult:
     """Minimum superset size together with one witness set."""
 
-    __slots__ = ("size", "witness")
-
-    def __init__(self, size: int, witness: PointSet):
-        self.size = size
-        self.witness = witness
-
-    def __repr__(self) -> str:
-        return f"OptResult(size={self.size})"
+    size: int
+    witness: PointSet = field(repr=False)
 
 
 def opt_satisfied_superset(seq: AccessSequence) -> OptResult:

@@ -41,6 +41,8 @@ class TestValidateSequence:
     def test_bad_n(self):
         with pytest.raises(BadKeyspaceError):
             AccessSequence(0, [1])
+        with pytest.raises(BadKeyspaceError, match="got True"):
+            AccessSequence(True, [1])
 
     def test_prefix(self):
         seq = AccessSequence(3, [1, 2, 3])
@@ -51,6 +53,7 @@ class TestValidateSequence:
         ([1, 2.5, 9, 0], "access 2: key 2.5 "),
         ([2, 3, 1, 4], "access 4: key 4 "),
         ([1, "1", 0], "access 2: key '1' "),
+        ([1, True, 2], "access 2: key True "),
     ])
     def test_first_bad_access_is_named(self, accs, named):
         with pytest.raises(KeyOutOfRangeError, match=re.escape(named + "outside [1, 3]")):
@@ -74,7 +77,7 @@ class TestCheckKey:
     @pytest.mark.parametrize("caller", CALLERS)
     def test_integer_keys_still_pass(self, caller):
         self.CALLERS[caller](2)
-        self.CALLERS[caller](True)  # a bool is an int, as in AccessSequence
+        self.CALLERS[caller](True)  # operator.index accepts a bool
         with pytest.raises(KeyOutOfRangeError, match="key 11 outside"):
             self.CALLERS[caller](11)
 
@@ -180,9 +183,8 @@ class TestPointSet:
     def test_indices(self):
         ps = PointSet([(3, 1), (1, 1), (3, 2)])
         assert ps.row_keys(1) == (1, 3)
-        assert ps.col_times(3) == (1, 2)
         assert ps.times == (1, 2)
-        assert ps.keys == (1, 3)
+        assert ps.max_key == 3
 
     def test_iteration_is_time_major(self):
         ps = PointSet([(2, 2), (1, 1), (3, 1)])
@@ -193,11 +195,8 @@ class TestPointSet:
             PointSet([(0, 1)])
         with pytest.raises(ValueError):
             PointSet([(1, 0)])
-
-    def test_rect_witness(self):
-        ps = PointSet([(1, 1), (2, 2), (2, 1)])
-        assert ps.has_third_point_in_rect(Point(1, 1), Point(2, 2))
-        assert not ps.has_third_point_in_rect(Point(2, 1), Point(1, 1))
+        with pytest.raises(ValueError, match=re.escape("point (2.9, 1) ")):
+            PointSet([(1, 2), (2.9, 1)])
 
 
 def test_cost_report_total():

@@ -81,7 +81,14 @@ def test_first_violation_is_a_real_violation(pairs):
         p, q = witness
         assert p in pset and q in pset
         assert p.key != q.key and p.time != q.time
-        assert not pset.has_third_point_in_rect(p, q)
+        assert (p, q) in unsatisfied_pairs(pset)
+
+
+def test_first_violation_is_sized_by_distinct_keys():
+    # the sweep runs over key ranks, so a far key costs no memory
+    far = ps((1, 1), (2**40, 2))
+    assert first_violation(far) == (Point(1, 1), Point(2**40, 2))
+    assert unsatisfied_pairs(far) == [first_violation(far)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -220,4 +227,4 @@ def test_gap_rule_on_hand_built_rows(n, earlier, row, violated, mirror):
         p, q = bad
         assert p in pset and q in pset and q.time == t
         assert p.key != q.key and p.time < q.time
-        assert not pset.has_third_point_in_rect(p, q)
+        assert (p, q) in unsatisfied_pairs(pset)
