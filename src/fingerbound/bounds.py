@@ -43,10 +43,9 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key,
-                   first_bad)
+                   check_size, first_bad)
 from .errors import (
     BadBaseError,
-    BadKeyspaceError,
     DimensionMismatchError,
     KeyOutOfRangeError,
     TooLargeError,
@@ -71,7 +70,8 @@ class StaticTree:
     """An explicit BST shape over keys 1..n with precomputed depths.
 
     left/right/parent are 1-indexed arrays (entry 0 unused, 0 = absent);
-    depth[root] = 0. In-order traversal must yield 1..n.
+    depth[root] = 0. Every key 1..n must be reached from the root, each
+    inside the key interval of its subtree.
     """
 
     n: int
@@ -82,7 +82,7 @@ class StaticTree:
     depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_size(self.n)
+        check_size(self.n)
         if len(self.left) != self.n + 1 or len(self.right) != self.n + 1:
             raise DimensionMismatchError("left/right arrays must have length n + 1")
         if type(self.root) is not int:
@@ -96,33 +96,31 @@ class StaticTree:
                 c = children[k]
                 fault = "is not an integer key" if type(c) is not int else f"outside [0, {self.n}]"
                 raise KeyOutOfRangeError(f"{side}[{k}] = {c!r} {fault}")
+        left, right = self.left, self.right
         parent = [0] * (self.n + 1)
         depth = [0] * (self.n + 1)
-        order: list[int] = []
-        # Iterative in-order traversal; also fills parent/depth and validates
-        # that the shape is a BST over exactly 1..n.
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        seen = 0
+        # One walk down from the root, each node with the key interval its
+        # subtree must cover. A node inside its interval splits the rest of
+        # it between its children, so the intervals on the stack are disjoint
+        # and no key is reached twice: the shape is a BST over 1..n exactly
+        # when every node lies in its interval and n keys are reached.
+        stack = [(self.root, 1, self.n)]
+        reached = 0
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            seen += 1
-            if seen > self.n:
-                raise ValueError("tree structure has a cycle or duplicate links")
-            l, r = self.left[node], self.right[node]
-            if r:
-                parent[r] = node
-                depth[r] = depth[node] + 1
-                stack.append((r, False))
-            stack.append((node, True))
-            if l:
+            node, lo, hi = stack.pop()
+            if not lo <= node <= hi:
+                raise ValueError(f"key {node} lies outside its subtree's interval [{lo}, {hi}]")
+            reached += 1
+            if l := left[node]:
                 parent[l] = node
                 depth[l] = depth[node] + 1
-                stack.append((l, False))
-        if order != list(range(1, self.n + 1)):
-            raise ValueError("in-order traversal must yield 1..n")
+                stack.append((l, lo, node - 1))
+            if r := right[node]:
+                parent[r] = node
+                depth[r] = depth[node] + 1
+                stack.append((r, node + 1, hi))
+        if reached != self.n:
+            raise ValueError(f"tree reaches {reached} of its {self.n} keys")
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth", tuple(depth))
 
@@ -155,16 +153,11 @@ def shape_rule(shape: str) -> Callable[[int, int], int]:
     return SHAPE_ROOTS[shape]
 
 
-def _check_size(n: int) -> None:
-    if type(n) is not int or n < 1:
-        raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
-
-
 def shape_children(n: int, root_of: Callable[[int, int], int]) -> tuple[int, list[int], list[int]]:
     """Root and 1-indexed left/right child lists (entry 0 unused, 0 = absent)
     of the tree over keys 1..n whose subtree over each key interval [lo, hi]
     has root root_of(lo, hi), a key in [lo, hi]."""
-    _check_size(n)
+    check_size(n)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     root = root_of(1, n)
@@ -298,7 +291,7 @@ def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int]]:
     its lists hold that tree. Roots ascend, then left subtrees vary before
     right ones, recursively; so the right spine comes first and the left
     spine last. Guarded to n <= MAX_ENUM_N."""
-    _check_size(n)
+    check_size(n)
     if n > MAX_ENUM_N:
         raise TooLargeError(f"BST enumeration is guarded to n <= {MAX_ENUM_N}, got n={n}")
     left = [0] * (n + 1)

@@ -24,11 +24,20 @@ from .errors import (
 Key = int
 
 
+def check_size(n: int) -> None:
+    """Raise `BadKeyspaceError` unless n is an int (not a bool) with n >= 1."""
+    if type(n) is not int or n < 1:
+        raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
+
+
 def check_key(k: Key, n: int) -> None:
     """Raise `KeyOutOfRangeError` unless k is an integer with 1 <= k <= n.
-    Integer-like keys (those with `__index__`, such as numpy ints) pass."""
+    Integer-like keys (those with `__index__`, such as numpy ints) pass; a
+    bool does not."""
     if type(k) is not int:
         try:
+            if isinstance(k, bool):
+                raise TypeError
             k = operator.index(k)
         except TypeError:
             raise KeyOutOfRangeError(f"key {k!r} is not an integer") from None
@@ -66,8 +75,7 @@ class AccessSequence:
     accesses: tuple[Key, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 1:
-            raise BadKeyspaceError(f"keyspace size must be a positive integer, got {self.n!r}")
+        check_size(self.n)
         accs = tuple(self.accesses)
         object.__setattr__(self, "accesses", accs)
         if not accs:
@@ -125,8 +133,7 @@ class WeightAssignment:
 
     @classmethod
     def equal(cls, n: int) -> "WeightAssignment":
-        if n < 1:
-            raise BadKeyspaceError(f"keyspace size must be positive, got {n}")
+        check_size(n)
         try:
             return cls((1.0,) * n)
         except (OverflowError, MemoryError):

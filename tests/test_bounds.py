@@ -284,12 +284,27 @@ def test_iter_bsts_counts_catalan():
 
 
 def test_static_tree_validation():
-    with pytest.raises(ValueError):
+    for n, root, left, right, message in [
         # in-order violation: root 1 with left child 2
-        StaticTree(2, 1, (0, 2, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
+        (2, 1, (0, 2, 0), (0, 0, 0), "key 2 lies outside its subtree's interval [1, 0]"),
         # unreachable key
-        StaticTree(2, 1, (0, 0, 0), (0, 0, 0))
+        (2, 1, (0, 0, 0), (0, 0, 0), "tree reaches 1 of its 2 keys"),
+        # a cycle: 1 -> 2 -> 1
+        (2, 1, (0, 0, 0), (0, 2, 1), "key 1 lies outside its subtree's interval [3, 2]"),
+        # key 3 hangs under 4 and again under 1
+        (4, 2, (0, 0, 1, 0, 3), (0, 3, 4, 0, 0), "key 3 lies outside its subtree's interval [2, 1]"),
+        # in-order violation below the root: 3 left of 2 under root 4
+        (4, 4, (0, 0, 3, 0, 2), (0, 0, 0, 0, 0), "key 3 lies outside its subtree's interval [1, 1]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StaticTree(n, root, left, right)
+
+
+@pytest.mark.parametrize("spine", [StaticTree.left_spine, StaticTree.right_spine])
+def test_deep_spines_build_without_recursion(spine):
+    tree = spine(4096)
+    assert sorted(tree.depth[1:]) == list(range(4096))
+    assert tree.depth[tree.root] == 0
 
 
 @pytest.mark.parametrize("left, right, entry", [

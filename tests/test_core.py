@@ -69,7 +69,7 @@ class TestCheckKey:
     }
 
     @pytest.mark.parametrize("caller", CALLERS)
-    @pytest.mark.parametrize("key", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("key", [2.5, 2.0, "2", None, True])
     def test_non_integer_key_is_rejected(self, caller, key):
         with pytest.raises(KeyOutOfRangeError, match=f"key {key!r} is not an integer"):
             self.CALLERS[caller](key)
@@ -77,7 +77,6 @@ class TestCheckKey:
     @pytest.mark.parametrize("caller", CALLERS)
     def test_integer_keys_still_pass(self, caller):
         self.CALLERS[caller](2)
-        self.CALLERS[caller](True)  # operator.index accepts a bool
         with pytest.raises(KeyOutOfRangeError, match="key 11 outside"):
             self.CALLERS[caller](11)
 
@@ -258,3 +257,9 @@ class TestWeightRange:
         # n past the largest sequence length fails before any allocation
         with pytest.raises(BadKeyspaceError, match="too large for equal weights"):
             WeightAssignment.equal(10**20)
+
+    @pytest.mark.parametrize("n", [2.5, "3", True, 0])
+    def test_equal_weights_need_a_positive_integer_size(self, n):
+        with pytest.raises(BadKeyspaceError,
+                           match=re.escape(f"keyspace size must be a positive integer, got {n!r}")):
+            WeightAssignment.equal(n)

@@ -180,7 +180,7 @@ def test_search_on_the_state_leaves_it_unchanged():
 
 @pytest.mark.parametrize("cls", [RowSweep, GreedyState])
 def test_sweep_states_reject_empty_keyspace(cls):
-    with pytest.raises(ValueError, match="keyspace size must be positive, got 0"):
+    with pytest.raises(BadKeyspaceError, match="keyspace size must be a positive integer, got 0"):
         cls(0)
 
 

@@ -52,7 +52,8 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_non_positive_size(self, n):
-        with pytest.raises(BadKeyspaceError, match=f"tree size must be positive, got {n}"):
+        with pytest.raises(BadKeyspaceError,
+                           match=f"keyspace size must be a positive integer, got {n}"):
             SplayTree(n)
 
     def test_fresh_tree_is_the_named_shape(self):
