@@ -8,7 +8,8 @@ assignment w is
 
 which is always at least 1 because the interval contains both endpoints. With
 all-equal weights the term collapses to 1 + log2(|cur - prev| + 1), the
-unweighted finger term. Logs are base 2 throughout so tests are deterministic.
+unweighted finger term, which `weighted_df_bound` evaluates directly when it
+is given no weights. Logs are base 2 throughout so tests are deterministic.
 
 The equivalence constructions map a static tree to weights (w_i = c^-depth_i)
 and weights back to a tree by recursive weighted-median splits, which
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment, check_key,
-                   check_size, first_bad)
+from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment,
+                   check_built_size, check_key, check_size, first_bad)
 from .errors import (
     BadBaseError,
     DimensionMismatchError,
@@ -157,7 +158,7 @@ def shape_children(n: int, root_of: Callable[[int, int], int]) -> tuple[int, lis
     """Root and 1-indexed left/right child lists (entry 0 unused, 0 = absent)
     of the tree over keys 1..n whose subtree over each key interval [lo, hi]
     has root root_of(lo, hi), a key in [lo, hi]."""
-    check_size(n)
+    check_built_size(n, "an eagerly built tree")
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     root = root_of(1, n)
@@ -187,7 +188,7 @@ def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
 
 
 def weighted_df_bound(
-    seq: AccessSequence, w: WeightAssignment, start: str = START_SELF
+    seq: AccessSequence, w: WeightAssignment | None, start: str = START_SELF
 ) -> BoundReport:
     """Per-access weighted finger terms over a whole sequence.
 
@@ -195,12 +196,21 @@ def weighted_df_bound(
     start="root" charges the first access 1 + log2(W_total / w_first).
     A repeated key costs exactly 1, which a prefix-sum difference need not
     reproduce. `seq` has already checked every key against its n.
+
+    w=None means equal weights, in closed form with no per-key structure:
+    1 + log2(|s_i - s_{i-1}| + 1), and 1 + log2(n) for a root start. For
+    n < 2^53 these are bit for bit the terms at weights (1.0,) * n.
     """
-    if w.n != seq.n:
+    if w is not None and w.n != seq.n:
         raise DimensionMismatchError(f"weights cover {w.n} keys but sequence has n={seq.n}")
     if start not in (START_SELF, START_ROOT):
         raise ValueError(f"start must be '{START_SELF}' or '{START_ROOT}', got {start!r}")
-    prefix, weights, log2 = w.prefix, w.weights, math.log2
+    log2 = math.log2
+    if w is None:
+        keys = seq.accesses
+        first = 1.0 if start == START_SELF else 1.0 + log2(seq.n)
+        return BoundReport((first, *[1.0 + log2(abs(b - a) + 1) for a, b in zip(keys, keys[1:])]))
+    prefix, weights = w.prefix, w.weights
     prev = seq.accesses[0]
     terms = [1.0 if start == START_SELF else 1.0 + log2(w.total / weights[prev - 1])]
     for cur in seq.accesses[1:]:
@@ -225,7 +235,7 @@ def weighted_df_bound(
 
 def dynamic_finger_bound(seq: AccessSequence) -> BoundReport:
     """Equal-weights specialization: t_i = 1 + log2(|s_i - s_{i-1}| + 1)."""
-    return weighted_df_bound(seq, WeightAssignment.equal(seq.n), START_SELF)
+    return weighted_df_bound(seq, None)
 
 
 def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:

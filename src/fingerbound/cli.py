@@ -18,7 +18,7 @@ from itertools import count, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import WeightAssignment, first_bad
+from .core import first_bad
 from .bounds import (
     MAX_STATIC_N,
     START_ROOT,
@@ -49,12 +49,6 @@ def _emit(header: str, rows: Iterable[tuple], out: str | None) -> None:
         sys.stdout.writelines(lines)
 
 
-def _load_weights(args, n: int) -> WeightAssignment:
-    if getattr(args, "weights", None):
-        return read_weights(args.weights)
-    return WeightAssignment.equal(n)
-
-
 def _cmd_gen(args) -> int:
     spec = WorkloadSpec(kind=args.workload, n=args.n, m=args.m, seed=args.seed,
                         d=args.d, theta=args.theta)
@@ -70,7 +64,7 @@ def _cmd_run(args) -> int:
     if args.points and args.algo != "greedy":
         raise ValueError("--points is only meaningful with --algo greedy")
     seq = read_trace(args.trace)
-    w = _load_weights(args, seq.n)
+    w = read_weights(args.weights) if args.weights else None  # None: equal weights
     if args.points:
         # one sweep yields both the points and the per-access costs
         state = greedy_sweep(seq)
@@ -90,7 +84,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bound(args) -> int:
     seq = read_trace(args.trace)
-    w = _load_weights(args, seq.n)
+    w = read_weights(args.weights) if args.weights else None
     report = weighted_df_bound(seq, w, args.start)
     _emit("i,key,term", zip(count(1), seq.accesses, report.per_access), args.out)
     sys.stderr.write(f"total_bound={report.total!r}\n")

@@ -19,15 +19,28 @@ from .errors import (
     BadKeyspaceError,
     EmptySequenceError,
     KeyOutOfRangeError,
+    TooLargeError,
 )
 
 Key = int
+
+# The largest keyspace for a structure that holds an entry per key. A greedy
+# sweep takes 24 bytes a key, so n = 2^26 needs 1.5 GiB.
+MAX_BUILT_N = 2 ** 26
 
 
 def check_size(n: int) -> None:
     """Raise `BadKeyspaceError` unless n is an int (not a bool) with n >= 1."""
     if type(n) is not int or n < 1:
         raise BadKeyspaceError(f"keyspace size must be a positive integer, got {n!r}")
+
+
+def check_built_size(n: int, what: str) -> None:
+    """`check_size` for `what`, a structure about to build an entry per key,
+    which also raises `TooLargeError` past MAX_BUILT_N, before it allocates."""
+    check_size(n)
+    if n > MAX_BUILT_N:
+        raise TooLargeError(f"{what} is guarded to n <= {MAX_BUILT_N}, got n={n}")
 
 
 def check_key(k: Key, n: int) -> None:
@@ -130,14 +143,6 @@ class WeightAssignment:
                      else "vanishes in the prefix sum")
             raise ValueError(f"weight {i} {fault}; rescale the vector")
         object.__setattr__(self, "prefix", prefix)
-
-    @classmethod
-    def equal(cls, n: int) -> "WeightAssignment":
-        check_size(n)
-        try:
-            return cls((1.0,) * n)
-        except (OverflowError, MemoryError):
-            raise BadKeyspaceError(f"keyspace size {n} is too large for equal weights") from None
 
     @property
     def n(self) -> int:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import Key, Point, PointSet, check_size
+from .core import Key, Point, PointSet, check_built_size
 from .segtree import MaxSegTree
 
 
@@ -59,7 +59,7 @@ class RowSweep:
     __slots__ = ("n", "time", "last", "tree")
 
     def __init__(self, n: int):
-        check_size(n)
+        check_built_size(n, "a row sweep")
         self.n = n
         self.time = 0
         self.last = [0] * (n + 1)

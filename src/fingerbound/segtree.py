@@ -10,13 +10,14 @@ end of their range: O(log gap) for a hit gap leaves away, O(log n) at worst.
 
 from __future__ import annotations
 
+from .core import check_size
+
 
 class MaxSegTree:
     __slots__ = ("n", "size", "tree")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"tree size must be positive, got {n}")
+        check_size(n)
         self.n = n
         self.size = 1 << (n - 1).bit_length() if n > 1 else 1
         self.tree = [0] * (2 * self.size)

@@ -26,7 +26,7 @@ the lazy build too.
 from __future__ import annotations
 
 from .bounds import INITIAL_SHAPES, SHAPE_ROOTS, shape_children, shape_rule
-from .core import AccessSequence, CostReport, Key, check_key, check_size
+from .core import AccessSequence, CostReport, Key, check_built_size, check_key, check_size
 
 
 class _Node:
@@ -98,10 +98,14 @@ class SplayTree:
     """A splay tree holding exactly the keys 1..n, built as searches reach it."""
 
     def __init__(self, n: int, initial: str = "balanced"):
-        check_size(n)
+        rule = shape_rule(initial)
+        if initial == "balanced":  # a search builds O(log n) nodes
+            check_size(n)
+        else:  # one search down the spine can build n nodes
+            check_built_size(n, f"a {initial} splay tree")
         self.n = n
         self.rotations = 0
-        self.root = _subtree(_UNBUILT[shape_rule(initial)], 1, n, None)
+        self.root = _subtree(_UNBUILT[rule], 1, n, None)
 
     def _rotate_up(self, x: _Node) -> None:
         """Rotate the edge between x and its parent p, so that x takes p's

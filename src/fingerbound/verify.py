@@ -49,6 +49,7 @@ from typing import Sequence
 from .core import AccessSequence, Key, Point, PointSet, WeightAssignment
 from .bounds import (
     INITIAL_SHAPES,
+    START_ROOT,
     best_static_finger_cost,
     dynamic_finger_bound,
     iter_bsts,
@@ -341,9 +342,11 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
         naive_rw = math.fsum(w.weights[min(a, b) - 1:max(a, b)])
         if abs(w.range_weight(a, b) - naive_rw) > 1e-12 * naive_rw:
             raise CheckFailure(f"range weight mismatch at ({a},{b})")
-        closed = (1.0, *(1.0 + math.log2(abs(b - a) + 1)
-                         for a, b in zip(seq.accesses, seq.accesses[1:])))
-        if dynamic_finger_bound(seq).per_access != closed:
+        # the closed form against the prefix sums of n ones, bit for bit
+        ones = WeightAssignment((1.0,) * n)
+        if (dynamic_finger_bound(seq) != weighted_df_bound(seq, ones)
+                or weighted_df_bound(seq, None, START_ROOT)
+                != weighted_df_bound(seq, ones, START_ROOT)):
             raise CheckFailure(f"equal-weights specialization differs on {seq.accesses}")
         rechecks += 1
     lines.append(f"{rechecks} sequences held scaling, symmetry and equal weights")

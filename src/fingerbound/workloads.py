@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import AccessSequence, Key, WeightAssignment, first_bad
+from .core import MAX_BUILT_N, AccessSequence, Key, WeightAssignment, first_bad
 from .errors import BadSpecError, TraceParseError
 
 _MASK = (1 << 64) - 1
@@ -94,6 +94,9 @@ class WorkloadSpec:
         if self.kind == "zipf_finger":
             if self.theta is None or not self.theta > 0:
                 raise BadSpecError("zipf_finger workloads need an exponent theta > 0")
+            if self.n > MAX_BUILT_N:  # its step table has n - 1 entries
+                raise BadSpecError(
+                    f"zipf_finger is guarded to n <= {MAX_BUILT_N}, got n={self.n}")
         if self.kind == "bit_reversal":
             if self.n & (self.n - 1):
                 raise BadSpecError(f"bit_reversal needs n to be a power of two, got {self.n}")

@@ -98,6 +98,25 @@ def test_trace_hooks_record_io_and_fit_spans(tmp_path, monkeypatch):
                      "core.weights_build", "bounds.wdf", "harness.fit"}
 
 
+def test_equal_weights_record_bound_spans_and_no_weight_build(tmp_path, monkeypatch):
+    # equal weights are the closed form: the bound is traced, no vector is built
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    trace = five_access_trace(tmp_path)
+    run.instrument(tracer, [])
+    try:
+        assert main(["run", "--trace", str(trace), "--algo", "greedy", "--equal",
+                     "--out", str(tmp_path / "cost.csv")]) == 0
+        assert main(["bound", "--trace", str(trace), "--out", str(tmp_path / "bound.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("bounds.wdf") == 2
+    assert tracer.counts["bounds.terms"] == 10
+    assert "core.weights_build" not in names
+
+
 def test_trace_hooks_record_oracle_spans(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     run = load_bench_module("run")

@@ -29,7 +29,7 @@ weights_strategy = st.lists(st.floats(min_value=0.25, max_value=4.0), min_size=1
 
 class TestWdfTerm:
     def test_equal_weights_full_span(self):
-        w = WeightAssignment.equal(4)
+        w = WeightAssignment((1.0,) * 4)
         assert wdf_term(w, 1, 4) == pytest.approx(3.0, rel=1e-15)
 
     def test_same_key_is_exactly_one(self):
@@ -42,7 +42,7 @@ class TestWdfTerm:
 
     def test_out_of_range(self):
         with pytest.raises(KeyOutOfRangeError):
-            wdf_term(WeightAssignment.equal(3), 1, 4)
+            wdf_term(WeightAssignment((1.0,) * 3), 1, 4)
 
     def test_quotient_past_the_float_range_stays_finite(self):
         # W / min(w) = 1e10 / 5e-324 overflows; its log2 is about 1107.2
@@ -89,14 +89,14 @@ class TestWdfTerm:
             checked += 1
 
     def test_monotone_in_gap_equal_weights(self):
-        w = WeightAssignment.equal(64)
+        w = WeightAssignment((1.0,) * 64)
         terms = [wdf_term(w, 10, 10 + g) for g in range(0, 54)]
         assert terms == sorted(terms)
 
 
 class TestWeightedBound:
     def test_three_access_example(self):
-        rep = weighted_df_bound(AccessSequence(2, (1, 2, 1)), WeightAssignment.equal(2))
+        rep = weighted_df_bound(AccessSequence(2, (1, 2, 1)), WeightAssignment((1.0,) * 2))
         assert rep.per_access == (1.0, 2.0, 2.0)
         assert rep.total == pytest.approx(5.0)
 
@@ -106,17 +106,17 @@ class TestWeightedBound:
         assert rep.total == pytest.approx(9.0)
 
     def test_root_start(self):
-        rep = weighted_df_bound(AccessSequence(4, (1, 4)), WeightAssignment.equal(4), "root")
+        rep = weighted_df_bound(AccessSequence(4, (1, 4)), WeightAssignment((1.0,) * 4), "root")
         assert rep.per_access == (3.0, 3.0)
         assert rep.total == pytest.approx(6.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            weighted_df_bound(AccessSequence(3, (1,)), WeightAssignment.equal(4))
+            weighted_df_bound(AccessSequence(3, (1,)), WeightAssignment((1.0,) * 4))
 
     def test_bad_start(self):
         with pytest.raises(ValueError):
-            weighted_df_bound(AccessSequence(2, (1,)), WeightAssignment.equal(2), "middle")
+            weighted_df_bound(AccessSequence(2, (1,)), WeightAssignment((1.0,) * 2), "middle")
 
     def test_scale_invariance(self):
         rng = Splitmix64(31)
@@ -150,15 +150,18 @@ class TestDynamicFinger:
         n = data.draw(st.integers(1, 64))
         acc = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=32))
         seq = AccessSequence(n, tuple(acc))
+        ones = WeightAssignment((1.0,) * n)
         a = dynamic_finger_bound(seq)
-        b = weighted_df_bound(seq, WeightAssignment.equal(n))
-        assert a.per_access == b.per_access
+        assert a == weighted_df_bound(seq, None) == weighted_df_bound(seq, ones)
+        root = weighted_df_bound(seq, None, "root")
+        assert root == weighted_df_bound(seq, ones, "root")
         # closed form, bit-for-bit
         expect = tuple(
             1.0 if i == 0 else 1.0 + math.log2(abs(acc[i] - acc[i - 1]) + 1)
             for i in range(len(acc))
         )
         assert a.per_access == expect
+        assert root.per_access == (1.0 + math.log2(n), *expect[1:])
 
 
 class TestStaticFingerCost:
@@ -219,7 +222,7 @@ class TestTreeWeightEquivalence:
             weights_from_tree(StaticTree.balanced(3), 1.0)
 
     def test_median_tree_equal_weights(self):
-        tree = tree_from_weights(WeightAssignment.equal(3))
+        tree = tree_from_weights(WeightAssignment((1.0,) * 3))
         assert tree.root == 2
         assert tree.left[2] == 1 and tree.right[2] == 3
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerbound.cli import _emit, main
+from fingerbound.core import MAX_BUILT_N, AccessSequence, WeightAssignment
 from fingerbound.greedy import greedy_execute
+from fingerbound.splay import run_splay
 from fingerbound.workloads import WorkloadSpec, generate, read_trace, write_trace
 
 
@@ -172,6 +174,26 @@ class TestRun:
         assert err.startswith(f"error: line {line}: ")
         assert err.rstrip().endswith(f" in {at_fault}")
         assert str(other) not in err
+
+
+class TestEqualWeights:
+    def test_equal_weight_commands_build_no_weight_vector(self, capsys, monkeypatch,
+                                                           trace, tmp_path):
+        points = str(tmp_path / "points.csv")
+        commands = [("run", "--algo", "greedy", "--equal"),
+                    ("run", "--algo", "greedy", "--points", points),
+                    ("run", "--algo", "splay"), ("bound",), ("bound", "--start", "root")]
+        unpatched = [run_cli(capsys, *argv, "--trace", trace) for argv in commands]
+
+        def refuse(self):
+            raise AssertionError("an equal-weight command built a weight vector")
+
+        monkeypatch.setattr(WeightAssignment, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            WeightAssignment((1.0,))
+        patched = [run_cli(capsys, *argv, "--trace", trace) for argv in commands]
+        assert patched == unpatched
+        assert all(code == 0 for code, _, _ in patched)
 
 
 class TestBound:
@@ -367,16 +389,48 @@ class TestInputRange:
         assert err == ("error: the cumulative series leave the float range in the fit; "
                        "rescale them\n")
 
-    @pytest.mark.parametrize("argv", [("run", "--algo", "greedy"), ("run", "--algo", "splay"),
-                                      ("bound",)])
+    @pytest.mark.parametrize("argv", [
+        ("run", "--algo", "greedy", "--trace"),
+        ("run", "--algo", "splay", "--initial", "left_spine", "--trace"),
+        ("gen", "--workload", "zipf_finger", "--m", "2", "--theta", "1.5", "--n"),
+    ])
     def test_huge_keyspace_is_input_error(self, capsys, tmp_path, argv):
-        # equal weights over 10**20 keys are refused before any allocation
+        # what builds an entry per key refuses 10**20 keys before any allocation
+        n = 10**20
         trace = tmp_path / "t.txt"
-        trace.write_text("100000000000000000000 2\n1\n2\n")
-        code, out, err = run_cli(capsys, *argv, "--trace", str(trace))
+        trace.write_text(f"{n} 2\n1\n2\n")
+        code, out, err = run_cli(capsys, *argv, str(n if argv[0] == "gen" else trace))
+        what = ("a left_spine splay tree" if "--initial" in argv
+                else "zipf_finger" if argv[0] == "gen" else "a row sweep")
         assert code == 2 and out == ""
-        assert err == ("error: keyspace size 100000000000000000000 is too large for "
-                       "equal weights\n")
+        assert err == f"error: {what} is guarded to n <= {MAX_BUILT_N}, got n={n}\n"
+
+    @pytest.mark.parametrize("argv", [("run", "--algo", "splay"), ("bound",),
+                                      ("bound", "--start", "root")])
+    def test_huge_keyspace_runs_in_closed_form(self, capsys, tmp_path, argv):
+        # the balanced lazy splay tree and the equal-weight bound build no
+        # per-key structure
+        n = 10**20
+        keys = (1, n, n)
+        trace = tmp_path / "t.txt"
+        trace.write_text(f"{n} 3\n1\n{n}\n{n}\n")
+        code, out, err = run_cli(capsys, *argv, "--trace", str(trace))
+        assert code == 0
+        far = 1.0 + math.log2(n)
+        terms = (far if "root" in argv else 1.0, far, 1.0)
+        rows = out.splitlines()[1:]
+        if argv[0] == "bound":
+            assert rows == [f"{i},{k},{t!r}" for i, k, t in zip((1, 2, 3), keys, terms)]
+            assert err == f"total_bound={sum(terms)!r}\n"
+        else:
+            costs = run_splay(AccessSequence(n, keys)).per_access
+            hi, depth = n, 0  # key 1 lies down the balanced tree's left edge
+            while (1 + hi) // 2 != 1:
+                hi, depth = (1 + hi) // 2 - 1, depth + 1
+            assert costs[0] == depth + 1
+            assert rows == [f"{i},{k},{c},{t!r}"
+                            for i, k, c, t in zip((1, 2, 3), keys, costs, terms)]
+            assert err.startswith(f"total_cost={sum(costs)} total_bound={sum(terms)!r} ")
 
     def test_weights_past_the_float_range_name_their_line(self, capsys, tiny_trace, tmp_path):
         weights = tmp_path / "w.txt"

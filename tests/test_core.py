@@ -4,21 +4,25 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fingerbound.bounds import StaticTree
+from fingerbound.bounds import SHAPE_ROOTS, StaticTree, shape_children
 from fingerbound.core import (
+    MAX_BUILT_N,
     AccessSequence,
     CostReport,
     Point,
     PointSet,
     WeightAssignment,
+    check_built_size,
     first_bad,
 )
+from fingerbound.geometry import RowSweep
 from fingerbound.greedy import GreedyState, greedy_row
 from fingerbound.splay import SplayTree
 from fingerbound.errors import (
     BadKeyspaceError,
     EmptySequenceError,
     KeyOutOfRangeError,
+    TooLargeError,
 )
 from fingerbound.workloads import Splitmix64
 
@@ -65,7 +69,7 @@ class TestCheckKey:
         "splay": lambda k: SplayTree(10).access(k),
         "path_nodes": lambda k: StaticTree.balanced(10).path_nodes(k, 3),
         "greedy_row": lambda k: greedy_row(GreedyState(10), k),
-        "weight": lambda k: WeightAssignment.equal(10).weight(k),
+        "weight": lambda k: WeightAssignment((1.0,) * 10).weight(k),
     }
 
     @pytest.mark.parametrize("caller", CALLERS)
@@ -83,11 +87,11 @@ class TestCheckKey:
 
 class TestRangeWeight:
     def test_all_ones(self):
-        w = WeightAssignment.equal(4)
+        w = WeightAssignment((1.0,) * 4)
         assert w.range_weight(1, 4) == 4.0
 
     def test_single_key(self):
-        w = WeightAssignment.equal(4)
+        w = WeightAssignment((1.0,) * 4)
         assert w.range_weight(3, 3) == 1.0
 
     def test_order_free_sum(self):
@@ -97,7 +101,7 @@ class TestRangeWeight:
         assert w.range_weight(3, 1) == w.range_weight(1, 3)
 
     def test_out_of_range(self):
-        w = WeightAssignment.equal(3)
+        w = WeightAssignment((1.0,) * 3)
         with pytest.raises(KeyOutOfRangeError):
             w.range_weight(0, 2)
         with pytest.raises(KeyOutOfRangeError):
@@ -168,7 +172,7 @@ class TestWeights:
             acc += w
             expect.append(acc)
         assert WeightAssignment(ws).prefix == tuple(expect)
-        assert WeightAssignment.equal(5).prefix == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+        assert WeightAssignment((1.0,) * 5).prefix == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_total(self):
         assert WeightAssignment((0.5, 2.0, 0.25)).total == pytest.approx(2.75)
@@ -253,13 +257,34 @@ class TestWeightRange:
             WeightAssignment((1.0, 1e308, 1e308, -1.0))
         assert WeightAssignment((1e308, 7e307)).total < math.inf
 
-    def test_equal_weights_on_a_huge_keyspace_is_a_typed_error(self):
-        # n past the largest sequence length fails before any allocation
-        with pytest.raises(BadKeyspaceError, match="too large for equal weights"):
-            WeightAssignment.equal(10**20)
+
+class TestBuiltSize:
+    # each structure that builds an entry per key, checked before it builds
+    BUILDERS = {
+        "row_sweep": RowSweep,
+        "greedy": GreedyState,
+        "shape_children": lambda n: shape_children(n, SHAPE_ROOTS["balanced"]),
+        "static_tree": StaticTree.right_spine,
+        "left_spine_splay": lambda n: SplayTree(n, "left_spine"),
+        "right_spine_splay": lambda n: SplayTree(n, "right_spine"),
+    }
 
     @pytest.mark.parametrize("n", [2.5, "3", True, 0])
-    def test_equal_weights_need_a_positive_integer_size(self, n):
+    def test_needs_a_positive_integer_size(self, n):
         with pytest.raises(BadKeyspaceError,
                            match=re.escape(f"keyspace size must be a positive integer, got {n!r}")):
-            WeightAssignment.equal(n)
+            check_built_size(n, "a test structure")
+
+    def test_huge_keyspace_is_a_typed_error(self):
+        # n past the guard fails before any allocation
+        check_built_size(MAX_BUILT_N, "a test structure")
+        for n in (MAX_BUILT_N + 1, 10**20):
+            with pytest.raises(TooLargeError, match=re.escape(
+                    f"a test structure is guarded to n <= {MAX_BUILT_N}, got n={n}")):
+                check_built_size(n, "a test structure")
+
+    @pytest.mark.parametrize("builder", BUILDERS)
+    @pytest.mark.parametrize("n", [MAX_BUILT_N + 1, 10**20])
+    def test_builders_refuse_a_huge_keyspace(self, builder, n):
+        with pytest.raises(TooLargeError, match=f"guarded to n <= {MAX_BUILT_N}, got n={n}$"):
+            self.BUILDERS[builder](n)

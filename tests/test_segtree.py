@@ -5,6 +5,7 @@ leaves past n - 1 and every climb to the edge of a level are exercised."""
 
 import pytest
 
+from fingerbound.errors import BadKeyspaceError
 from fingerbound.segtree import MaxSegTree
 from fingerbound.workloads import Splitmix64
 
@@ -36,5 +37,11 @@ def test_queries_match_scans(n):
 
 
 def test_rejects_empty_tree():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadKeyspaceError, match="keyspace size must be a positive integer, got 0"):
         MaxSegTree(0)
+
+
+def test_rejects_non_integer_size():
+    with pytest.raises(BadKeyspaceError,
+                       match=r"keyspace size must be a positive integer, got 2\.5"):
+        MaxSegTree(2.5)

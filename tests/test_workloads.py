@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fingerbound.core import AccessSequence
+from fingerbound.core import MAX_BUILT_N, AccessSequence
 from fingerbound.errors import BadSpecError, TraceParseError
 from fingerbound.workloads import (
     Splitmix64,
@@ -122,6 +122,15 @@ class TestGenerate:
     def test_non_numeric_theta(self, theta):
         with pytest.raises(BadSpecError, match=f"theta must be a number, got {theta!r}"):
             WorkloadSpec("zipf_finger", 5, 3, theta=theta)
+
+    @pytest.mark.parametrize("n", [MAX_BUILT_N + 1, 10**20])
+    def test_zipf_finger_step_table_is_guarded(self, n):
+        # generate builds an n-entry table whatever m is; the spec refuses it
+        with pytest.raises(BadSpecError,
+                           match=f"zipf_finger is guarded to n <= {MAX_BUILT_N}, got n={n}$"):
+            WorkloadSpec("zipf_finger", n, 10, theta=1.5)
+        WorkloadSpec("zipf_finger", MAX_BUILT_N, 10, theta=1.5)
+        generate(WorkloadSpec("uniform", n, 10, seed=1))  # no table: not guarded
 
 
 class TestTraceIO:
