@@ -249,8 +249,8 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
 
 def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:
     """w_i = base^(-depth_i): deeper keys get geometrically lighter."""
-    if not base > 1.0:
-        raise BadBaseError(f"base must exceed 1, got {base}")
+    if not isinstance(base, (int, float)) or not base > 1.0:
+        raise BadBaseError(f"base must be a number above 1, got {base!r}")
     return WeightAssignment(tuple(base ** -tree.depth[k] for k in range(1, tree.n + 1)))
 
 

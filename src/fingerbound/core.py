@@ -11,7 +11,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, starmap
+from itertools import accumulate, islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -177,7 +177,7 @@ class PointSet:
     """Immutable set of distinct points, the input format of the geometric
     checks.
 
-    Coordinates are positive integers (anything `operator.index` accepts).
+    Coordinates are positive integers (anything `operator.index` accepts but a bool).
     Rows are held in increasing time, each as its sorted keys. Iteration
     order is (time, key), which every listing operation relies on for
     determinism.
@@ -186,7 +186,7 @@ class PointSet:
     __slots__ = ("_points", "_rows")
 
     def __init__(self, points: Iterable[Point]):
-        pts = frozenset(starmap(_point, points))
+        pts = frozenset(map(_point, points))
         rows: dict[int, list[int]] = {}
         for k, t in pts:
             rows.setdefault(t, []).append(k)
@@ -200,10 +200,6 @@ class PointSet:
     @property
     def times(self) -> tuple[int, ...]:
         return tuple(self._rows)
-
-    @property
-    def max_key(self) -> int:
-        return max((ks[-1] for ks in self._rows.values()), default=0)
 
     def row_keys(self, t: int) -> tuple[int, ...]:
         return self._rows.get(t, ())
@@ -231,16 +227,18 @@ class PointSet:
         return f"PointSet({list(self)!r})"
 
 
-def _point(k: Key, t: int) -> Point:
-    """The point (k, t); a `ValueError` naming it unless both coordinates
-    are positive integers."""
+def _point(p: tuple[Key, int]) -> Point:
+    """The point p = (k, t); a `ValueError` naming it unless it is a pair of
+    positive integers (a bool is not one)."""
     try:
-        p = Point(operator.index(k), operator.index(t))
-    except TypeError:
-        p = None
-    if p is None or p.key < 1 or p.time < 1:
-        raise ValueError(f"point {(k, t)!r} needs positive integer coordinates")
-    return p
+        k, t = p
+        # tuple.__new__ skips the NamedTuple constructor's Python frame
+        q = tuple.__new__(Point, (operator.index(k), operator.index(t)))
+        if q.key >= 1 and q.time >= 1 and type(k) is not bool and type(t) is not bool:
+            return q
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"point {p!r} needs positive integer coordinates")
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,13 @@ state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
 row it emits and logs it, so `commit` is the one place last-touch times rise.
 
 `minimum_supersets` is the one exhaustive search over point additions: the
-greedy minimum-row oracle, the exact optimum and the uniqueness check of the
-minimality suite all take their answers from it. It walks the subsets of its
-time-major `free` list depth first, checks each row once no later choice can
-add to it, and drops every subset sharing a failed row. A caller whose
-earlier rows are fixed passes their `RowSweep`, so only the later rows are
-searched and checked. Each answer is the list of points it adds, so a caller
-reads the added keys directly and builds no point set.
+greedy minimum-row oracle (with its uniqueness check) and the exact optimum
+take their answers from it. It walks the subsets of its time-major `free`
+list depth first, checks each row once no later choice can add to it, and
+drops every subset sharing a failed row. Every caller passes the `RowSweep`
+of its keyspace, holding any earlier rows it fixes, so only the later rows
+are searched and checked. Each answer is the list of points it adds, so a
+caller reads the added keys directly and builds no point set.
 """
 
 from __future__ import annotations
@@ -143,15 +143,16 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
 
 
 def minimum_supersets(base: list[Point], free: Sequence[Point],
-                      sweep: RowSweep | None = None) -> Iterator[list[Point]]:
+                      sweep: RowSweep) -> Iterator[list[Point]]:
     """The points of `free` that each arborally satisfied superset of
     `base` adds, for the fewest additions.
 
     Yields, in `itertools.combinations` order, each subset of `free` of the
     first size whose union with `base` is satisfied, as a list, then stops.
-    `free` must be time-major. `sweep`, if given, holds the committed rows
-    before every point of `base` and `free`, which count toward
-    satisfaction; it is not changed. Exhaustive: meant for tiny instances.
+    `free` must be time-major. `sweep`, over a keyspace holding their keys,
+    holds the committed rows before every point of `base` and `free`, which
+    count toward satisfaction; it is not changed. Exhaustive: meant for
+    tiny instances.
 
     Subsets are built depth first over `free`. Once the next chosen point
     lies past a row, no later choice adds to that row, so it is checked and
@@ -161,10 +162,7 @@ def minimum_supersets(base: list[Point], free: Sequence[Point],
     free_times = [p.time for p in free]
     if free_times != sorted(free_times):
         raise ValueError("free points must be in time-major order")
-    points = [*base, *free]
-    if sweep is None:
-        sweep = RowSweep(max((k for k, _ in points), default=1))
-    for k, t in points:
+    for k, t in (*base, *free):
         if not (1 <= k <= sweep.n and t > sweep.time):
             raise ValueError(f"point {(k, t)} needs a key in [1, {sweep.n}] "
                              f"and a time after {sweep.time}")

@@ -25,12 +25,13 @@ the previous one, O(log n) at worst. `greedy_row_reference` is a plain O(n)
 prefix-maximum scan kept for differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances: x plus the
 keys that the first answer of `geometry.minimum_supersets` adds from the
-row's other keys, searched on top of one `RowSweep` over the earlier rows.
+row's other keys, searched on top of the caller's sweep over the earlier
+rows (greedy's own state), which also confirms that minimum is unique.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterator
 
 from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
@@ -155,19 +156,18 @@ def greedy_cost(seq: AccessSequence) -> CostReport:
     return greedy_sweep(seq, track_points=False).cost_report()
 
 
-def brute_min_row(pset: PointSet, x: Key, t: int, n: int) -> set[Key]:
-    """Smallest row-t completion containing x that keeps the set satisfied.
+def brute_min_row(state: RowSweep, x: Key) -> set[Key]:
+    """Smallest completion of row `state.time + 1` that contains x.
 
-    Enumerates subsets of {1..n} containing x by increasing cardinality, then
-    lexicographically, and returns the first feasible one. One sweep over
-    `pset` checks it and carries its rows, so the search checks row t only.
-    Exhaustive: meant for n at most about 12.
+    x plus the keys of the first `minimum_supersets` answer over the row's
+    other keys, searched on top of `state`, which is not changed. Raises
+    `ValueError` if a second completion of that size exists. Exhaustive:
+    meant for n at most about 12.
     """
-    check_key(x, n)
-    if any(p.time >= t for p in pset):
-        raise ValueError(f"point set must lie strictly before time {t}")
-    sweep = RowSweep(max(n, pset.max_key))
-    if sweep.sweep((s, pset.row_keys(s)) for s in pset.times) is not None:
-        raise ValueError("point set must be arborally satisfied")
-    others = [Point(k, t) for k in range(1, n + 1) if k != x]
-    return {x, *(k for k, _ in next(minimum_supersets([Point(x, t)], others, sweep)))}
+    check_key(x, state.n)
+    t = state.time + 1
+    others = [Point(k, t) for k in range(1, state.n + 1) if k != x]
+    found = list(islice(minimum_supersets([Point(x, t)], others, state), 2))
+    if len(found) > 1:
+        raise ValueError(f"row {t} has two minimum completions containing {x}")
+    return {x, *(k for k, _ in found[0])}

@@ -1,13 +1,13 @@
 """Exact minimum arborally satisfied superset for tiny instances.
 
 Takes the first answer of `geometry.minimum_supersets` over the grid
-{1..n} x {1..m}: it tries the added points by increasing count, so the
-accesses plus the first points it adds form a satisfied superset of provably
-minimum size, the one witness built as a `PointSet`. The grid points are
-listed time-major, so the search checks each row once its added points are
-chosen and skips every extension of a choice whose row fails: a row's
-verdict depends only on the rows at or before it. Guarded to n, m <= 5; the
-grid blow-up is factorial beyond that.
+{1..n} x {1..m}, searched on an empty `RowSweep(n)`: it tries the added
+points by increasing count, so the accesses plus the first points it adds
+form a satisfied superset of provably minimum size, the one witness built
+as a `PointSet`. The grid points are listed time-major, so the search
+checks each row once its added points are chosen and skips every extension
+of a choice whose row fails: a row's verdict depends only on the rows at or
+before it. Guarded to n, m <= 5; the grid blow-up is factorial beyond that.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .core import AccessSequence, Point, PointSet
 from .errors import TooLargeError
-from .geometry import minimum_supersets
+from .geometry import RowSweep, minimum_supersets
 
 MAX_N = 5
 MAX_M = 5
@@ -43,5 +43,5 @@ def opt_satisfied_superset(seq: AccessSequence) -> OptResult:
         for k in range(1, seq.n + 1)
         if Point(k, t) not in taken
     ]
-    added = next(minimum_supersets(base, free))
+    added = next(minimum_supersets(base, free, RowSweep(seq.n)))
     return OptResult(len(base) + len(added), PointSet(base + added))

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from typing import Sequence
 
 from .core import AccessSequence, Key, Point, PointSet, WeightAssignment
@@ -59,13 +59,10 @@ from .bounds import (
     weights_from_tree,
     wdf_term,
 )
-from .geometry import (
-    is_arborally_satisfied,
-    minimum_supersets,
-    unsatisfied_pairs,
-)
+from .geometry import is_arborally_satisfied, unsatisfied_pairs
 from .greedy import (
     GreedyState,
+    brute_min_row,
     greedy_cost,
     greedy_row,
     greedy_row_reference,
@@ -198,11 +195,12 @@ def check_greedy_minimality() -> int:
     Greedy is online: row t, and the minimum completion it is compared
     with, depend only on the prefix s_1..s_t. So the check walks the tree
     of prefixes depth first, once per n, and checks each prefix once: a
-    node copies its parent's `GreedyState`, searches row t on top of it
-    before `step` emits the row, so the search checks that row only, and
-    recurses while t < 5. Every earlier row is a satisfied minimum
-    completion already checked at an ancestor, so the committed rows need
-    no check of their own. A prefix of length t is row t of the
+    node runs `brute_min_row` on its parent's `GreedyState`, which searches
+    row t on top of it, so the search checks that row only, and leaves it
+    unchanged; then a copy of the state steps on, and the walk recurses
+    while t < 5. Every earlier row is a satisfied minimum completion
+    already checked at an ancestor, so the committed rows need no check of
+    their own. A prefix of length t is row t of the
     sum(n**e for e <= 5 - t) sequences of length <= 5 that extend it, and
     counts that often. A failure names the first failing prefix in
     depth-first order; every shorter prefix of it has passed."""
@@ -212,18 +210,17 @@ def check_greedy_minimality() -> int:
         extensions = sum(n ** e for e in range(6 - t))
         counted = 0
         for x in range(1, n + 1):
-            child = state.copy()
-            others = [Point(k, t) for k in range(1, n + 1) if k != x]
-            found = list(islice(minimum_supersets([Point(x, t)], others, child), 2))
-            row = child.step(x)
             accesses = (*prefix, x)
-            oracle = {x, *(k for k, _ in found[0])}
+            try:
+                oracle = brute_min_row(state, x)
+            except ValueError:
+                raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}") from None
+            child = state.copy()
+            row = child.step(x)
             if row != oracle:
                 raise CheckFailure(
                     f"row mismatch at t={t} of {accesses}: greedy {sorted(row)} "
                     f"vs oracle {sorted(oracle)}")
-            if len(found) > 1:
-                raise CheckFailure(f"non-unique minimal row at t={t} of {accesses}")
             counted += extensions
             if t < 5:
                 counted += rows_after(child, accesses)

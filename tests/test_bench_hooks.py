@@ -154,7 +154,8 @@ def test_trace_hooks_record_tree_spans(tmp_path, monkeypatch):
 
 def test_trace_hooks_record_minimality_suite(monkeypatch):
     # the minimality oracle checks each sequence prefix once: 5,699 greedy
-    # steps over n, m <= 5, counted as the 26,841 rows of every sequence
+    # steps over n, m <= 5, each against one `brute_min_row` search, counted
+    # as the 26,841 rows of every sequence
     monkeypatch.syspath_prepend(str(BENCH))
     run = load_bench_module("run")
     tracer = load_bench_module("tracing").Tracer()
@@ -167,3 +168,4 @@ def test_trace_hooks_record_minimality_suite(monkeypatch):
     assert "verify.minimality" in names
     assert tracer.counts["verify.checks"] == 26841
     assert names.count("greedy.row_update") == 5699
+    assert names.count("greedy.brute_min_row") == 5699

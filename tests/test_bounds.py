@@ -221,6 +221,11 @@ class TestTreeWeightEquivalence:
         with pytest.raises(BadBaseError):
             weights_from_tree(StaticTree.balanced(3), 1.0)
 
+    @pytest.mark.parametrize("base", ["2", None])
+    def test_non_number_base(self, base):
+        with pytest.raises(BadBaseError, match="base must be a number above 1"):
+            weights_from_tree(StaticTree.balanced(3), base)
+
     def test_median_tree_equal_weights(self):
         tree = tree_from_weights(WeightAssignment((1.0,) * 3))
         assert tree.root == 2

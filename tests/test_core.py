@@ -187,7 +187,6 @@ class TestPointSet:
         ps = PointSet([(3, 1), (1, 1), (3, 2)])
         assert ps.row_keys(1) == (1, 3)
         assert ps.times == (1, 2)
-        assert ps.max_key == 3
 
     def test_iteration_is_time_major(self):
         ps = PointSet([(2, 2), (1, 1), (3, 1)])
@@ -200,6 +199,13 @@ class TestPointSet:
             PointSet([(1, 0)])
         with pytest.raises(ValueError, match=re.escape("point (2.9, 1) ")):
             PointSet([(1, 2), (2.9, 1)])
+        # bools, bare numbers and triples are not (key, time) pairs
+        with pytest.raises(ValueError, match=re.escape("point (True, 1) ")):
+            PointSet([(True, 1), (2, 2)])
+        with pytest.raises(ValueError, match="point 5 needs positive integer coordinates"):
+            PointSet([5])
+        with pytest.raises(ValueError, match=re.escape("point (1, 2, 3) ")):
+            PointSet([(1, 2, 3)])
 
 
 def test_cost_report_total():

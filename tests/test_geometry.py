@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -97,7 +99,7 @@ def test_row_sweep_agrees_with_first_violation(pairs):
     # checked and committed row by row, the carried state fails first at
     # the row of the earliest later corner of any empty rectangle
     pset = PointSet(Point(k, t) for k, t in pairs)
-    sweep = RowSweep(max(pset.max_key, 1))
+    sweep = RowSweep(max((k for k, _ in pairs), default=1))
     witness = None
     for t in pset.times:
         witness = sweep.violation(pset.row_keys(t), t)
@@ -123,7 +125,7 @@ def test_degenerate_lines_always_satisfied(fixed, varying):
 def test_minimum_supersets_yields_every_smallest_and_stops():
     base = [Point(1, 1), Point(2, 2)]
     found = [PointSet(base + added)
-             for added in minimum_supersets(base, [Point(2, 1), Point(1, 2)])]
+             for added in minimum_supersets(base, [Point(2, 1), Point(1, 2)], RowSweep(2))]
     assert found == [ps((1, 1), (2, 2), (2, 1)), ps((1, 1), (2, 2), (1, 2))]
 
 
@@ -150,7 +152,7 @@ def test_pruned_search_matches_plain_enumeration():
         free = [Point(k, t) for t in range(1, m + 1) for k in range(1, n + 1)
                 if Point(k, t) not in base and rng.random() < keep]
         expect = _plain_minimum_supersets(base, free)
-        got = [PointSet(base + added) for added in minimum_supersets(base, free)]
+        got = [PointSet(base + added) for added in minimum_supersets(base, free, RowSweep(n))]
         assert got == expect, (base, free)
         if not free:
             continue
@@ -170,7 +172,7 @@ def test_pruned_search_matches_plain_enumeration():
 
 def test_minimum_supersets_needs_time_major_free():
     with pytest.raises(ValueError, match="time-major"):
-        list(minimum_supersets([Point(1, 1)], [Point(1, 3), Point(2, 2)]))
+        list(minimum_supersets([Point(1, 1)], [Point(1, 3), Point(2, 2)], RowSweep(2)))
 
 
 def test_minimum_supersets_rejects_points_the_sweep_covers():
@@ -180,6 +182,15 @@ def test_minimum_supersets_rejects_points_the_sweep_covers():
         list(minimum_supersets([Point(1, 1)], [], sweep))
     with pytest.raises(ValueError):
         list(minimum_supersets([Point(4, 2)], [], sweep))
+    # a far key fails the keyspace check before the search builds anything
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("point (134217728, 2) needs a key in [1, 2]")):
+            next(minimum_supersets([Point(1, 1), Point(2**27, 2)], [Point(1, 2)], RowSweep(2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # The gap rule, on hand-built rows: rows 1.. are committed, and the last row

@@ -60,9 +60,8 @@ class TestGreedyRow:
             (3, [1, 2, 1], 3, {1, 2, 3}),
         ]:
             state = state_after(n, accesses)
-            t = len(accesses) + 1
             assert greedy_row(state, x) == expect
-            assert brute_min_row(state.emitted(), x, t, n) == expect
+            assert brute_min_row(state, x) == expect
 
 
 class TestGreedyExecute:
@@ -174,6 +173,7 @@ def test_search_on_the_state_leaves_it_unchanged():
         others = [Point(k, t) for k in range(1, n + 1) if k != x]
         found = list(minimum_supersets([Point(x, t)], others, state))
         assert [{x, *(p.key for p in f)} for f in found] == [greedy_row(state, x)]
+        assert brute_min_row(state, x) == greedy_row(state, x)
         assert (list(state.rows()), state.per_row_cost, state.last,
                 state.tree.tree, state.time) == before
 
@@ -234,14 +234,16 @@ def test_minimality_suite_names_the_first_wrong_prefix(monkeypatch):
 
 
 def test_minimality_suite_reports_a_second_minimum(monkeypatch):
-    search = verify.minimum_supersets
+    search = greedy.minimum_supersets
 
-    def twice(base, free, sweep=None):
+    def twice(base, free, sweep):
         first = next(search(base, free, sweep))
         yield first
         yield first
 
-    monkeypatch.setattr(verify, "minimum_supersets", twice)
+    monkeypatch.setattr(greedy, "minimum_supersets", twice)
+    with pytest.raises(ValueError, match="row 1 has two minimum completions containing 1"):
+        brute_min_row(GreedyState(1), 1)
     report = verify.run_suite("minimality")
     assert not report.passed
     assert report.details == ["non-unique minimal row at t=1 of (1,)"]
@@ -286,26 +288,25 @@ def test_exhaustive_minimality_small():
     for n, m in ((3, 3), (4, 2)):
         for accesses in product(range(1, n + 1), repeat=m):
             state = GreedyState(n)
-            for t, x in enumerate(accesses, start=1):
-                assert greedy_row(state, x) == brute_min_row(state.emitted(), x, t, n)
+            for x in accesses:
+                assert greedy_row(state, x) == brute_min_row(state, x)
                 state.step(x)
 
 
 class TestBruteMinRow:
     def test_needs_the_witness_column(self):
-        assert brute_min_row(PointSet([(1, 1)]), 2, 2, 2) == {1, 2}
+        sweep = RowSweep(2)
+        sweep.commit([1], 1)
+        assert brute_min_row(sweep, 2) == {1, 2}
 
     def test_empty_set(self):
-        assert brute_min_row(PointSet([]), 4, 1, 5) == {4}
+        assert brute_min_row(RowSweep(5), 4) == {4}
 
     def test_three_key_case(self):
-        pset = PointSet([(1, 1), (2, 2), (1, 2)])
-        assert brute_min_row(pset, 3, 3, 3) == {2, 3}
+        # rows {1}, {1, 2}
+        assert brute_min_row(state_after(3, [1, 2]), 3) == {2, 3}
 
-    def test_rejects_unsatisfied_input(self):
-        with pytest.raises(ValueError):
-            brute_min_row(PointSet([(1, 1), (2, 2)]), 1, 3, 2)
-
-    def test_rejects_future_points(self):
-        with pytest.raises(ValueError):
-            brute_min_row(PointSet([(1, 5)]), 1, 3, 2)
+    @pytest.mark.parametrize("x", [0, 4])
+    def test_rejects_keys_outside_the_sweep(self, x):
+        with pytest.raises(KeyOutOfRangeError):
+            brute_min_row(state_after(3, [1, 2]), x)

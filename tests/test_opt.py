@@ -5,7 +5,7 @@ import pytest
 from fingerbound.cli import main
 from fingerbound.core import AccessSequence, Point, PointSet
 from fingerbound.errors import TooLargeError
-from fingerbound.geometry import is_arborally_satisfied, minimum_supersets
+from fingerbound.geometry import RowSweep, is_arborally_satisfied, minimum_supersets
 from fingerbound.greedy import greedy_execute
 from fingerbound.opt import opt_satisfied_superset
 
@@ -86,6 +86,6 @@ def test_search_answers_build_no_point_sets(monkeypatch):
     built = count_pointsets(monkeypatch)
     base = [Point(k, t) for t, k in enumerate((1, 4, 2, 3), start=1)]
     free = [Point(k, t) for t in range(1, 5) for k in range(1, 5) if Point(k, t) not in base]
-    answers = list(minimum_supersets(base, free))
+    answers = list(minimum_supersets(base, free, RowSweep(4)))
     assert answers and built == []
     assert all(set(added) <= set(free) for added in answers)
