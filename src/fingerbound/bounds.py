@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -248,8 +249,10 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
 
 
 def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:
-    """w_i = base^(-depth_i): deeper keys get geometrically lighter."""
-    if not isinstance(base, (int, float)) or not base > 1.0:
+    """w_i = base^(-depth_i): deeper keys get geometrically lighter. The base
+    must be a finite number above 1, which an int too large for a float is
+    not."""
+    if not isinstance(base, (int, float)) or not 1.0 < base <= sys.float_info.max:
         raise BadBaseError(f"base must be a number above 1, got {base!r}")
     return WeightAssignment(tuple(base ** -tree.depth[k] for k in range(1, tree.n + 1)))
 

@@ -2,7 +2,8 @@
 
 Keys are dense integers 1..n. Arbitrary ordered key types are expected to be
 mapped to ranks before they reach this layer; everything downstream depends
-only on key order.
+only on key order. `rank_keys` is the one map from keys to the ranks among
+those present, for the structures that need only the keys in use.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -24,8 +25,10 @@ from .errors import (
 
 Key = int
 
-# The largest keyspace for a structure that holds an entry per key. A greedy
-# sweep takes 24 bytes a key, so n = 2^26 needs 1.5 GiB.
+# The largest keyspace for a structure that holds an entry per key. A row
+# sweep (`geometry.RowSweep`, so a direct `greedy.GreedyState(n)`) takes 24
+# bytes a key, so n = 2^26 needs 1.5 GiB. `greedy.greedy_sweep` and
+# `geometry.first_violation` size theirs by the distinct keys instead.
 MAX_BUILT_N = 2 ** 26
 
 
@@ -56,6 +59,14 @@ def check_key(k: Key, n: int) -> None:
             raise KeyOutOfRangeError(f"key {k!r} is not an integer") from None
     if not 1 <= k <= n:
         raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
+
+
+def rank_keys(keys: Sequence[Key]) -> tuple[list[Key], list[int]]:
+    """The sorted distinct values of `keys`, and the 1-based rank of each
+    entry of `keys` among them: one dict built once, read by one `map`."""
+    distinct = sorted(set(keys))
+    rank = dict(zip(distinct, count(1)))
+    return distinct, list(map(rank.__getitem__, keys))
 
 
 def first_bad(column: Sequence, accept: Callable[[Sequence], object]) -> int | None:

@@ -44,9 +44,10 @@ caller reads the added keys directly and builds no point set.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
-from .core import Key, Point, PointSet, check_built_size
+from .core import Key, Point, PointSet, check_built_size, rank_keys
 from .segtree import MaxSegTree
 
 
@@ -135,10 +136,12 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
         return None
     # satisfaction depends only on key order: sweep the ranks of the set's
     # keys, so the sweep's size is the number of distinct keys
-    keys = sorted({k for k, _ in pset.points})
-    rank = {k: r for r, k in enumerate(keys, start=1)}
-    bad = RowSweep(len(keys)).sweep((t, [rank[k] for k in pset.row_keys(t)])
-                                    for t in pset.times)
+    times = pset.times
+    rows = list(map(pset.row_keys, times))
+    keys, ranks = rank_keys(list(chain.from_iterable(rows)))
+    lengths = list(map(len, rows))
+    bad = RowSweep(len(keys)).sweep((t, ranks[end - c:end])
+                                    for t, c, end in zip(times, lengths, accumulate(lengths)))
     return bad and tuple(Point(keys[r - 1], t) for r, t in bad)
 
 

@@ -19,10 +19,14 @@ The sweep state is the satisfaction checker's: `GreedyState` is a
 `geometry.RowSweep` (last-touch time per key plus a max segment tree over
 them) that commits each emitted row and keeps a log of the rows.
 
-`greedy_row` walks the staircase through a max segment tree, searching
-outward from each touched key: O(log gap) per touched key, gap keys past
-the previous one, O(log n) at worst. `greedy_row_reference` is a plain O(n)
-prefix-maximum scan kept for differential testing, and `brute_min_row` is
+`greedy_sweep`, behind every greedy run, steps that state over the ranks of
+the accessed keys (`core.rank_keys`), not over the keys 1..n, so its memory
+grows with the d distinct keys accessed and not with n. `greedy_row` walks
+the staircase through a max segment tree, searching outward from each
+touched key: O(log gap) per touched key, gap ranks past the previous one,
+O(log d) at worst (on a `GreedyState(n)` stepped on the keys themselves,
+gap keys and O(log n)). `greedy_row_reference` is a plain O(n) prefix-maximum
+scan kept for differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances: x plus the
 keys that the first answer of `geometry.minimum_supersets` adds from the
 row's other keys, searched on top of the caller's sweep over the earlier
@@ -34,7 +38,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterator
 
-from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key
+from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key, rank_keys
 from .geometry import RowSweep, minimum_supersets
 
 
@@ -138,10 +142,28 @@ def greedy_row_reference(state: GreedyState, x: Key) -> set[Key]:
 
 
 def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
-    """Run the full sweep and return its final state."""
-    state = GreedyState(seq.n, track_points)
-    for x in seq:
-        state.step(x)
+    """Run the full sweep and return its final state.
+
+    The sweep runs on the ranks 1..d of the d distinct accessed keys, and
+    its rows are those of the keys themselves, rank for key. A key never
+    accessed keeps last-touch time 0, while every staircase threshold is a
+    last-touch time, so at least 0, that a key must beat with a strict `>`:
+    such a key is never touched and never blocks a key beyond it, so
+    leaving it out changes no row. The staircase rule reads nothing else of
+    the keys but their order, which the ranks keep.
+
+    Its costs are those of `GreedyState(seq.n)` stepped on the keys, and its
+    `rows()`, `points()` and `emitted()` report the keys, mapped back from
+    the ranks by one `map` over the flat log. Its sweep (`n`, `last`, `tree`)
+    stays over the ranks, so it is not stepped further.
+    """
+    keys, ranks = rank_keys(seq.accesses)
+    state = GreedyState(len(keys), track_points)
+    for r in ranks:
+        state.step(r)
+    if track_points:
+        key_of = [0, *keys]  # rank r is key key_of[r]
+        state._log = list(map(key_of.__getitem__, state._log))
     return state
 
 

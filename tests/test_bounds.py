@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,10 +222,16 @@ class TestTreeWeightEquivalence:
         with pytest.raises(BadBaseError):
             weights_from_tree(StaticTree.balanced(3), 1.0)
 
-    @pytest.mark.parametrize("base", ["2", None])
+    # a base past the float range is rejected before any power is taken
+    @pytest.mark.parametrize("base", ["2", None, pytest.param(10**400, id="10**400"),
+                                      math.inf, math.nan])
     def test_non_number_base(self, base):
-        with pytest.raises(BadBaseError, match="base must be a number above 1"):
+        with pytest.raises(BadBaseError, match="^base must be a number above 1, got "):
             weights_from_tree(StaticTree.balanced(3), base)
+
+    @pytest.mark.parametrize("base", [pytest.param(10**308, id="10**308"), sys.float_info.max])
+    def test_finite_base_near_the_float_range(self, base):
+        assert weights_from_tree(StaticTree.balanced(1), base).weights == (1.0,)
 
     def test_median_tree_equal_weights(self):
         tree = tree_from_weights(WeightAssignment((1.0,) * 3))

@@ -390,7 +390,6 @@ class TestInputRange:
                        "rescale them\n")
 
     @pytest.mark.parametrize("argv", [
-        ("run", "--algo", "greedy", "--trace"),
         ("run", "--algo", "splay", "--initial", "left_spine", "--trace"),
         ("gen", "--workload", "zipf_finger", "--m", "2", "--theta", "1.5", "--n"),
     ])
@@ -400,10 +399,34 @@ class TestInputRange:
         trace = tmp_path / "t.txt"
         trace.write_text(f"{n} 2\n1\n2\n")
         code, out, err = run_cli(capsys, *argv, str(n if argv[0] == "gen" else trace))
-        what = ("a left_spine splay tree" if "--initial" in argv
-                else "zipf_finger" if argv[0] == "gen" else "a row sweep")
+        what = "zipf_finger" if argv[0] == "gen" else "a left_spine splay tree"
         assert code == 2 and out == ""
         assert err == f"error: {what} is guarded to n <= {MAX_BUILT_N}, got n={n}\n"
+
+    @pytest.mark.parametrize("points", [False, True])
+    @pytest.mark.parametrize("keys", [(1, 2), (1, 10**20, 7, 10**20, 5 * 10**19, 1, 7)])
+    def test_huge_keyspace_greedy_runs_on_ranks(self, capsys, tmp_path, keys, points):
+        # greedy's sweep is sized by the distinct keys: its costs and points
+        # are those of the same trace relabelled to 1..d, keys for ranks
+        used = sorted(set(keys))
+        runs = []
+        for n, trace_keys in ((10**20, keys), (len(used), [used.index(k) + 1 for k in keys])):
+            trace = tmp_path / f"t{n}.txt"
+            trace.write_text(f"{n} {len(keys)}\n" + "".join(f"{k}\n" for k in trace_keys))
+            pts = tmp_path / f"p{n}.csv"
+            argv = ("run", "--algo", "greedy", "--trace", str(trace))
+            code, out, _ = run_cli(capsys, *argv, *(("--points", str(pts)) if points else ()))
+            assert code == 0
+            rows = [r.split(",") for r in out.splitlines()[1:]]
+            assert [int(r[1]) for r in rows] == list(trace_keys)
+            runs.append(([r[2] for r in rows],
+                         pts.read_text().splitlines() if points else None))
+        (costs, point_rows), (rank_costs, rank_point_rows) = runs
+        assert costs == rank_costs
+        if points:
+            assert point_rows[0] == rank_point_rows[0] == "time,key"
+            assert point_rows[1:] == [f"{t},{used[int(r) - 1]}" for t, r in
+                                      (line.split(",") for line in rank_point_rows[1:])]
 
     @pytest.mark.parametrize("argv", [("run", "--algo", "splay"), ("bound",),
                                       ("bound", "--start", "root")])

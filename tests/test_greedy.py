@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -310,3 +311,36 @@ class TestBruteMinRow:
     def test_rejects_keys_outside_the_sweep(self, x):
         with pytest.raises(KeyOutOfRangeError):
             brute_min_row(state_after(3, [1, 2]), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sweep_on_sparse_keys_is_greedy_on_their_ranks(data):
+    # a few distinct keys spread over a keyspace of up to 2^40 keys
+    n = data.draw(st.one_of(st.integers(1, 64), st.integers(65, 2**40)))
+    keys = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=8)))
+    accesses = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=40))
+    seq = AccessSequence(n, tuple(accesses))
+    state = greedy_sweep(seq)
+    used = sorted(set(accesses))
+    on_ranks = state_after(len(used), [used.index(x) + 1 for x in accesses])
+    rows = [(t, [used[r - 1] for r in row]) for t, row in on_ranks.rows()]
+    assert state.per_row_cost == on_ranks.per_row_cost
+    assert greedy_cost(seq).per_access == tuple(on_ranks.per_row_cost)
+    assert list(state.rows()) == rows
+    if n <= 64:
+        on_keys = state_after(n, accesses)
+        assert on_keys.per_row_cost == state.per_row_cost
+        assert list(on_keys.rows()) == rows
+
+
+def test_sweep_memory_grows_with_distinct_keys():
+    # 200 accesses over 2^20 keys; a sweep over every key holds about 24 MB
+    seq = generate(WorkloadSpec("uniform", 2**20, 200, seed=3))
+    tracemalloc.start()
+    try:
+        greedy_cost(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
