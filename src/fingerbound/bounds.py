@@ -150,9 +150,10 @@ class StaticTree:
 
 def shape_rule(shape: str) -> Callable[[int, int], int]:
     """The root-of-interval rule of a named shape, one of `INITIAL_SHAPES`."""
-    if shape not in SHAPE_ROOTS:
-        raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {shape!r}")
-    return SHAPE_ROOTS[shape]
+    try:
+        return SHAPE_ROOTS[shape]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"initial shape must be one of {INITIAL_SHAPES}, got {shape!r}") from None
 
 
 def shape_children(n: int, root_of: Callable[[int, int], int]) -> tuple[int, list[int], list[int]]:
@@ -250,11 +251,15 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
 
 def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:
     """w_i = base^(-depth_i): deeper keys get geometrically lighter. The base
-    must be a finite number above 1, which an int too large for a float is
-    not."""
+    must be a float-sized number above 1, small enough that no weight
+    underflows or vanishes in the prefix sums; else `BadBaseError`."""
     if not isinstance(base, (int, float)) or not 1.0 < base <= sys.float_info.max:
         raise BadBaseError(f"base must be a number above 1, got {base!r}")
-    return WeightAssignment(tuple(base ** -tree.depth[k] for k in range(1, tree.n + 1)))
+    try:
+        return WeightAssignment(tuple(base ** -tree.depth[k] for k in range(1, tree.n + 1)))
+    except ValueError as exc:  # a weight underflowed, or vanished in the prefix sums
+        raise BadBaseError(
+            f"base {base:g} is too large for a tree of depth {max(tree.depth)}: {exc}") from exc
 
 
 def tree_from_weights(w: WeightAssignment) -> StaticTree:

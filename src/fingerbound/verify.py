@@ -23,15 +23,20 @@ exercise every library invariant:
 
 The suites are built from check routines that raise `CheckFailure` naming
 the first counterexample and return how many instances they checked; the
-random ones take their seeded generator. Five of them are also the
-acceptance criteria in tests/test_acceptance.py, which call them (with their
-own seeds where a generator is taken) and pin the returned counts:
+random ones take their seeded generator, and each fixes its own sizes. Each
+is also the one copy of its check in the tests, which call it (with their
+own seeds) and pin the returned count; test_c* is in tests/test_acceptance.py:
 
     check_greedy_satisfied   satisfaction suite; test_c01_satisfaction
     check_greedy_minimality  minimality suite;   test_c02_greedy_minimality
     check_opt_dominance      opt suite;          test_c03_opt_dominance
     check_depth_bound        depth suite;        test_c09_tree_depth_bound
     check_bound_terms        depth suite;        test_c04_bound_calculator
+    check_bound_invariants   depth suite;        test_c04_bound_calculator
+    check_best_static        depth suite;        tests/test_bounds.py
+    check_roundtrip          roundtrip suite;    test_c11_reproducibility
+    check_locality           roundtrip suite;    tests/test_workloads.py
+    check_splay_invariants   differential suite; test_c10_splay_baseline
 
 `check_greedy_satisfied` checks greedy's rows on greedy's own sweep: each
 row is checked against the last-touch state greedy holds just before
@@ -42,8 +47,10 @@ that verdict against a fresh `RowSweep` replay of the logged rows.
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 from typing import Sequence
 
 from .core import AccessSequence, Key, Point, PointSet, WeightAssignment
@@ -90,7 +97,7 @@ class CheckFailure(Exception):
 def run_suite(suite: str, seed: int = 1) -> SuiteReport:
     try:
         fn = _SUITE_FNS[suite]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}") from None
     checked, lines = 0, []
     try:
@@ -314,42 +321,44 @@ def check_bound_terms(rng: Splitmix64) -> int:
     return 1000
 
 
-def _suite_depth(seed: int, lines: list[str]) -> int:
-    rng = Splitmix64(seed)
-    checked = check_depth_bound(rng)
-    lines.append(f"{checked} weight vectors respected the depth bound")
-    terms = check_bound_terms(rng)
-    lines.append(f"{terms} sequences' bound terms matched naive re-evaluation")
-    # bound calculator: scale invariance, symmetry, range weights, equal weights
-    rechecks = 0
-    for _ in range(300):
-        n = rng.below(96) + 1
-        m = rng.below(48) + 1
-        w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
-        report = weighted_df_bound(seq, w)
-        scaled = weighted_df_bound(seq, w.scaled(1000.0))
-        for x, y in zip(report.per_access, scaled.per_access):
-            if abs(x - y) > 1e-9 * max(1.0, abs(x)):
-                raise CheckFailure(f"scale invariance broke on {seq.accesses}")
-        a = rng.below(n) + 1
-        b = rng.below(n) + 1
+def check_bound_invariants(rng: Splitmix64) -> int:
+    """On 1000 random sequences (n <= 256, m <= 64, weights in [0.25, 2]):
+    scaling every weight by 1000, 0.001 or 3.7 moves no term by more than
+    1e-9 (relative, above 1); a random term is symmetric and its range
+    weight within relative 1e-12 of an `fsum`; with equal weights the bound
+    is 1, then 1 + log2(|delta| + 1), and from either start it equals the
+    bound on n weights of 1, bit for bit."""
+    for _ in range(1000):
+        seq = _random_sequence(rng, 256, 64)
+        w = WeightAssignment(tuple(0.25 + 1.75 * rng.unit() for _ in range(seq.n)))
+        terms = weighted_df_bound(seq, w).per_access
+        for alpha in (1000.0, 0.001, 3.7):
+            scaled = weighted_df_bound(seq, w.scaled(alpha)).per_access
+            if any(abs(x - y) > 1e-9 * max(1.0, abs(x)) for x, y in zip(terms, scaled)):
+                raise CheckFailure(f"scaling by {alpha} moved a term on {seq.accesses}")
+        a = rng.below(seq.n) + 1
+        b = rng.below(seq.n) + 1
         if wdf_term(w, a, b) != wdf_term(w, b, a):
             raise CheckFailure(f"term asymmetry at ({a},{b})")
         naive_rw = math.fsum(w.weights[min(a, b) - 1:max(a, b)])
         if abs(w.range_weight(a, b) - naive_rw) > 1e-12 * naive_rw:
             raise CheckFailure(f"range weight mismatch at ({a},{b})")
-        # the closed form against the prefix sums of n ones, bit for bit
-        ones = WeightAssignment((1.0,) * n)
-        if (dynamic_finger_bound(seq) != weighted_df_bound(seq, ones)
+        closed = (1.0, *(1.0 + math.log2(abs(y - x) + 1)
+                         for x, y in zip(seq.accesses, seq.accesses[1:])))
+        ones = WeightAssignment((1.0,) * seq.n)
+        equal = dynamic_finger_bound(seq)
+        if (equal.per_access != closed or equal != weighted_df_bound(seq, ones)
                 or weighted_df_bound(seq, None, START_ROOT)
                 != weighted_df_bound(seq, ones, START_ROOT)):
             raise CheckFailure(f"equal-weights specialization differs on {seq.accesses}")
-        rechecks += 1
-    lines.append(f"{rechecks} sequences held scaling, symmetry and equal weights")
-    # static trees: enumerated optimum agrees with direct recomputation
-    agree = 0
-    for _ in range(8):
+    return 1000
+
+
+def check_best_static(rng: Splitmix64) -> int:
+    """On 10 random sequences (n <= 6, m <= 24) the best static finger
+    tree's total is its recomputed cost, no enumerated tree costs less, and
+    its weights at base 2 are 2^-depth."""
+    for _ in range(10):
         seq = _random_sequence(rng, 6, 24)
         tree, total = best_static_finger_cost(seq)
         if static_finger_cost(tree, seq).total != total:
@@ -358,76 +367,114 @@ def _suite_depth(seed: int, lines: list[str]) -> int:
             if static_finger_cost(other, seq).total < total:
                 raise CheckFailure(f"best-static not optimal on {seq.accesses}")
         w2 = weights_from_tree(tree, 2.0)
-        for k in range(1, seq.n + 1):
-            if abs(w2.weight(k) - 2.0 ** -tree.depth[k]) > 0.0:
-                raise CheckFailure("weights_from_tree disagrees with depths")
-        agree += 1
-    lines.append(f"{agree} exhaustive static-tree optimizations cross-checked")
-    return checked + terms + rechecks + agree
+        if list(w2.weights) != [2.0 ** -tree.depth[k] for k in range(1, seq.n + 1)]:
+            raise CheckFailure("weights_from_tree disagrees with depths")
+    return 10
+
+
+def _suite_depth(seed: int, lines: list[str]) -> int:
+    rng = Splitmix64(seed)
+    checked = check_depth_bound(rng)
+    lines.append(f"{checked} weight vectors respected the depth bound")
+    terms = check_bound_terms(rng)
+    lines.append(f"{terms} sequences' bound terms matched naive re-evaluation")
+    rechecks = check_bound_invariants(rng)
+    lines.append(f"{rechecks} sequences held scaling, symmetry and equal weights")
+    trees = check_best_static(rng)
+    lines.append(f"{trees} exhaustive static-tree optimizations cross-checked")
+    return checked + terms + rechecks + trees
+
+
+def check_roundtrip(rng: Splitmix64) -> int:
+    """Ten fixed generator specs give the same trace when run again, with
+    every key in [1, n]; each of those traces and 50 random ones (n, m <= 64)
+    reads back equal to what was written, and writing the read-back again
+    gives the same bytes. Returns the number of traces."""
+    specs = (WorkloadSpec("sequential", 16, 40), WorkloadSpec("bit_reversal", 16, 16),
+             WorkloadSpec("bit_reversal", 64, 64), WorkloadSpec("uniform", 64, 100, seed=7),
+             WorkloadSpec("uniform", 64, 200, seed=7), WorkloadSpec("walk", 100, 200, seed=3, d=4),
+             WorkloadSpec("walk", 512, 300, seed=8, d=16),
+             WorkloadSpec("zipf_finger", 128, 150, seed=9, theta=2.0),
+             WorkloadSpec("zipf_finger", 256, 200, seed=9, theta=2.2),
+             WorkloadSpec("zipf_finger", 256, 500, seed=123, theta=2.5))
+    traces = [(seq.accesses, seq) for seq in (_random_sequence(rng, 64, 64) for _ in range(50))]
+    for spec in specs:
+        a = generate(spec)
+        if a != generate(spec):
+            raise CheckFailure(f"non-deterministic generator: {spec}")
+        if any(not 1 <= k <= a.n for k in a):
+            raise CheckFailure(f"key out of range: {spec}")
+        traces.append((spec, a))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.txt"
+        for label, seq in traces:
+            write_trace(seq, path)
+            blob = path.read_bytes()
+            back = read_trace(path)
+            write_trace(back, path)
+            if back != seq or path.read_bytes() != blob:
+                raise CheckFailure(f"trace does not round-trip byte for byte: {label}")
+    return len(traces)
+
+
+def check_locality(seed: int) -> tuple[int, float, float]:
+    """From the seed, a walk (d = 8) and a zipf_finger trace (theta = 2.5),
+    each of 10^5 accesses over 2^12 keys: no walk step exceeds d and the
+    mean walk step is in (0, d]; the mean zipf step is in (0, 10). Returns
+    the number of traces and the two mean steps."""
+    def steps(spec: WorkloadSpec) -> list[int]:
+        keys = generate(spec).accesses
+        return [abs(a - b) for a, b in zip(keys, keys[1:])]
+
+    d = 8
+    walk = steps(WorkloadSpec("walk", 2 ** 12, 10 ** 5, seed=seed, d=d))
+    walk_mean = sum(walk) / len(walk)
+    if max(walk) > d or not 0 < walk_mean <= d:
+        raise CheckFailure("walk locality out of range")
+    zipf = steps(WorkloadSpec("zipf_finger", 2 ** 12, 10 ** 5, seed=seed, theta=2.5))
+    zipf_mean = sum(zipf) / len(zipf)
+    if not 0 < zipf_mean < 10.0:
+        raise CheckFailure(f"zipf mean step {zipf_mean} implausible for theta=2.5")
+    return 2, walk_mean, zipf_mean
 
 
 def _suite_roundtrip(seed: int, lines: list[str]) -> int:
-    import tempfile
-    from pathlib import Path
-
-    rng = Splitmix64(seed)
-    checked = 0
-    specs = [
-        WorkloadSpec("sequential", 16, 40),
-        WorkloadSpec("uniform", 64, 100, seed=7),
-        WorkloadSpec("walk", 100, 200, seed=3, d=4),
-        WorkloadSpec("zipf_finger", 128, 150, seed=9, theta=2.0),
-        WorkloadSpec("bit_reversal", 16, 16),
-    ]
-    with tempfile.TemporaryDirectory() as tmp:
-        for spec in specs:
-            a = generate(spec)
-            if a != generate(spec):
-                raise CheckFailure(f"non-deterministic generator: {spec}")
-            if any(not 1 <= k <= a.n for k in a):
-                raise CheckFailure(f"key out of range: {spec}")
-            path = Path(tmp) / "trace.txt"
-            write_trace(a, path)
-            if read_trace(path) != a:
-                raise CheckFailure(f"round-trip mismatch: {spec}")
-            blob = path.read_bytes()
-            write_trace(read_trace(path), path)
-            if path.read_bytes() != blob:
-                raise CheckFailure(f"round-trip bytes differ: {spec}")
-            checked += 1
-        for _ in range(50):
-            seq = _random_sequence(rng, 64, 64)
-            path = Path(tmp) / "rt.txt"
-            write_trace(seq, path)
-            if read_trace(path) != seq:
-                raise CheckFailure(f"round-trip mismatch on {seq.accesses}")
-            checked += 1
+    checked = check_roundtrip(Splitmix64(seed))
     lines.append(f"{checked} traces round-tripped byte-identically")
-    d = 8
-    walk = generate(WorkloadSpec("walk", 2 ** 12, 10 ** 5, seed=seed, d=d))
-    steps = [abs(a - b) for a, b in zip(walk.accesses, walk.accesses[1:])]
-    if max(steps) > d or not 0 < sum(steps) / len(steps) <= d:
-        raise CheckFailure("walk locality out of range")
-    zipf = generate(WorkloadSpec("zipf_finger", 2 ** 12, 10 ** 5, seed=seed, theta=2.5))
-    zsteps = [abs(a - b) for a, b in zip(zipf.accesses, zipf.accesses[1:])]
-    zmean = sum(zsteps) / len(zsteps)
-    if not 0 < zmean < 10.0:
-        raise CheckFailure(f"zipf mean step {zmean} implausible for theta=2.5")
-    lines.append(f"walk mean step {sum(steps)/len(steps):.3f} <= d={d}; "
-                 f"zipf mean step {zmean:.3f} finite")
-    return checked + 2
+    traces, walk_mean, zipf_mean = check_locality(seed)
+    lines.append(f"walk mean step {walk_mean:.3f} <= d=8; zipf mean step {zipf_mean:.3f} finite")
+    return checked + traces
+
+
+def check_splay_invariants(rng: Splitmix64) -> int:
+    """500 splay trees (n <= 128, initial shape drawn at random) hold their
+    keys in order before and after each of up to 256 random accesses, and
+    each access leaves the accessed key at the root after cost - 1
+    rotations."""
+    for _ in range(500):
+        seq = _random_sequence(rng, 128, 256)
+        n = seq.n
+        tree = SplayTree(n, INITIAL_SHAPES[rng.below(3)])
+        expect = list(range(1, n + 1))
+        if tree.in_order() != expect:
+            raise CheckFailure(f"initial tree out of order, n={n}")
+        for x in seq:
+            before = tree.rotations
+            cost = tree.access(x)
+            if tree.rotations - before != cost - 1:
+                raise CheckFailure(f"rotations != cost - 1 at key {x}, n={n}")
+            if tree.root.key != x or tree.in_order() != expect:
+                raise CheckFailure(f"in-order broke at key {x}, n={n}")
+    return 500
 
 
 def _suite_differential(seed: int, lines: list[str]) -> int:
     rng = Splitmix64(seed)
-    checked = 0
     for _ in range(300):
         seq = _random_sequence(rng, 48, 96)
         state = GreedyState(seq.n)
         for x in seq:
-            fast = greedy_row(state, x)
-            ref = greedy_row_reference(state, x)
-            if fast != ref:
+            if greedy_row(state, x) != greedy_row_reference(state, x):
                 raise CheckFailure(f"greedy row mismatch at key {x} on {seq.accesses}")
             state.step(x)
         # equal rows have equal lengths, so equal costs too
@@ -437,34 +484,16 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
         t = rng.below(seq.m) + 1
         if list(greedy_sweep(seq.prefix(t)).rows()) != rows[:t]:
             raise CheckFailure(f"prefix rows differ at t={t} on {seq.accesses}")
-        checked += 1
-    lines.append(f"{checked} greedy runs: fast path = scan, online and deterministic")
-    splay_runs = 0
-    for i in range(500):
+    lines.append("300 greedy runs: fast path = scan, online and deterministic")
+    for _ in range(500):
         seq = _random_sequence(rng, 128, 1024)
         initial = INITIAL_SHAPES[rng.below(3)]
-        a = run_splay(seq, initial)
-        b = run_splay_reference(seq, initial)
-        if a.per_access != b.per_access:
+        if run_splay(seq, initial).per_access != run_splay_reference(seq, initial).per_access:
             raise CheckFailure(f"splay cost mismatch (initial={initial}) on n={seq.n}, m={seq.m}")
-        splay_runs += 1
-    lines.append(f"{splay_runs} splay runs agreed with the parent-free reference")
-    inorder_runs = 0
-    for _ in range(60):
-        n = rng.below(64) + 1
-        tree = SplayTree(n, INITIAL_SHAPES[rng.below(3)])
-        expect = list(range(1, n + 1))
-        for _ in range(40):
-            x = rng.below(n) + 1
-            before = tree.rotations
-            cost = tree.access(x)
-            if tree.rotations - before != cost - 1:
-                raise CheckFailure(f"rotations != cost - 1 at key {x}, n={n}")
-            if tree.root.key != x or tree.in_order() != expect:
-                raise CheckFailure(f"in-order broke at key {x}, n={n}")
-        inorder_runs += 1
-    lines.append(f"{inorder_runs} splay trees kept order and rotation invariants")
-    return checked + splay_runs + inorder_runs
+    lines.append("500 splay runs agreed with the parent-free reference")
+    trees = check_splay_invariants(rng)
+    lines.append(f"{trees} splay trees kept order and rotation invariants")
+    return 300 + 500 + trees
 
 
 _SUITE_FNS = {

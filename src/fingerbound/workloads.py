@@ -56,9 +56,9 @@ class Splitmix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound) via modulo reduction."""
-        if bound < 1:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform-ish integer in [0, bound) by modulo; bound is an int >= 1, not a bool."""
+        if type(bound) is not int or bound < 1:
+            raise ValueError(f"bound must be a positive integer, got {bound!r}")
         return self.next_u64() % bound
 
     def unit(self) -> float:

@@ -23,13 +23,16 @@ from fingerbound.bounds import (
 from fingerbound.greedy import greedy_cost
 from fingerbound.splay import SplayTree, run_splay
 from fingerbound.verify import (
+    check_bound_invariants,
     check_bound_terms,
     check_depth_bound,
     check_greedy_minimality,
     check_greedy_satisfied,
     check_opt_dominance,
+    check_roundtrip,
+    check_splay_invariants,
 )
-from fingerbound.workloads import Splitmix64, WorkloadSpec, generate, read_trace, write_trace
+from fingerbound.workloads import Splitmix64, WorkloadSpec, generate, write_trace
 
 # ---------------------------------------------------------------------------
 # frozen calibration constants (measured once, then pinned)
@@ -72,27 +75,8 @@ def test_c04_bound_calculator():
     rng = Splitmix64(44)
     # naive independent re-evaluation at relative error 1e-12
     assert check_bound_terms(rng) == 1000
-    # scale invariance at 1e-9
-    for _ in range(50):
-        n = rng.below(64) + 1
-        m = rng.below(64) + 1
-        w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
-        base = fb.weighted_df_bound(seq, w)
-        scaled = fb.weighted_df_bound(seq, w.scaled(1000.0))
-        for x, y in zip(base.per_access, scaled.per_access):
-            assert y == pytest.approx(x, rel=1e-9, abs=1e-9)
-    # equal weights reproduce the closed form exactly
-    for _ in range(100):
-        n = rng.below(256) + 1
-        m = rng.below(64) + 1
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
-        got = fb.dynamic_finger_bound(seq).per_access
-        expect = tuple(
-            1.0 if i == 0 else 1.0 + math.log2(abs(seq.accesses[i] - seq.accesses[i - 1]) + 1)
-            for i in range(seq.m)
-        )
-        assert got == expect
+    # scaling at 1e-9, symmetry, range weights, equal weights in closed form
+    assert check_bound_invariants(rng) == 1000
     _ok("c04", "naive re-evaluation at 1e-12, scaling at 1e-9, equal-weights form exact")
 
 
@@ -227,22 +211,11 @@ def test_c09_tree_depth_bound():
 
 
 def test_c10_splay_baseline():
-    rng = Splitmix64(1000)
-    shapes = ("balanced", "left_spine", "right_spine")
-    for _ in range(500):
-        n = rng.below(128) + 1
-        m = rng.below(256) + 1
-        tree = SplayTree(n, shapes[rng.below(3)])
-        expect = list(range(1, n + 1))
-        for _ in range(m):
-            x = rng.below(n) + 1
-            tree.access(x)
-            assert tree.root.key == x
-            assert tree.in_order() == expect
+    assert check_splay_invariants(Splitmix64(1000)) == 500
     n = 4096
     sequential = run_splay(AccessSequence(n, tuple(range(1, n + 1))), "left_spine")
     assert sequential.total <= SPLAY_SEQUENTIAL_CEILING
-    for initial in shapes:
+    for initial in ("balanced", "left_spine", "right_spine"):
         tree = SplayTree(37, initial)
         node, depth = tree.root, 0
         while node.key != 17:
@@ -258,28 +231,15 @@ def test_c11_reproducibility(tmp_path, capsys):
     from fingerbound.cli import main
 
     # generator determinism and byte-identical trace round-trips
-    for spec in (WorkloadSpec("uniform", 64, 200, seed=7),
-                 WorkloadSpec("walk", 512, 300, seed=8, d=16),
-                 WorkloadSpec("zipf_finger", 256, 200, seed=9, theta=2.2),
-                 WorkloadSpec("bit_reversal", 64, 64)):
-        a, b = generate(spec), generate(spec)
-        assert a == b
-        path = tmp_path / "t.txt"
-        write_trace(a, path)
-        assert read_trace(path) == a
-        blob = path.read_bytes()
-        write_trace(read_trace(path), path)
-        assert path.read_bytes() == blob
+    assert check_roundtrip(Splitmix64(1100)) == 60
     # CLI outputs byte-identical across reruns
     trace = tmp_path / "cli.txt"
     write_trace(generate(WorkloadSpec("walk", 64, 120, seed=12, d=4)), trace)
-    outs = []
-    for _ in range(2):
-        assert main(["run", "--trace", str(trace), "--algo", "greedy"]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    for _ in range(2):
-        assert main(["bound", "--trace", str(trace), "--start", "root"]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[2] == outs[3]
+    for argv in (["run", "--trace", str(trace), "--algo", "greedy"],
+                 ["bound", "--trace", str(trace), "--start", "root"]):
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
     _ok("c11", "generators, trace IO, and CLI output byte-identical per seed")

@@ -13,6 +13,7 @@ from fingerbound.cli import _emit, main
 from fingerbound.core import MAX_BUILT_N, AccessSequence, WeightAssignment
 from fingerbound.greedy import greedy_execute
 from fingerbound.splay import run_splay
+from fingerbound.verify import run_suite
 from fingerbound.workloads import WorkloadSpec, generate, read_trace, write_trace
 
 
@@ -554,6 +555,27 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["everything", [1], None, 3])
+    def test_unknown_suite_name_of_any_type(self, suite):
+        with pytest.raises(ValueError, match="^unknown suite "):
+            run_suite(suite)
+
+    # the suites the benchmark runs: their whole output at seed 1, pinned
+    BENCHMARKED_OUTPUT = {
+        "satisfaction": "satisfaction: pass (2310 checks)\n"
+                        "  greedy satisfied on 1494 instances (1000 random + exhaustive n,m <= 4)\n"
+                        "  checker routes agreed on 816 point sets\n",
+        "minimality": "minimality: pass (26841 checks)\n"
+                      "  26841 rows matched the exhaustive oracle (unique minimum each)\n",
+        "opt": "opt: pass (494 checks)\n"
+               "  494 instances; max greedy/opt ratio 1.200000 on (1, 3, 2)\n",
+    }
+
+    @pytest.mark.parametrize("suite", list(BENCHMARKED_OUTPUT))
+    def test_benchmarked_suite_output(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "1")
+        assert (code, out) == (0, self.BENCHMARKED_OUTPUT[suite])
 
 
 def test_no_command_is_usage_error():

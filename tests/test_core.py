@@ -130,20 +130,6 @@ class TestRangeWeight:
             split = w.range_weight(a, b) + w.range_weight(b + 1, c)
             assert whole == pytest.approx(split, rel=1e-12)
 
-    def test_prefix_vs_naive_1000_vectors(self):
-        # weights drawn in a moderate band so prefix subtraction cannot
-        # cancel catastrophically; scaling beyond that is exercised by the
-        # bound's scale-invariance tests
-        rng = Splitmix64(99)
-        for _ in range(1000):
-            n = rng.below(256) + 1
-            w = WeightAssignment(tuple(0.5 + 1.5 * rng.unit() for _ in range(n)))
-            a = rng.below(n) + 1
-            b = rng.below(n) + 1
-            lo, hi = min(a, b), max(a, b)
-            naive = math.fsum(w.weights[lo - 1 : hi])
-            assert w.range_weight(a, b) == pytest.approx(naive, rel=1e-12)
-
 
 class TestWeights:
     def test_rejects_nonpositive(self):
