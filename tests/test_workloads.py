@@ -45,6 +45,12 @@ class TestSplitmix:
             Splitmix64(1).below(bound)
 
 
+@pytest.fixture(scope="module")
+def locality():
+    """check_locality at seed 6, run once for both locality tests."""
+    return check_locality(6)
+
+
 class TestGenerate:
     def test_sequential(self):
         assert generate(WorkloadSpec("sequential", 4, 6)).accesses == (1, 2, 3, 4, 1, 2)
@@ -80,8 +86,11 @@ class TestGenerate:
         assert generate(WorkloadSpec("zipf_finger", 128, 10, seed=9, theta=2.0)).accesses == (
             64, 66, 67, 68, 66, 65, 64, 96, 94, 95)
 
-    def test_locality(self):
-        assert check_locality(6)[0] == 2
+    def test_walk_locality(self, locality):
+        assert 0 < locality[1] <= 8
+
+    def test_zipf_locality_finite_mean(self, locality):
+        assert 0 < locality[2] < 10.0
 
     def test_bad_specs(self):
         with pytest.raises(BadSpecError):
