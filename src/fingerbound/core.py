@@ -61,12 +61,11 @@ def check_key(k: Key, n: int) -> None:
         raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
 
 
-def rank_keys(keys: Sequence[Key]) -> tuple[list[Key], list[int]]:
-    """The sorted distinct values of `keys`, and the 1-based rank of each
-    entry of `keys` among them: one dict built once, read by one `map`."""
+def rank_keys(keys: Iterable[Key]) -> tuple[list[Key], dict[Key, int]]:
+    """The sorted distinct values of `keys`, and the map from each of them
+    to its 1-based rank among them, built once for the caller to read."""
     distinct = sorted(set(keys))
-    rank = dict(zip(distinct, count(1)))
-    return distinct, list(map(rank.__getitem__, keys))
+    return distinct, dict(zip(distinct, count(1)))
 
 
 def first_bad(column: Sequence, accept: Callable[[Sequence], object]) -> int | None:

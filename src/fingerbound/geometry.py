@@ -31,6 +31,8 @@ one row against them (`violation`), then folds the row in (`commit`). The
 sweep is causal, which the exhaustive search below relies on. It is also the
 state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
 row it emits and logs it, so `commit` is the one place last-touch times rise.
+A row's time is above every committed one, so `commit` raises the whole row
+in one `MaxSegTree.raise_all` call.
 
 `minimum_supersets` is the one exhaustive search over point additions: the
 greedy minimum-row oracle (with its uniqueness check) and the exact optimum
@@ -44,7 +46,6 @@ caller reads the added keys directly and builds no point set.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 from .core import Key, Point, PointSet, check_built_size, rank_keys
@@ -53,9 +54,8 @@ from .segtree import MaxSegTree
 
 class RowSweep:
     """Last-touch time of each key 1..n (0 for never) after the committed
-    rows, up to row `time`, with a max segment tree over them (tree leaf j
-    is key j + 1). Rows are sorted key sequences, committed in increasing
-    time."""
+    rows, up to row `time`, with a max segment tree over them (tree leaf k
+    is key k). Rows are sorted key lists, committed in increasing time."""
 
     __slots__ = ("n", "time", "last", "tree")
 
@@ -84,15 +84,15 @@ class RowSweep:
         # from its earlier-touched neighbour (a keyspace end never bounds a
         # rectangle) for the nearest key touched after it; a hit inside the
         # gap spans an empty rectangle with that neighbour's row point, and
-        # no hit means every gap key is witnessed (tree leaf j is key j + 1)
+        # no hit means every gap key is witnessed
         for y in (*row, n + 1):
             if y - prev > 1:
                 if prev and (y > n or last[prev] <= last[y]):
-                    z = tree.leftmost_above(prev, last[prev]) + 1
+                    z = tree.leftmost_above(prev + 1, last[prev])
                     if 0 < z < y:
                         return Point(z, last[z]), Point(prev, t)
                 elif y <= n:
-                    z = tree.rightmost_above(y - 2, last[y]) + 1
+                    z = tree.rightmost_above(y - 1, last[y])
                     if z > prev:
                         return Point(z, last[z]), Point(y, t)
             prev = y
@@ -103,10 +103,9 @@ class RowSweep:
         if t <= self.time:
             raise ValueError(f"row {t} does not follow committed row {self.time}")
         last = self.last
-        tree = self.tree
         for y in row:
             last[y] = t
-            tree.raise_to(y - 1, t)
+        self.tree.raise_all(row, t)
         self.time = t
 
     def sweep(self, rows: Iterable[tuple[int, Sequence[Key]]]) -> tuple[Point, Point] | None:
@@ -136,12 +135,9 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
         return None
     # satisfaction depends only on key order: sweep the ranks of the set's
     # keys, so the sweep's size is the number of distinct keys
-    times = pset.times
-    rows = list(map(pset.row_keys, times))
-    keys, ranks = rank_keys(list(chain.from_iterable(rows)))
-    lengths = list(map(len, rows))
-    bad = RowSweep(len(keys)).sweep((t, ranks[end - c:end])
-                                    for t, c, end in zip(times, lengths, accumulate(lengths)))
+    keys, rank = rank_keys({k for k, _ in pset.points})
+    bad = RowSweep(len(keys)).sweep((t, [rank[k] for k in pset.row_keys(t)])
+                                    for t in pset.times)
     return bad and tuple(Point(keys[r - 1], t) for r, t in bad)
 
 

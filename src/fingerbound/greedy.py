@@ -25,8 +25,10 @@ grows with the d distinct keys accessed and not with n. `greedy_row` walks
 the staircase through a max segment tree, searching outward from each
 touched key: O(log gap) per touched key, gap ranks past the previous one,
 O(log d) at worst (on a `GreedyState(n)` stepped on the keys themselves,
-gap keys and O(log n)). `greedy_row_reference` is a plain O(n) prefix-maximum
-scan kept for differential testing, and `brute_min_row` is
+gap keys and O(log n)). Its row is a sorted list built from the two
+staircases, as is every row in the package, and the sweep raises it once.
+`greedy_row_reference` is a plain O(n) prefix-maximum scan kept for
+differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances: x plus the
 keys that the first answer of `geometry.minimum_supersets` adds from the
 row's other keys, searched on top of the caller's sweep over the earlier
@@ -66,13 +68,12 @@ class GreedyState(RowSweep):
         other.per_row_cost = self.per_row_cost[:]
         return other
 
-    def step(self, x: Key) -> set[Key]:
-        """Process the next access: emit row points and update touch times."""
+    def step(self, x: Key) -> list[Key]:
+        """Process the next access: emit its row's keys and update touch times."""
         row = greedy_row(self, x)
-        ordered = sorted(row)
-        self.commit(ordered, self.time + 1)
+        self.commit(row, self.time + 1)
         if self._log is not None:
-            self._log.extend(ordered)
+            self._log.extend(row)
         self.per_row_cost.append(len(row))
         return row
 
@@ -101,44 +102,40 @@ class GreedyState(RowSweep):
         return CostReport(tuple(self.per_row_cost))
 
 
-def greedy_row(state: GreedyState, x: Key) -> set[Key]:
-    """Touched key set for an access to x, without mutating the state."""
+def greedy_row(state: GreedyState, x: Key) -> list[Key]:
+    """Touched keys for an access to x, sorted, without mutating the state."""
     check_key(x, state.n)
     times = state.last
     tree = state.tree
-    touched = {x}
-    # Left staircase: strict records of last-touch time above x's own; each
-    # search starts next to the last record found (tree leaf j is key j + 1).
-    j = tree.rightmost_above(x - 2, times[x])
-    while j >= 0:
-        touched.add(j + 1)
-        j = tree.rightmost_above(j - 1, times[j + 1])
-    # Right staircase, symmetric.
-    j = tree.leftmost_above(x, times[x])
-    while j >= 0:
-        touched.add(j + 1)
-        j = tree.leftmost_above(j + 1, times[j + 1])
-    return touched
+    # Left staircase, nearest first: strict records of last-touch time above
+    # x's own, each search starting next to the last record found.
+    row = []
+    j = tree.rightmost_above(x - 1, times[x])
+    while j:
+        row.append(j)
+        j = tree.rightmost_above(j - 1, times[j])
+    row.reverse()
+    row.append(x)
+    # Right staircase, symmetric, already in key order.
+    j = tree.leftmost_above(x + 1, times[x])
+    while j:
+        row.append(j)
+        j = tree.leftmost_above(j + 1, times[j])
+    return row
 
 
-def greedy_row_reference(state: GreedyState, x: Key) -> set[Key]:
+def greedy_row_reference(state: GreedyState, x: Key) -> list[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
     check_key(x, state.n)
     times = state.last
-    touched = {x}
-    best = times[x]
-    for y in range(x - 1, 0, -1):
-        t = times[y]
-        if t > best:
-            touched.add(y)
-            best = t
-    best = times[x]
-    for y in range(x + 1, state.n + 1):
-        t = times[y]
-        if t > best:
-            touched.add(y)
-            best = t
-    return touched
+    left, right = [], []
+    for side, keys in ((left, range(x - 1, 0, -1)), (right, range(x + 1, state.n + 1))):
+        best = times[x]
+        for y in keys:
+            if times[y] > best:
+                side.append(y)
+                best = times[y]
+    return [*reversed(left), x, *right]
 
 
 def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
@@ -157,9 +154,9 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
     the ranks by one `map` over the flat log. Its sweep (`n`, `last`, `tree`)
     stays over the ranks, so it is not stepped further.
     """
-    keys, ranks = rank_keys(seq.accesses)
+    keys, rank = rank_keys(seq.accesses)
     state = GreedyState(len(keys), track_points)
-    for r in ranks:
+    for r in map(rank.__getitem__, seq.accesses):
         state.step(r)
     if track_points:
         key_of = [0, *keys]  # rank r is key key_of[r]
@@ -178,8 +175,8 @@ def greedy_cost(seq: AccessSequence) -> CostReport:
     return greedy_sweep(seq, track_points=False).cost_report()
 
 
-def brute_min_row(state: RowSweep, x: Key) -> set[Key]:
-    """Smallest completion of row `state.time + 1` that contains x.
+def brute_min_row(state: RowSweep, x: Key) -> list[Key]:
+    """Smallest completion of row `state.time + 1` that contains x, sorted.
 
     x plus the keys of the first `minimum_supersets` answer over the row's
     other keys, searched on top of `state`, which is not changed. Raises
@@ -192,4 +189,4 @@ def brute_min_row(state: RowSweep, x: Key) -> set[Key]:
     found = list(islice(minimum_supersets([Point(x, t)], others, state), 2))
     if len(found) > 1:
         raise ValueError(f"row {t} has two minimum completions containing {x}")
-    return {x, *(k for k, _ in found[0])}
+    return sorted([x, *(k for k, _ in found[0])])

@@ -46,6 +46,9 @@ class Splitmix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        """seed is any int, not a bool; it is taken modulo 2^64."""
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
@@ -57,13 +60,24 @@ class Splitmix64:
 
     def below(self, bound: int) -> int:
         """Uniform-ish integer in [0, bound) by modulo; bound is an int >= 1, not a bool."""
-        if type(bound) is not int or bound < 1:
-            raise ValueError(f"bound must be a positive integer, got {bound!r}")
-        return self.next_u64() % bound
+        return self.next_u64() % _check_bound(bound)
+
+    def keys(self, n: int, m: int) -> tuple[int, ...]:
+        """m draws of `below(n) + 1`, in order, with n checked once: a
+        uniform trace over the keys 1..n."""
+        _check_bound(n)
+        draw = self.next_u64
+        return tuple([draw() % n + 1 for _ in range(m)])
 
     def unit(self) -> float:
         """Float in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0 ** -53
+
+
+def _check_bound(bound: int) -> int:
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,7 @@ def generate(spec: WorkloadSpec) -> AccessSequence:
         return AccessSequence(n, tuple(_reverse_bits(i, width) + 1 for i in range(n)))
     rng = Splitmix64(spec.seed)
     if spec.kind == "uniform":
-        return AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
+        return AccessSequence(n, rng.keys(n, m))
     if spec.kind == "walk":
         d = spec.d
         out = [(n + 1) // 2]

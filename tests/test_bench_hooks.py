@@ -50,6 +50,26 @@ def test_trace_hooks_record_greedy_spans(tmp_path, monkeypatch):
     assert tracer.counts["greedy.touched_keys"] > 0
 
 
+def test_traced_touched_keys_are_greedys_total_cost(tmp_path, monkeypatch):
+    # every touched key passes through the traced `greedy_row`, so a step
+    # that stopped calling it through the module would zero this layer
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    seq = fb.generate(fb.WorkloadSpec("walk", 300, 400, seed=17, d=9))
+    trace = tmp_path / "trace.txt"
+    fb.write_trace(seq, trace)
+    run.instrument(tracer, [])
+    try:
+        assert main(["run", "--trace", str(trace), "--algo", "greedy",
+                     "--out", str(tmp_path / "cost.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("greedy.row_search") == seq.m
+    assert tracer.counts["greedy.touched_keys"] == sum(fb.greedy_cost(seq).per_access)
+
+
 def test_trace_hooks_record_splay_run(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     run = load_bench_module("run")

@@ -561,6 +561,11 @@ class TestVerify:
         with pytest.raises(ValueError, match="^unknown suite "):
             run_suite(suite)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, None, "2"])
+    def test_suite_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            run_suite("depth", seed)
+
     # the suites the benchmark runs: their whole output at seed 1, pinned
     BENCHMARKED_OUTPUT = {
         "satisfaction": "satisfaction: pass (2310 checks)\n"

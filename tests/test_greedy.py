@@ -29,24 +29,24 @@ def state_after(n, accesses):
 
 class TestGreedyRow:
     def test_staircase_blocks_older_key(self):
-        # 1 touched at t=1, then greedy on 2 touches {1,2}; key 1 now blocks
-        # nothing newer than key 2, so accessing 3 touches {2,3}
+        # 1 touched at t=1, then greedy on 2 touches [1, 2]; key 1 now blocks
+        # nothing newer than key 2, so accessing 3 touches [2, 3]
         state = state_after(3, [1, 2])
-        assert greedy_row(state, 3) == {2, 3}
+        assert greedy_row(state, 3) == [2, 3]
 
     def test_empty_history(self):
         state = GreedyState(5)
-        assert greedy_row(state, 5) == {5}
+        assert greedy_row(state, 5) == [5]
 
     def test_untouched_keys_never_block(self):
         state = state_after(3, [3])
-        assert greedy_row(state, 1) == {1, 3}
+        assert greedy_row(state, 1) == [1, 3]
 
     def test_own_column_dominates(self):
         # after (1, 2, 1) .. at t=3 the rectangle to (2,2) is witnessed by
         # (1,2), so key 2 must not be touched; confirmed by brute_min_row
         state = state_after(2, [1, 2])
-        assert greedy_row(state, 1) == {1}
+        assert greedy_row(state, 1) == [1]
 
     def test_out_of_range(self):
         state = GreedyState(3)
@@ -55,10 +55,10 @@ class TestGreedyRow:
 
     def test_rows_match_brute_force_oracle(self):
         for n, accesses, x, expect in [
-            (2, [1], 2, {1, 2}),
-            (5, [], 4, {4}),
-            (3, [1, 2], 3, {2, 3}),
-            (3, [1, 2, 1], 3, {1, 2, 3}),
+            (2, [1], 2, [1, 2]),
+            (5, [], 4, [4]),
+            (3, [1, 2], 3, [2, 3]),
+            (3, [1, 2, 1], 3, [1, 2, 3]),
         ]:
             state = state_after(n, accesses)
             assert greedy_row(state, x) == expect
@@ -173,7 +173,7 @@ def test_search_on_the_state_leaves_it_unchanged():
         x, t = rng.below(n) + 1, state.time + 1
         others = [Point(k, t) for k in range(1, n + 1) if k != x]
         found = list(minimum_supersets([Point(x, t)], others, state))
-        assert [{x, *(p.key for p in f)} for f in found] == [greedy_row(state, x)]
+        assert [sorted([x, *(p.key for p in f)]) for f in found] == [greedy_row(state, x)]
         assert brute_min_row(state, x) == greedy_row(state, x)
         assert (list(state.rows()), state.per_row_cost, state.last,
                 state.tree.tree, state.time) == before
@@ -224,7 +224,7 @@ def test_minimality_suite_names_the_first_wrong_prefix(monkeypatch):
     def wrong_row(state, x):
         keys = row(state, x)
         if state.n == 3 and state.time == 1 and state.last[2] == 1 and x == 1:
-            keys.add(3)
+            keys.append(3)
         return keys
 
     monkeypatch.setattr(greedy, "greedy_row", wrong_row)
@@ -298,14 +298,14 @@ class TestBruteMinRow:
     def test_needs_the_witness_column(self):
         sweep = RowSweep(2)
         sweep.commit([1], 1)
-        assert brute_min_row(sweep, 2) == {1, 2}
+        assert brute_min_row(sweep, 2) == [1, 2]
 
     def test_empty_set(self):
-        assert brute_min_row(RowSweep(5), 4) == {4}
+        assert brute_min_row(RowSweep(5), 4) == [4]
 
     def test_three_key_case(self):
-        # rows {1}, {1, 2}
-        assert brute_min_row(state_after(3, [1, 2]), 3) == {2, 3}
+        # rows [1], [1, 2]
+        assert brute_min_row(state_after(3, [1, 2]), 3) == [2, 3]
 
     @pytest.mark.parametrize("x", [0, 4])
     def test_rejects_keys_outside_the_sweep(self, x):

@@ -44,6 +44,27 @@ class TestSplitmix:
         with pytest.raises(ValueError, match="^bound must be a positive integer, got "):
             Splitmix64(1).below(bound)
 
+    @pytest.mark.parametrize("n, m", [(1, 0), (1, 6), (7, 0), (7, 500), (2**40, 50)])
+    def test_keys_are_the_below_loop(self, n, m):
+        rng, loop = Splitmix64(12), Splitmix64(12)
+        assert rng.keys(n, m) == tuple(loop.below(n) + 1 for _ in range(m))
+        assert rng.state == loop.state
+
+    @pytest.mark.parametrize("bound", [0, 2.5, True])
+    def test_keys_need_a_positive_int_bound(self, bound):
+        rng = Splitmix64(1)
+        with pytest.raises(ValueError, match="^bound must be a positive integer, got "):
+            rng.keys(bound, 3)
+        assert rng.state == Splitmix64(1).state
+
+    @pytest.mark.parametrize("seed", [1.0, None, "1", True, False])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            Splitmix64(seed)
+
+    def test_seed_is_taken_modulo_2_to_64(self):
+        assert Splitmix64(-1).state == Splitmix64(2**64 - 1).state == 2**64 - 1
+
 
 @pytest.fixture(scope="module")
 def locality():
