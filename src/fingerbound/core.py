@@ -26,8 +26,8 @@ from .errors import (
 Key = int
 
 # The largest keyspace for a structure that holds an entry per key. A row
-# sweep (`geometry.RowSweep`, so a direct `greedy.GreedyState(n)`) takes 24
-# bytes a key, so n = 2^26 needs 1.5 GiB. `greedy.greedy_sweep` and
+# sweep (`geometry.RowSweep`, so a direct `greedy.GreedyState(n)`) takes 16
+# bytes a key, so n = 2^26 needs 1 GiB. `greedy.greedy_sweep` and
 # `geometry.first_violation` size theirs by the distinct keys instead.
 MAX_BUILT_N = 2 ** 26
 

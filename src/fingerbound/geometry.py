@@ -21,9 +21,9 @@ Everything farther out is witnessed by the nearest same-row point, blocked
 gap keys are witnessed by their blockers, and stale column points are
 witnessed by their successors in the same column, so that comparison is the
 only one left. It is the search greedy's staircase walk makes: from the
-earlier-touched neighbour, the nearest key touched after it (`MaxSegTree`'s
-`leftmost_above` or `rightmost_above`), a violation exactly when the hit
-lies inside the gap. The two routes are cross-checked in the test suite.
+earlier-touched neighbour, the nearest key touched after it (`RowSweep`'s
+`right_record` or `left_record`), a violation exactly when the hit lies
+inside the gap. The two routes are cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
@@ -31,8 +31,9 @@ one row against them (`violation`), then folds the row in (`commit`). The
 sweep is causal, which the exhaustive search below relies on. It is also the
 state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
 row it emits and logs it, so `commit` is the one place last-touch times rise.
-A row's time is above every committed one, so `commit` raises the whole row
-in one `MaxSegTree.raise_all` call.
+The times are the leaves of a max segment tree, their one copy; a row's time
+is above every committed one, so `commit` raises each of its leaves and
+climbs only until it meets an ancestor the row has already raised.
 
 `minimum_supersets` is the one exhaustive search over point additions: the
 greedy minimum-row oracle (with its uniqueness check) and the exact optimum
@@ -49,35 +50,87 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .core import Key, Point, PointSet, check_built_size, rank_keys
-from .segtree import MaxSegTree
+from .errors import KeyOutOfRangeError
 
 
 class RowSweep:
     """Last-touch time of each key 1..n (0 for never) after the committed
-    rows, up to row `time`, with a max segment tree over them (tree leaf k
-    is key k). Rows are sorted key lists, committed in increasing time."""
+    rows, up to row `time`, held as the leaves of a heap-ordered max segment
+    tree: key k is node `size + k - 1` of `tree`, each internal node holds
+    the maximum of its subtree, and padding leaves past n stay 0. Rows are
+    sorted key lists, committed in increasing time.
 
-    __slots__ = ("n", "time", "last", "tree")
+    The record searches answer greedy's staircase walk and the gap check:
+    the nearest key on one side of k touched after k. A time at or above
+    the root is an O(1) miss; other searches go outward from k's neighbour,
+    O(log gap) for a hit gap keys away and O(log n) at worst."""
+
+    __slots__ = ("n", "size", "time", "tree")
 
     def __init__(self, n: int):
         check_built_size(n, "a row sweep")
         self.n = n
+        self.size = 1 << (n - 1).bit_length()
         self.time = 0
-        self.last = [0] * (n + 1)
-        self.tree = MaxSegTree(n)
+        self.tree = [0] * (2 * self.size)
 
     def copy(self) -> "RowSweep":
         """An independent sweep of the same type over the same rows."""
         other = object.__new__(type(self))
-        other.n, other.time = self.n, self.time
-        other.last, other.tree = self.last[:], self.tree.copy()
+        other.n, other.size, other.time, other.tree = self.n, self.size, self.time, self.tree[:]
         return other
+
+    def last_touch(self, k: Key) -> int:
+        """Key k's last-touch time, 0 if never touched; k in 1..n."""
+        return self.tree[self.size + k - 1]
+
+    def left_record(self, k: Key) -> Key:
+        """The nearest key left of k touched after k, or 0. From leaf k - 1,
+        a failing node climbs while it is a left child and passes the search
+        to its left neighbour; a hit descends to its nearest leaf."""
+        t = self.tree
+        size = self.size
+        i = size + k - 2
+        thr = t[i + 1]
+        if k == 1 or t[1] <= thr:
+            return 0
+        while t[i] <= thr:
+            if not i & (i - 1):  # leftmost node of its level
+                return 0
+            while not i & 1:
+                i >>= 1
+            i -= 1
+        while i < size:
+            i = 2 * i + 1
+            if t[i] <= thr:
+                i -= 1
+        return i - size + 1
+
+    def right_record(self, k: Key) -> Key:
+        """The nearest key right of k touched after k, or 0; from leaf k + 1."""
+        t = self.tree
+        size = self.size
+        i = size + k
+        thr = t[i - 1]
+        if k == self.n or t[1] <= thr:
+            return 0
+        while t[i] <= thr:
+            if not (i + 1) & i:  # rightmost node of its level
+                return 0
+            while i & 1:
+                i >>= 1
+            i += 1
+        while i < size:
+            i <<= 1
+            if t[i] <= thr:
+                i += 1
+        return i - size + 1
 
     def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
         """A pair spanning an empty rectangle that row t would form with the
         committed rows, earlier point first, or None."""
-        last = self.last
         tree = self.tree
+        base = self.size - 1
         n = self.n
         prev = 0
         # each open gap between neighbouring row keys is searched outward
@@ -87,25 +140,34 @@ class RowSweep:
         # no hit means every gap key is witnessed
         for y in (*row, n + 1):
             if y - prev > 1:
-                if prev and (y > n or last[prev] <= last[y]):
-                    z = tree.leftmost_above(prev + 1, last[prev])
+                if prev and (y > n or tree[base + prev] <= tree[base + y]):
+                    z = self.right_record(prev)
                     if 0 < z < y:
-                        return Point(z, last[z]), Point(prev, t)
+                        return Point(z, tree[base + z]), Point(prev, t)
                 elif y <= n:
-                    z = tree.rightmost_above(y - 1, last[y])
+                    z = self.left_record(y)
                     if z > prev:
-                        return Point(z, last[z]), Point(y, t)
+                        return Point(z, tree[base + z]), Point(y, t)
             prev = y
         return None
 
     def commit(self, row: Sequence[Key], t: int) -> None:
-        """Fold row t in: its keys were last touched at t."""
+        """Fold row t in: its keys were last touched at t. Each leaf is
+        raised to t, and so is each ancestor, up to the first already at t."""
         if t <= self.time:
             raise ValueError(f"row {t} does not follow committed row {self.time}")
-        last = self.last
-        for y in row:
-            last[y] = t
-        self.tree.raise_all(row, t)
+        if row and (row[0] < 1 or row[-1] > self.n):
+            k = row[0] if row[0] < 1 else row[-1]
+            raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}] in row {t}")
+        tree = self.tree
+        base = self.size - 1
+        for i in row:
+            i += base
+            tree[i] = t
+            i >>= 1
+            while i and tree[i] < t:
+                tree[i] = t
+                i >>= 1
         self.time = t
 
     def sweep(self, rows: Iterable[tuple[int, Sequence[Key]]]) -> tuple[Point, Point] | None:

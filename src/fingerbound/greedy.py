@@ -16,13 +16,13 @@ This is exactly the unique minimum completion, which the exhaustive
 Cost of an access = number of points placed on its row.
 
 The sweep state is the satisfaction checker's: `GreedyState` is a
-`geometry.RowSweep` (last-touch time per key plus a max segment tree over
-them) that commits each emitted row and keeps a log of the rows.
+`geometry.RowSweep` (a max segment tree whose leaves are the last-touch
+times) that commits each emitted row and keeps a log of the rows.
 
 `greedy_sweep`, behind every greedy run, steps that state over the ranks of
 the accessed keys (`core.rank_keys`), not over the keys 1..n, so its memory
 grows with the d distinct keys accessed and not with n. `greedy_row` walks
-the staircase through a max segment tree, searching outward from each
+each staircase by `RowSweep`'s record searches, each outward from the last
 touched key: O(log gap) per touched key, gap ranks past the previous one,
 O(log d) at worst (on a `GreedyState(n)` stepped on the keys themselves,
 gap keys and O(log n)). Its row is a sorted list built from the two
@@ -105,36 +105,36 @@ class GreedyState(RowSweep):
 def greedy_row(state: GreedyState, x: Key) -> list[Key]:
     """Touched keys for an access to x, sorted, without mutating the state."""
     check_key(x, state.n)
-    times = state.last
-    tree = state.tree
     # Left staircase, nearest first: strict records of last-touch time above
     # x's own, each search starting next to the last record found.
+    left = state.left_record
     row = []
-    j = tree.rightmost_above(x - 1, times[x])
+    j = left(x)
     while j:
         row.append(j)
-        j = tree.rightmost_above(j - 1, times[j])
+        j = left(j)
     row.reverse()
     row.append(x)
     # Right staircase, symmetric, already in key order.
-    j = tree.leftmost_above(x + 1, times[x])
+    right = state.right_record
+    j = right(x)
     while j:
         row.append(j)
-        j = tree.leftmost_above(j + 1, times[j])
+        j = right(j)
     return row
 
 
 def greedy_row_reference(state: GreedyState, x: Key) -> list[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
     check_key(x, state.n)
-    times = state.last
+    last = state.last_touch
     left, right = [], []
     for side, keys in ((left, range(x - 1, 0, -1)), (right, range(x + 1, state.n + 1))):
-        best = times[x]
+        best = last(x)
         for y in keys:
-            if times[y] > best:
+            if last(y) > best:
                 side.append(y)
-                best = times[y]
+                best = last(y)
     return [*reversed(left), x, *right]
 
 
@@ -151,8 +151,8 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
 
     Its costs are those of `GreedyState(seq.n)` stepped on the keys, and its
     `rows()`, `points()` and `emitted()` report the keys, mapped back from
-    the ranks by one `map` over the flat log. Its sweep (`n`, `last`, `tree`)
-    stays over the ranks, so it is not stepped further.
+    the ranks by one `map` over the flat log. Its sweep (`n`, `tree` and
+    `last_touch`) stays over the ranks, so it is not stepped further.
     """
     keys, rank = rank_keys(seq.accesses)
     state = GreedyState(len(keys), track_points)

@@ -36,6 +36,7 @@ own seeds) and pin the returned count; test_c* is in tests/test_acceptance.py:
     check_best_static        depth suite;        tests/test_bounds.py
     check_roundtrip          roundtrip suite;    test_c11_reproducibility
     check_locality           roundtrip suite;    tests/test_workloads.py
+    check_greedy_fast_path   differential suite; tests/test_greedy.py
     check_splay_invariants   differential suite; test_c10_splay_baseline
 
 `check_greedy_satisfied` checks greedy's rows on greedy's own sweep: each
@@ -467,10 +468,14 @@ def check_splay_invariants(rng: Splitmix64) -> int:
     return 500
 
 
-def _suite_differential(seed: int, lines: list[str]) -> int:
-    rng = Splitmix64(seed)
-    for _ in range(300):
-        seq = _random_sequence(rng, 48, 96)
+def check_greedy_fast_path(rng: Splitmix64) -> int:
+    """Greedy's staircase rows equal the reference scan's at every step of
+    300 random sequences (n <= 48, m <= 96) and of 300 random accesses at
+    each n of 63-65 and 1023-1025, where a record search climbs to the edge
+    of a level; a rerun, and greedy on a random prefix, repeat the rows."""
+    sizes = [None] * 300 + [63, 64, 65, 1023, 1024, 1025]
+    for n in sizes:
+        seq = _random_sequence(rng, 48, 96) if n is None else AccessSequence(n, rng.keys(n, 300))
         state = GreedyState(seq.n)
         for x in seq:
             if greedy_row(state, x) != greedy_row_reference(state, x):
@@ -483,7 +488,13 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
         t = rng.below(seq.m) + 1
         if list(greedy_sweep(seq.prefix(t)).rows()) != rows[:t]:
             raise CheckFailure(f"prefix rows differ at t={t} on {seq.accesses}")
-    lines.append("300 greedy runs: fast path = scan, online and deterministic")
+    return len(sizes)
+
+
+def _suite_differential(seed: int, lines: list[str]) -> int:
+    rng = Splitmix64(seed)
+    runs = check_greedy_fast_path(rng)
+    lines.append(f"{runs} greedy runs: fast path = scan, online and deterministic")
     for _ in range(500):
         seq = _random_sequence(rng, 128, 1024)
         initial = INITIAL_SHAPES[rng.below(3)]
@@ -492,7 +503,7 @@ def _suite_differential(seed: int, lines: list[str]) -> int:
     lines.append("500 splay runs agreed with the parent-free reference")
     trees = check_splay_invariants(rng)
     lines.append(f"{trees} splay trees kept order and rotation invariants")
-    return 300 + 500 + trees
+    return runs + 500 + trees
 
 
 _SUITE_FNS = {

@@ -163,11 +163,11 @@ def test_pruned_search_matches_plain_enumeration():
         if sweep.sweep((t, early.row_keys(t)) for t in early.times) is not None:
             assert expect == []
             continue
-        carried = (sweep.time, sweep.last[:], sweep.tree.tree[:])
+        carried = (sweep.time, sweep.tree[:])
         later = [p for p in base if p.time >= start]
         got = [PointSet(later + added) for added in minimum_supersets(later, free, sweep)]
         assert got == [PointSet(p for p in c if p.time >= start) for c in expect]
-        assert (sweep.time, sweep.last, sweep.tree.tree) == carried
+        assert (sweep.time, sweep.tree) == carried
 
 
 def test_minimum_supersets_needs_time_major_free():
@@ -239,3 +239,15 @@ def test_gap_rule_on_hand_built_rows(n, earlier, row, violated, mirror):
         assert p in pset and q in pset and q.time == t
         assert p.key != q.key and p.time < q.time
         assert (p, q) in unsatisfied_pairs(pset)
+
+
+def test_row_sweep_holds_one_array():
+    # 2^21 tree nodes of 8 bytes each come to 16.8 MB; a second list of the
+    # last-touch times would add 8.4 MB
+    tracemalloc.start()
+    try:
+        RowSweep(2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 10**6

@@ -14,7 +14,6 @@ from fingerbound.greedy import (
     greedy_cost,
     greedy_execute,
     greedy_row,
-    greedy_row_reference,
     greedy_sweep,
 )
 from fingerbound.workloads import Splitmix64, WorkloadSpec, generate
@@ -130,18 +129,8 @@ def test_execution_properties(data):
 
 
 def test_fast_path_matches_reference_scan():
-    rng = Splitmix64(2024)
-    # 150 random small sizes, then sizes either side of a power of two
-    for n in [None] * 150 + [63, 64, 65, 1023, 1024, 1025]:
-        if n is None:
-            n, m = rng.below(48) + 1, rng.below(80) + 1
-        else:
-            m = 300
-        state = GreedyState(n)
-        for _ in range(m):
-            x = rng.below(n) + 1
-            assert greedy_row(state, x) == greedy_row_reference(state, x)
-            state.step(x)
+    # the differential suite's check, on a seed of its own
+    assert verify.check_greedy_fast_path(Splitmix64(2024)) == 306
 
 
 def test_state_is_the_sweep_over_its_rows():
@@ -157,8 +146,7 @@ def test_state_is_the_sweep_over_its_rows():
         for t, row in state.rows():
             sweep.commit(row, t)
         assert state.time == sweep.time == m
-        assert state.last == sweep.last
-        assert state.tree.tree == sweep.tree.tree
+        assert state.tree == sweep.tree
 
 
 def test_search_on_the_state_leaves_it_unchanged():
@@ -168,15 +156,13 @@ def test_search_on_the_state_leaves_it_unchanged():
         state = GreedyState(n)
         for _ in range(rng.below(5)):
             state.step(rng.below(n) + 1)
-        before = (list(state.rows()), state.per_row_cost[:], state.last[:],
-                  state.tree.tree[:], state.time)
+        before = (list(state.rows()), state.per_row_cost[:], state.tree[:], state.time)
         x, t = rng.below(n) + 1, state.time + 1
         others = [Point(k, t) for k in range(1, n + 1) if k != x]
         found = list(minimum_supersets([Point(x, t)], others, state))
         assert [sorted([x, *(p.key for p in f)]) for f in found] == [greedy_row(state, x)]
         assert brute_min_row(state, x) == greedy_row(state, x)
-        assert (list(state.rows()), state.per_row_cost, state.last,
-                state.tree.tree, state.time) == before
+        assert (list(state.rows()), state.per_row_cost, state.tree, state.time) == before
 
 
 @pytest.mark.parametrize("cls", [RowSweep, GreedyState])
@@ -192,11 +178,25 @@ def test_sweep_states_reject_non_integer_keyspace(cls, n):
         cls(n)
 
 
+@pytest.mark.parametrize("cls", [RowSweep, GreedyState])
+@pytest.mark.parametrize("n, row", [(4, [0]), (4, [5]), (5, [2, 7])],
+                         ids=["zero", "n+1", "padding"])
+def test_commit_rejects_keys_outside_the_keyspace(cls, n, row):
+    # key 7 of n = 5 has a padding leaf of the tree, key 5 of n = 4 none
+    state = cls(n)
+    state.commit([1, n], 1)
+    before = (state.time, state.tree[:])
+    bad = row[0] if row[0] < 1 else row[-1]
+    with pytest.raises(KeyOutOfRangeError, match=rf"^key {bad} outside \[1, {n}\] in row 2$"):
+        state.commit(row, 2)
+    assert (state.time, state.tree) == before
+
+
 @pytest.mark.parametrize("track_points", [True, False])
 def test_copy_is_an_independent_greedy_state(track_points):
     def fields(state):
         rows = list(state.rows()) if track_points else None
-        return (state.time, state.last[:], state.tree.tree[:], state.per_row_cost[:], rows)
+        return (state.time, state.tree[:], state.per_row_cost[:], rows)
 
     state = GreedyState(6, track_points)
     for x in (3, 1, 5, 3):
@@ -223,7 +223,7 @@ def test_minimality_suite_names_the_first_wrong_prefix(monkeypatch):
 
     def wrong_row(state, x):
         keys = row(state, x)
-        if state.n == 3 and state.time == 1 and state.last[2] == 1 and x == 1:
+        if state.n == 3 and state.time == 1 and state.last_touch(2) == 1 and x == 1:
             keys.append(3)
         return keys
 

@@ -1,87 +1,78 @@
-"""MaxSegTree queries against brute-force scans of the leaf values.
+"""RowSweep's max segment tree: the record searches and last-touch reads
+against brute-force scans of the last-touch times, and the batched row raise
+against raising one leaf at a time.
 
 Sizes cover every n up to 33 and both sides of 64 and 128, so the padding
-leaves past n - 1 and every climb to the edge of a level are exercised."""
+leaves past n and every climb to the edge of a level are exercised."""
 
 import pytest
 
 from fingerbound.errors import BadKeyspaceError
-from fingerbound.segtree import MaxSegTree
+from fingerbound.geometry import RowSweep
 from fingerbound.workloads import Splitmix64
 
 SIZES = list(range(1, 34)) + [63, 64, 65, 127, 128, 129]
 
 
-def seeded_tree(n, seed):
-    """A tree whose leaves are raised one at a time: leaves only go up, some
-    stay at 0 and many share a value. values[k - 1] is leaf k."""
-    rng = Splitmix64(seed)
-    tree = MaxSegTree(n)
-    values = [0] * n
-    for _ in range(2 * n):
-        k = rng.below(n) + 1
-        values[k - 1] += rng.below(3)
-        tree.raise_all([k], values[k - 1])
-    return tree, values
-
-
-def raise_one(tree, k, v):
-    """The per-leaf raise: set leaf k to v and climb while an ancestor is
-    below v."""
-    t = tree.tree
-    idx = tree.size + k - 1
-    t[idx] = v
-    idx >>= 1
-    while idx and t[idx] < v:
-        t[idx] = v
-        idx >>= 1
+def raise_one(sweep, k, t):
+    """The per-leaf raise: set key k's leaf to t and climb while an ancestor
+    is below t."""
+    tree = sweep.tree
+    i = sweep.size + k - 1
+    tree[i] = t
+    i >>= 1
+    while i and tree[i] < t:
+        tree[i] = t
+        i >>= 1
 
 
 def seeded_rows(n, seed):
-    """A tree raised the way greedy raises it, a whole row of distinct
-    leaves at a time to a new maximum, the row's time; and beside it the
-    same rows raised one leaf at a time."""
+    """A sweep committed rows of one to four distinct keys, one row per time,
+    so many keys tie and some stay untouched; beside it the same rows raised
+    one leaf at a time, and each key's last touch (times[k - 1] is key k)
+    after every row."""
     rng = Splitmix64(seed)
-    tree, one_by_one = MaxSegTree(n), MaxSegTree(n)
-    values = [0] * n
+    sweep, one_by_one = RowSweep(n), RowSweep(n)
+    times = [0] * n
     for t in range(1, n + 1):
         row = sorted({rng.below(n) + 1 for _ in range(rng.below(4) + 1)})
-        tree.raise_all(row, t)
+        sweep.commit(row, t)
         for k in row:
             raise_one(one_by_one, k, t)
-            values[k - 1] = t
-    return tree, one_by_one, values
+            times[k - 1] = t
+        yield sweep, one_by_one, times
 
 
-def assert_queries_match_scans(tree, values):
-    n = len(values)
-    for thr in range(-1, max(values) + 1):
-        for bound in range(-1, n + 3):
-            below = [k for k in range(1, n + 1) if k <= bound and values[k - 1] > thr]
-            above = [k for k in range(1, n + 1) if k >= bound and values[k - 1] > thr]
-            assert tree.rightmost_above(bound, thr) == (below[-1] if below else 0)
-            assert tree.leftmost_above(bound, thr) == (above[0] if above else 0)
+def assert_records_match_scans(sweep, times):
+    n = len(times)
+    for k in range(1, n + 1):
+        last = times[k - 1]
+        left = [j for j in range(1, k) if times[j - 1] > last]
+        right = [j for j in range(k + 1, n + 1) if times[j - 1] > last]
+        assert sweep.last_touch(k) == last
+        assert sweep.left_record(k) == (left[-1] if left else 0)
+        assert sweep.right_record(k) == (right[0] if right else 0)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_queries_match_scans(n):
-    assert_queries_match_scans(*seeded_tree(n, 1000 + n))
+    assert_records_match_scans(RowSweep(n), [0] * n)
+    for sweep, _, times in seeded_rows(n, 1000 + n):
+        assert_records_match_scans(sweep, times)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_row_raise_matches_raising_each_leaf(n):
-    tree, one_by_one, values = seeded_rows(n, 2000 + n)
-    assert tree.tree == one_by_one.tree
-    assert tree.tree[tree.size:tree.size + n] == values
-    assert_queries_match_scans(tree, values)
+    for sweep, one_by_one, _ in seeded_rows(n, 2000 + n):
+        assert sweep.tree == one_by_one.tree
 
 
 def test_rejects_empty_tree():
     with pytest.raises(BadKeyspaceError, match="keyspace size must be a positive integer, got 0"):
-        MaxSegTree(0)
+        RowSweep(0)
 
 
 def test_rejects_non_integer_size():
     with pytest.raises(BadKeyspaceError,
                        match=r"keyspace size must be a positive integer, got 2\.5"):
-        MaxSegTree(2.5)
+        RowSweep(2.5)
