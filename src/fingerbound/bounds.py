@@ -207,31 +207,29 @@ def weighted_df_bound(
         raise DimensionMismatchError(f"weights cover {w.n} keys but sequence has n={seq.n}")
     if start not in (START_SELF, START_ROOT):
         raise ValueError(f"start must be '{START_SELF}' or '{START_ROOT}', got {start!r}")
-    log2 = math.log2
+    log2, inf = math.log2, math.inf
     if w is None:
         keys = seq.accesses
         first = 1.0 if start == START_SELF else 1.0 + log2(seq.n)
         return BoundReport((first, *[1.0 + log2(abs(b - a) + 1) for a, b in zip(keys, keys[1:])]))
     prefix, weights = w.prefix, w.weights
-    prev = seq.accesses[0]
-    terms = [1.0 if start == START_SELF else 1.0 + log2(w.total / weights[prev - 1])]
-    for cur in seq.accesses[1:]:
+    prev = seq.accesses[0] if start == START_SELF else 0  # 0: the root, spanning all keys
+    terms = []
+    for cur in seq.accesses:
         if cur == prev:
             terms.append(1.0)
             continue
-        lo, hi = (prev, cur) if prev < cur else (cur, prev)
-        terms.append(1.0 + log2((prefix[hi] - prefix[lo - 1])
-                                / min(weights[prev - 1], weights[cur - 1])))
+        if prev:
+            a, b = weights[prev - 1], weights[cur - 1]
+            span = prefix[cur] - prefix[prev - 1] if prev < cur else prefix[prev] - prefix[cur - 1]
+            low = a if a < b else b  # min(a, b) without the cost of a call
+        else:
+            span, low = w.total, weights[cur - 1]
+        term = 1.0 + log2(span / low)
+        if term == inf:  # a quotient past the float range
+            term = 1.0 + log2(span) - log2(low)
+        terms.append(term)
         prev = cur
-    if math.inf in terms:
-        # a quotient past the float range: the difference of the two logs
-        keys = (seq.accesses[0], *seq.accesses)
-        for i, term in enumerate(terms):
-            if term == math.inf:
-                prev, cur = keys[i], keys[i + 1]
-                lo, hi = (prev, cur) if prev < cur else (cur, prev)
-                total = prefix[hi] - prefix[lo - 1] if i else w.total
-                terms[i] = 1.0 + log2(total) - log2(min(weights[prev - 1], weights[cur - 1]))
     return BoundReport(tuple(terms))
 
 
@@ -303,12 +301,12 @@ def _finger_costs(tree: StaticTree, accesses: Sequence[int]) -> list[int]:
     return costs
 
 
-def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int]]:
-    """Every BST over 1..n, built one at a time in the same left and right
-    lists (1-indexed, 0 = absent): the iterable yields each tree's root once
-    its lists hold that tree. Roots ascend, then left subtrees vary before
+def iter_bsts(n: int) -> Iterator[StaticTree]:
+    """All BSTs over 1..n in deterministic order: the exhaustive oracle for
+    `best_static_finger_cost`. Roots ascend, then left subtrees vary before
     right ones, recursively; so the right spine comes first and the left
-    spine last. Guarded to n <= MAX_ENUM_N."""
+    spine last. Each is built in the same left and right lists, rewritten
+    in place. Guarded to n <= MAX_ENUM_N, checked at the call."""
     check_size(n)
     if n > MAX_ENUM_N:
         raise TooLargeError(f"BST enumeration is guarded to n <= {MAX_ENUM_N}, got n={n}")
@@ -316,7 +314,7 @@ def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int]]:
     right = [0] * (n + 1)
 
     def shapes(lo: int, hi: int) -> Iterable[int]:
-        # The roots of the shapes over [lo, hi]; 0 for no keys.
+        # The roots of the shapes over [lo, hi], each once the lists hold it; 0 for none.
         if lo < hi:
             return roots(lo, hi)
         if lo == hi:
@@ -330,14 +328,7 @@ def _each_bst(n: int) -> tuple[Iterable[int], list[int], list[int]]:
                 for right[r] in shapes(r + 1, hi):
                     yield r
 
-    return shapes(1, n), left, right
-
-
-def iter_bsts(n: int) -> Iterator[StaticTree]:
-    """All BSTs over 1..n in deterministic (root-ascending) order: the
-    exhaustive oracle for `best_static_finger_cost`."""
-    roots, left, right = _each_bst(n)
-    return (StaticTree(n, root, tuple(left), tuple(right)) for root in roots)
+    return (StaticTree(n, root, tuple(left), tuple(right)) for root in shapes(1, n))
 
 
 def best_static_finger_cost(seq: AccessSequence) -> tuple[StaticTree, int]:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .core import Key, Point, PointSet, check_built_size, rank_keys
+from .core import Key, Point, PointSet, check_built_size, check_key, rank_keys
 from .errors import KeyOutOfRangeError
 
 
@@ -81,13 +81,15 @@ class RowSweep:
         return other
 
     def last_touch(self, k: Key) -> int:
-        """Key k's last-touch time, 0 if never touched; k in 1..n."""
+        """Key k's last-touch time, 0 if never touched; k in 1..n, checked."""
+        check_key(k, self.n)
         return self.tree[self.size + k - 1]
 
     def left_record(self, k: Key) -> Key:
         """The nearest key left of k touched after k, or 0. From leaf k - 1,
         a failing node climbs while it is a left child and passes the search
-        to its left neighbour; a hit descends to its nearest leaf."""
+        to its left neighbour; a hit descends to its nearest leaf. k must be
+        in 1..n, unchecked: this runs once per touched key."""
         t = self.tree
         size = self.size
         i = size + k - 2
@@ -107,7 +109,8 @@ class RowSweep:
         return i - size + 1
 
     def right_record(self, k: Key) -> Key:
-        """The nearest key right of k touched after k, or 0; from leaf k + 1."""
+        """The nearest key right of k touched after k, or 0; from leaf k + 1.
+        k must be in 1..n, unchecked: this runs once per touched key."""
         t = self.tree
         size = self.size
         i = size + k

@@ -23,11 +23,13 @@ exercise every library invariant:
 
 The suites are built from check routines that raise `CheckFailure` naming
 the first counterexample and return how many instances they checked; the
-random ones take their seeded generator, and each fixes its own sizes. Each
-is also the one copy of its check in the tests, which call it (with their
-own seeds) and pin the returned count; test_c* is in tests/test_acceptance.py:
+random ones take their seeded generator, and each fixes its own sizes. A
+suite yields each count with its report line. Each routine is also the one
+copy of its check in the tests, which call it (with their own seeds) and
+pin the returned count; test_c* is in tests/test_acceptance.py:
 
     check_greedy_satisfied   satisfaction suite; test_c01_satisfaction
+    check_sweep_routes       satisfaction suite; tests/test_geometry.py
     check_greedy_minimality  minimality suite;   test_c02_greedy_minimality
     check_opt_dominance      opt suite;          test_c03_opt_dominance
     check_depth_bound        depth suite;        test_c09_tree_depth_bound
@@ -37,6 +39,7 @@ own seeds) and pin the returned count; test_c* is in tests/test_acceptance.py:
     check_roundtrip          roundtrip suite;    test_c11_reproducibility
     check_locality           roundtrip suite;    tests/test_workloads.py
     check_greedy_fast_path   differential suite; tests/test_greedy.py
+    check_splay_reference    differential suite; tests/test_splay.py
     check_splay_invariants   differential suite; test_c10_splay_baseline
 
 `check_greedy_satisfied` checks greedy's rows on greedy's own sweep: each
@@ -52,7 +55,7 @@ import tempfile
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import AccessSequence, Key, Point, PointSet, WeightAssignment
 from .bounds import (
@@ -100,12 +103,11 @@ def run_suite(suite: str, seed: int = 1) -> SuiteReport:
         fn = _SUITE_FNS[suite]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}") from None
-    checked, lines = 0, []
     try:
-        checked = fn(seed, lines)
+        counted = list(fn(seed))
     except CheckFailure as exc:
-        return SuiteReport(suite, False, checked, [str(exc)])
-    return SuiteReport(suite, True, checked, lines)
+        return SuiteReport(suite, False, 0, [str(exc)])
+    return SuiteReport(suite, True, sum(n for n, _ in counted), [line for _, line in counted])
 
 
 def _random_sequence(rng: Splitmix64, max_n: int, max_m: int) -> AccessSequence:
@@ -172,27 +174,29 @@ def check_greedy_satisfied(rng: Splitmix64) -> int:
     return checked
 
 
-def _suite_satisfaction(seed: int, lines: list[str]) -> int:
-    rng = Splitmix64(seed)
-    checked = check_greedy_satisfied(rng)
-    lines.append(f"greedy satisfied on {checked} instances (1000 random + exhaustive n,m <= 4)")
-    # the sweep checker and the pair-listing oracle are the same predicate
-    agree = 0
+def check_sweep_routes(rng: Splitmix64) -> int:
+    """The sweep checker and the pair-listing oracle agree on 800 random
+    point sets on a 9 x 9 grid, and the sweep passes 16 degenerate lines."""
     for _ in range(800):
         pts = {Point(rng.below(9) + 1, rng.below(9) + 1)
                for _ in range(rng.below(13))}
         pset = PointSet(pts)
         if is_arborally_satisfied(pset) != (unsatisfied_pairs(pset) == []):
             raise CheckFailure(f"checker routes disagree on {sorted(pts)}")
-        agree += 1
     for v in range(1, 9):
         line = PointSet(Point(v, t + 1) for t in range(6))
         row = PointSet(Point(k + 1, v) for k in range(6))
         if not (is_arborally_satisfied(line) and is_arborally_satisfied(row)):
             raise CheckFailure("degenerate line misclassified")
-        agree += 2
-    lines.append(f"checker routes agreed on {agree} point sets")
-    return checked + agree
+    return 816
+
+
+def _suite_satisfaction(seed: int) -> Iterator[tuple[int, str]]:
+    rng = Splitmix64(seed)
+    checked = check_greedy_satisfied(rng)
+    yield checked, f"greedy satisfied on {checked} instances (1000 random + exhaustive n,m <= 4)"
+    agree = check_sweep_routes(rng)
+    yield agree, f"checker routes agreed on {agree} point sets"
 
 
 def check_greedy_minimality() -> int:
@@ -236,10 +240,9 @@ def check_greedy_minimality() -> int:
     return sum(rows_after(GreedyState(n, track_points=False), ()) for n in range(1, 6))
 
 
-def _suite_minimality(seed: int, lines: list[str]) -> int:
+def _suite_minimality(seed: int) -> Iterator[tuple[int, str]]:
     checked = check_greedy_minimality()
-    lines.append(f"{checked} rows matched the exhaustive oracle (unique minimum each)")
-    return checked
+    yield checked, f"{checked} rows matched the exhaustive oracle (unique minimum each)"
 
 
 def check_opt_dominance() -> tuple[int, float, tuple[int, ...]]:
@@ -274,10 +277,9 @@ def check_opt_dominance() -> tuple[int, float, tuple[int, ...]]:
     return checked, worst, worst_seq
 
 
-def _suite_opt(seed: int, lines: list[str]) -> int:
+def _suite_opt(seed: int) -> Iterator[tuple[int, str]]:
     checked, worst, worst_seq = check_opt_dominance()
-    lines.append(f"{checked} instances; max greedy/opt ratio {worst:.6f} on {worst_seq}")
-    return checked
+    yield checked, f"{checked} instances; max greedy/opt ratio {worst:.6f} on {worst_seq}"
 
 
 def check_depth_bound(rng: Splitmix64) -> int:
@@ -372,17 +374,16 @@ def check_best_static(rng: Splitmix64) -> int:
     return 10
 
 
-def _suite_depth(seed: int, lines: list[str]) -> int:
+def _suite_depth(seed: int) -> Iterator[tuple[int, str]]:
     rng = Splitmix64(seed)
     checked = check_depth_bound(rng)
-    lines.append(f"{checked} weight vectors respected the depth bound")
+    yield checked, f"{checked} weight vectors respected the depth bound"
     terms = check_bound_terms(rng)
-    lines.append(f"{terms} sequences' bound terms matched naive re-evaluation")
+    yield terms, f"{terms} sequences' bound terms matched naive re-evaluation"
     rechecks = check_bound_invariants(rng)
-    lines.append(f"{rechecks} sequences held scaling, symmetry and equal weights")
+    yield rechecks, f"{rechecks} sequences held scaling, symmetry and equal weights"
     trees = check_best_static(rng)
-    lines.append(f"{trees} exhaustive static-tree optimizations cross-checked")
-    return checked + terms + rechecks + trees
+    yield trees, f"{trees} exhaustive static-tree optimizations cross-checked"
 
 
 def check_roundtrip(rng: Splitmix64) -> int:
@@ -438,12 +439,22 @@ def check_locality(seed: int) -> tuple[int, float, float]:
     return 2, walk_mean, zipf_mean
 
 
-def _suite_roundtrip(seed: int, lines: list[str]) -> int:
+def _suite_roundtrip(seed: int) -> Iterator[tuple[int, str]]:
     checked = check_roundtrip(Splitmix64(seed))
-    lines.append(f"{checked} traces round-tripped byte-identically")
+    yield checked, f"{checked} traces round-tripped byte-identically"
     traces, walk_mean, zipf_mean = check_locality(seed)
-    lines.append(f"walk mean step {walk_mean:.3f} <= d=8; zipf mean step {zipf_mean:.3f} finite")
-    return checked + traces
+    yield traces, f"walk mean step {walk_mean:.3f} <= d=8; zipf mean step {zipf_mean:.3f} finite"
+
+
+def check_splay_reference(rng: Splitmix64) -> int:
+    """500 random sequences (n <= 128, m <= 1024, initial shape drawn at
+    random) cost the same per access on splay and its parent-free reference."""
+    for _ in range(500):
+        seq = _random_sequence(rng, 128, 1024)
+        initial = INITIAL_SHAPES[rng.below(3)]
+        if run_splay(seq, initial).per_access != run_splay_reference(seq, initial).per_access:
+            raise CheckFailure(f"splay cost mismatch (initial={initial}) on n={seq.n}, m={seq.m}")
+    return 500
 
 
 def check_splay_invariants(rng: Splitmix64) -> int:
@@ -491,19 +502,14 @@ def check_greedy_fast_path(rng: Splitmix64) -> int:
     return len(sizes)
 
 
-def _suite_differential(seed: int, lines: list[str]) -> int:
+def _suite_differential(seed: int) -> Iterator[tuple[int, str]]:
     rng = Splitmix64(seed)
     runs = check_greedy_fast_path(rng)
-    lines.append(f"{runs} greedy runs: fast path = scan, online and deterministic")
-    for _ in range(500):
-        seq = _random_sequence(rng, 128, 1024)
-        initial = INITIAL_SHAPES[rng.below(3)]
-        if run_splay(seq, initial).per_access != run_splay_reference(seq, initial).per_access:
-            raise CheckFailure(f"splay cost mismatch (initial={initial}) on n={seq.n}, m={seq.m}")
-    lines.append("500 splay runs agreed with the parent-free reference")
+    yield runs, f"{runs} greedy runs: fast path = scan, online and deterministic"
+    splays = check_splay_reference(rng)
+    yield splays, f"{splays} splay runs agreed with the parent-free reference"
     trees = check_splay_invariants(rng)
-    lines.append(f"{trees} splay trees kept order and rotation invariants")
-    return runs + 500 + trees
+    yield trees, f"{trees} splay trees kept order and rotation invariants"
 
 
 _SUITE_FNS = {

@@ -10,7 +10,6 @@ from fingerbound.bounds import (
     StaticTree,
     best_static_finger_cost,
     dynamic_finger_bound,
-    iter_bsts,
     static_finger_cost,
     tree_from_weights,
     weighted_df_bound,
@@ -54,6 +53,16 @@ class TestWdfTerm:
         assert 1108.2 < expect < 1108.3
         root = weighted_df_bound(AccessSequence(2, (1, 2)), w, "root").per_access
         assert root == (expect, expect)
+
+    def test_overflowing_terms_fall_back_in_place(self):
+        # W / min(w) overflows for the root term, over W = 1e300, and for the
+        # pairs 1 -> 2 and 3 -> 1, over W near 1e10, but not for 2 -> 3
+        w = WeightAssignment((5e-324, 1e10, 2.0, 1e300))
+        assert w.total / 5e-324 == w.range_weight(1, 3) / 5e-324 == math.inf
+        terms = weighted_df_bound(AccessSequence(4, (1, 2, 3, 1, 1)), w, "root").per_access
+        logs = [1.0 + math.log2(span) - math.log2(5e-324)
+                for span in (w.total, w.range_weight(1, 2), w.range_weight(1, 3))]
+        assert terms == (*logs[:2], 1.0 + math.log2(w.range_weight(2, 3) / 2.0), logs[2], 1.0)
 
     def test_integer_like_keys(self):
         np = pytest.importorskip("numpy")
@@ -271,12 +280,6 @@ class TestBestStatic:
 
     def test_agrees_with_direct_recomputation(self):
         assert check_best_static(Splitmix64(47)) == 10
-
-
-def test_iter_bsts_counts_catalan():
-    catalan = [1, 1, 2, 5, 14, 42, 132]
-    for n in range(1, 7):
-        assert sum(1 for _ in iter_bsts(n)) == catalan[n]
 
 
 def test_static_tree_validation():

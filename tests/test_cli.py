@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fingerbound import verify
 from fingerbound.cli import _emit, main
 from fingerbound.core import MAX_BUILT_N, AccessSequence, WeightAssignment
 from fingerbound.greedy import greedy_execute
@@ -565,6 +567,13 @@ class TestVerify:
     def test_suite_seed_must_be_an_int(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
             run_suite("depth", seed)
+
+    def test_every_check_routine_is_called_from_a_test(self):
+        # a suite's checks live in `check_*` routines, and each runs in a test too
+        routines = [name for name in vars(verify) if name.startswith("check_")]
+        tests = "".join(p.read_text() for p in Path(__file__).parent.glob("*.py"))
+        assert len(routines) >= 13
+        assert [name for name in routines if not re.search(rf"\b{name}\(", tests)] == []
 
     # the suites the benchmark runs: their whole output at seed 1, pinned
     BENCHMARKED_OUTPUT = {

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fingerbound import verify
 from fingerbound.core import Point, PointSet
 from fingerbound.geometry import (
     RowSweep,
@@ -14,6 +15,7 @@ from fingerbound.geometry import (
     minimum_supersets,
     unsatisfied_pairs,
 )
+from fingerbound.workloads import Splitmix64
 
 
 def ps(*pairs):
@@ -70,6 +72,10 @@ points_strategy = st.sets(
 def test_sweep_agrees_with_pair_oracle(pairs):
     pset = PointSet(Point(k, t) for k, t in pairs)
     assert is_arborally_satisfied(pset) == (unsatisfied_pairs(pset) == [])
+
+
+def test_sweep_routes_check():
+    assert verify.check_sweep_routes(Splitmix64(70)) == 816
 
 
 @settings(max_examples=150, deadline=None)

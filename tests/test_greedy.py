@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,16 +281,6 @@ def test_satisfaction_suite_catches_a_dropped_staircase_key(monkeypatch):
     with pytest.raises(verify.CheckFailure,
                        match=r"^violating pair \(Point\(key=\d+, time=\d+\), Point"):
         verify.check_greedy_satisfied(Splitmix64(1))
-
-
-def test_exhaustive_minimality_small():
-    # tiny slice of the exhaustive check; the acceptance suite runs n,m <= 5
-    for n, m in ((3, 3), (4, 2)):
-        for accesses in product(range(1, n + 1), repeat=m):
-            state = GreedyState(n)
-            for x in accesses:
-                assert greedy_row(state, x) == brute_min_row(state, x)
-                state.step(x)
 
 
 class TestBruteMinRow:

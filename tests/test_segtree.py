@@ -7,7 +7,7 @@ leaves past n and every climb to the edge of a level are exercised."""
 
 import pytest
 
-from fingerbound.errors import BadKeyspaceError
+from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
 from fingerbound.geometry import RowSweep
 from fingerbound.workloads import Splitmix64
 
@@ -76,3 +76,11 @@ def test_rejects_non_integer_size():
     with pytest.raises(BadKeyspaceError,
                        match=r"keyspace size must be a positive integer, got 2\.5"):
         RowSweep(2.5)
+
+
+@pytest.mark.parametrize("k", [0, -3, 5, True], ids=["zero", "negative", "n+1", "bool"])
+def test_last_touch_rejects_keys_outside_the_keyspace(k):
+    sweep = RowSweep(4)
+    sweep.commit([3], 1)  # unchecked, key 0 would read internal node 3: time 1
+    with pytest.raises(KeyOutOfRangeError):
+        sweep.last_touch(k)

@@ -1,5 +1,6 @@
 import pytest
 
+from fingerbound import verify
 from fingerbound.bounds import SHAPE_ROOTS, StaticTree, shape_children
 from fingerbound.core import AccessSequence
 from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
@@ -128,12 +129,5 @@ class TestRunSplay:
 
 
 def test_reference_agrees_sampled():
-    # the full 500-instance differential run lives in the verify suite
-    rng = Splitmix64(9)
-    shapes = ("balanced", "left_spine", "right_spine")
-    for _ in range(60):
-        n = rng.below(64) + 1
-        m = rng.below(256) + 1
-        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
-        initial = shapes[rng.below(3)]
-        assert run_splay(seq, initial).per_access == run_splay_reference(seq, initial).per_access
+    # the differential suite's check, on a seed of its own
+    assert verify.check_splay_reference(Splitmix64(9)) == 500
