@@ -10,6 +10,7 @@ from fingerbound.bounds import (
     StaticTree,
     best_static_finger_cost,
     dynamic_finger_bound,
+    iter_bsts,
     static_finger_cost,
     tree_from_weights,
     weighted_df_bound,
@@ -280,6 +281,12 @@ class TestBestStatic:
 
     def test_agrees_with_direct_recomputation(self):
         assert check_best_static(Splitmix64(47)) == 10
+
+
+def test_iter_bsts_counts_catalan():
+    catalan = [1, 1, 2, 5, 14, 42, 132]
+    for n in range(1, 7):
+        assert sum(1 for _ in iter_bsts(n)) == catalan[n]
 
 
 def test_static_tree_validation():

@@ -58,7 +58,6 @@ class TestEnumerator:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_recursive_reference_in_order(self, n):
         trees = list(iter_bsts(n))
-        assert len(trees) == (1, 1, 2, 5, 14, 42, 132)[n]  # the Catalan numbers
         assert [links(t) for t in trees] == reference_shapes(1, n)
         assert links(trees[0]) == links(StaticTree.right_spine(n))
         assert links(trees[-1]) == links(StaticTree.left_spine(n))
@@ -67,6 +66,21 @@ class TestEnumerator:
     def test_bad_size(self, n):
         with pytest.raises(BadKeyspaceError, match="keyspace size must be a positive integer"):
             iter_bsts(n)
+
+    def test_best_static_is_first_minimum(self):
+        rng = Splitmix64(61)
+        seqs = [AccessSequence(4, (3,)), AccessSequence(5, (2,) * 6), AccessSequence(1, (1, 1))]
+        for _ in range(40):
+            n = rng.below(7) + 1
+            seqs.append(AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(rng.below(12) + 1))))
+        for seq in seqs:
+            costs = [(static_finger_cost(t, seq).total, t) for t in iter_bsts(seq.n)]
+            low = min(c for c, _ in costs)
+            first = next(t for c, t in costs if c == low)
+            tree, total = best_static_finger_cost(seq)
+            assert total == low
+            assert links(tree) == links(first)
+            assert tree.depth == first.depth
 
     def test_interval_dp_is_first_minimum_up_to_n8(self):
         # the DP's leftmost optimal roots give the enumeration's first
@@ -77,8 +91,6 @@ class TestEnumerator:
                     AccessSequence(n, (1, n) * 4),            # two keys alternating
                     AccessSequence(n, (n // 2 + 1, 1) * 3)]
                 for n in range(1, 9)}
-        by_n[4].append(AccessSequence(4, (3,)))
-        by_n[5].append(AccessSequence(5, (2,) * 6))
         for _ in range(160):
             n = rng.below(8) + 1
             m = rng.below(20) + 1
