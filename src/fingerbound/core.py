@@ -106,7 +106,8 @@ class AccessSequence:
         bad = first_bad(accs, lambda ks: set(map(type, ks)) == {int}
                         and 1 <= min(ks) and max(ks) <= self.n)
         if bad is not None:
-            raise KeyOutOfRangeError(f"access {bad + 1}: key {accs[bad]!r} outside [1, {self.n}]")
+            fault = "is not an integer" if type(accs[bad]) is not int else f"outside [1, {self.n}]"
+            raise KeyOutOfRangeError(f"access {bad + 1}: key {accs[bad]!r} {fault}")
 
     @property
     def m(self) -> int:

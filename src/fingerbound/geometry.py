@@ -37,16 +37,20 @@ climbs only until it meets an ancestor the row has already raised.
 
 `minimum_supersets` is the one exhaustive search over point additions: the
 greedy minimum-row oracle (with its uniqueness check) and the exact optimum
-take their answers from it. It walks the subsets of its time-major `free`
-list depth first, checks each row once no later choice can add to it, and
-drops every subset sharing a failed row. Every caller passes the `RowSweep`
-of its keyspace, holding any earlier rows it fixes, so only the later rows
-are searched and checked. Each answer is the list of points it adds, so a
-caller reads the added keys directly and builds no point set.
+take their answers from it. One recursion walks its rows in time order:
+at each row it adds a further free point of that row or closes the row,
+checking it once, and a failed row drops every subset through it. A row's
+points are added before it closes and a later row's points come later in
+the time-major `free` list, so answers keep `itertools.combinations` order.
+Every caller passes the `RowSweep` of its keyspace, holding any earlier rows
+it fixes, so only the later rows are searched and checked. Each answer is
+the list of points it adds, so a caller reads the added keys directly and
+builds no point set.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from .core import Key, Point, PointSet, check_built_size, check_key, rank_keys
@@ -218,10 +222,14 @@ def minimum_supersets(base: list[Point], free: Sequence[Point],
     count toward satisfaction; it is not changed. Exhaustive: meant for
     tiny instances.
 
-    Subsets are built depth first over `free`. Once the next chosen point
-    lies past a row, no later choice adds to that row, so it is checked and
-    committed then; a failed row rules out every subset through that
-    prefix, and the rest of them are skipped.
+    One recursion walks the rows in time order, for each size in turn. At
+    row r it either adds a free point of row r past the last one added, by
+    a recursive call, or closes row r: it checks the row with
+    `RowSweep.violation`, commits it on a copy of the sweep and goes on to
+    row r + 1 in the same call. Row r's points are tried before it closes
+    and a later row's points have larger indices, hence `combinations`
+    order. A failed row drops every subset through it, and no step is taken
+    while fewer free points remain than the size still needs.
     """
     free_times = [p.time for p in free]
     if free_times != sorted(free_times):
@@ -234,59 +242,34 @@ def minimum_supersets(base: list[Point], free: Sequence[Point],
     for k, t in base:
         base_keys.setdefault(t, set()).add(k)
     times = sorted(base_keys.keys() | set(free_times))
-    last_row = len(times) - 1
     base_rows = [sorted(base_keys.get(t, ())) for t in times]
-    row_of = {t: r for r, t in enumerate(times)}
-    free_rows = [row_of[t] for t in free_times]
+    # row r's free points are free[start[r]:start[r + 1]]
+    start = [bisect_left(free_times, t) for t in times] + [len(free)]
 
-    def keys(r: int, extra: list[Key]) -> list[Key]:
-        return sorted({*base_rows[r], *extra}) if extra else base_rows[r]
-
-    def passes(state: RowSweep, r: int, extra: list[Key]) -> bool:
-        """Rows r.. pass on top of `state`, row r holding `extra` too."""
-        if r > last_row:
-            return True
-        row, owned = keys(r, extra), False
-        while state.violation(row, times[r]) is None:
-            if r == last_row:
-                return True
-            if not owned:
-                state, owned = state.copy(), True
-            state.commit(row, times[r])
-            r += 1
-            row = base_rows[r]
-        return False
-
-    def extend(state: RowSweep, cur: int, extra: list[Key], pos: int, need: int,
+    def search(state: RowSweep, r: int, pos: int, extra: list[Key], need: int,
                chosen: list[Point]) -> Iterator[list[Point]]:
-        # `state` holds the rows before row cur, which holds `extra` so far;
-        # `ahead` holds the rows before row `reached`, a copy once past cur
-        ahead, reached = state, cur
-        for i in range(pos, len(free) - need + 1):
-            r = free_rows[i]
-            if r == cur:
-                sub, sub_extra = state, extra + [free[i].key]
-            else:
-                if ahead is state:
-                    ahead = state.copy()
-                while reached < r:
-                    row = keys(reached, extra) if reached == cur else base_rows[reached]
-                    if ahead.violation(row, times[reached]) is not None:
-                        return
-                    ahead.commit(row, times[reached])
-                    reached += 1
-                sub, sub_extra = ahead, [free[i].key]
-            if need > 1:
-                yield from extend(sub, r, sub_extra, i + 1, need - 1, chosen + [free[i]])
-            elif passes(sub, r, sub_extra):
-                yield [*chosen, free[i]]
+        # `state` holds the rows before row r, which holds `extra` so far;
+        # `need` more points are still to come from free[pos:]
+        while r < len(times):
+            if need:
+                for i in range(pos, min(start[r + 1], len(free) - need + 1)):
+                    yield from search(state, r, i + 1, extra + [free[i].key], need - 1,
+                                      chosen + [free[i]])
+            if len(free) - start[r + 1] < need:
+                return
+            row = sorted({*base_rows[r], *extra}) if extra else base_rows[r]
+            t = times[r]
+            if state.violation(row, t) is not None:
+                return
+            r, pos, extra = r + 1, start[r + 1], []
+            if r < len(times):
+                state = state.copy()
+                state.commit(row, t)
+        yield chosen
 
-    if passes(sweep, 0, []):
-        yield []
-        return
-    for size in range(1, len(free) + 1):
+    for size in range(len(free) + 1):
         found = False
-        for candidate in extend(sweep, 0, [], 0, size, []):
+        for candidate in search(sweep, 0, 0, [], size, []):
             found = True
             yield candidate
         if found:

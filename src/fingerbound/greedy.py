@@ -127,14 +127,14 @@ def greedy_row(state: GreedyState, x: Key) -> list[Key]:
 def greedy_row_reference(state: GreedyState, x: Key) -> list[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
     check_key(x, state.n)
-    last = state.last_touch
+    last = state.tree[state.size - 1:]  # last[k] is key k's last-touch time
     left, right = [], []
     for side, keys in ((left, range(x - 1, 0, -1)), (right, range(x + 1, state.n + 1))):
-        best = last(x)
+        best = last[x]
         for y in keys:
-            if last(y) > best:
+            if last[y] > best:
                 side.append(y)
-                best = last(y)
+                best = last[y]
     return [*reversed(left), x, *right]
 
 
@@ -152,7 +152,7 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
     Its costs are those of `GreedyState(seq.n)` stepped on the keys, and its
     `rows()`, `points()` and `emitted()` report the keys, mapped back from
     the ranks by one `map` over the flat log. Its sweep (`n`, `tree` and
-    `last_touch`) stays over the ranks, so it is not stepped further.
+    `last_touch`) stays over the ranks, so its `step` and `commit` raise.
     """
     keys, rank = rank_keys(seq.accesses)
     state = GreedyState(len(keys), track_points)
@@ -161,7 +161,20 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
     if track_points:
         key_of = [0, *keys]  # rank r is key key_of[r]
         state._log = list(map(key_of.__getitem__, state._log))
+    state.__class__ = _RankedGreedyState
     return state
+
+
+class _RankedGreedyState(GreedyState):
+    """`greedy_sweep`'s result: its log holds the keys but its sweep their
+    ranks, which stepping on would read as keys, so `step` and `commit` raise."""
+
+    __slots__ = ()
+
+    def step(self, *_) -> list[Key]:
+        raise ValueError("this greedy sweep ran on the ranks of its keys; it cannot step on")
+
+    commit = step
 
 
 def greedy_execute(seq: AccessSequence) -> tuple[PointSet, CostReport]:

@@ -176,7 +176,7 @@ def check_greedy_satisfied(rng: Splitmix64) -> int:
 
 def check_sweep_routes(rng: Splitmix64) -> int:
     """The sweep checker and the pair-listing oracle agree on 800 random
-    point sets on a 9 x 9 grid, and the sweep passes 16 degenerate lines."""
+    point sets on a 9 x 9 grid, and both pass 16 degenerate lines."""
     for _ in range(800):
         pts = {Point(rng.below(9) + 1, rng.below(9) + 1)
                for _ in range(rng.below(13))}
@@ -184,10 +184,10 @@ def check_sweep_routes(rng: Splitmix64) -> int:
         if is_arborally_satisfied(pset) != (unsatisfied_pairs(pset) == []):
             raise CheckFailure(f"checker routes disagree on {sorted(pts)}")
     for v in range(1, 9):
-        line = PointSet(Point(v, t + 1) for t in range(6))
-        row = PointSet(Point(k + 1, v) for k in range(6))
-        if not (is_arborally_satisfied(line) and is_arborally_satisfied(row)):
-            raise CheckFailure("degenerate line misclassified")
+        for line in (PointSet(Point(v, t + 1) for t in range(6)),
+                     PointSet(Point(k + 1, v) for k in range(6))):
+            if not is_arborally_satisfied(line) or unsatisfied_pairs(line):
+                raise CheckFailure(f"degenerate line {sorted(line)} misclassified")
     return 816
 
 

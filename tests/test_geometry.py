@@ -176,6 +176,26 @@ def test_pruned_search_matches_plain_enumeration():
         assert (sweep.time, sweep.tree) == carried
 
 
+@pytest.mark.parametrize("check, most", [
+    (verify.check_greedy_minimality, 25_761),
+    (verify.check_opt_dominance, 25_945),
+])
+def test_search_checks_rows_not_subsets(monkeypatch, check, most):
+    # the row checks these self-checks made with the search's row-level
+    # pruning; a search that checked the rows of every subset makes more
+    calls = 0
+    violation = RowSweep.violation
+
+    def counted(self, row, t):
+        nonlocal calls
+        calls += 1
+        return violation(self, row, t)
+
+    monkeypatch.setattr(RowSweep, "violation", counted)
+    check()
+    assert 0 < calls <= most
+
+
 def test_minimum_supersets_needs_time_major_free():
     with pytest.raises(ValueError, match="time-major"):
         list(minimum_supersets([Point(1, 1)], [Point(1, 3), Point(2, 2)], RowSweep(2)))

@@ -333,3 +333,17 @@ def test_sweep_memory_grows_with_distinct_keys():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_sweep_on_ranks_does_not_step_on():
+    # the sweep holds ranks 1..3 for keys 50, 10, 90: stepping on would read
+    # key 2 as rank 2 and log row (4, [2])
+    state = greedy_sweep(AccessSequence(100, (50, 10, 90)))
+    with pytest.raises(ValueError, match="ranks"):
+        state.step(2)
+    with pytest.raises(ValueError, match="ranks"):
+        state.commit([2], 4)
+    with pytest.raises(ValueError, match="ranks"):
+        state.copy().step(2)
+    assert list(state.rows()) == [(1, [50]), (2, [10, 50]), (3, [50, 90])]
+    assert state.per_row_cost == [1, 2, 2]
