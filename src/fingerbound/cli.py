@@ -5,8 +5,10 @@ numeric CSV with a header row; summaries go to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or input errors.
 
 CSV columns are formatted and read back a whole column at a time, in builtin
-passes (`map`, `zip`, `all`, `writelines`) with no per-row Python loop. When
-`_read_series` rejects a column, `core.first_bad` finds its first bad line.
+passes (`map`, `zip`, `all`, `writelines`) with no per-row Python loop. A
+bound-term column whose terms mostly repeat is formatted once per distinct
+value. When `_read_series` rejects a column, `core.first_bad` finds its first
+bad line.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ def _emit(header: str, rows: Iterable[tuple], out: str | None) -> None:
         sys.stdout.writelines(lines)
 
 
+def _term_column(terms: tuple[float, ...]) -> Iterable:
+    """A bound-term column for `_emit`: the terms themselves, or, when at
+    least half of them repeat an earlier one, their reprs with `repr` taken
+    once per distinct value. Terms are at least 1, so values that compare
+    equal (such as 0.0 and -0.0) have the same repr."""
+    memo = dict.fromkeys(terms)
+    if 2 * len(memo) > len(terms):
+        return terms
+    distinct = list(memo)
+    memo.update(zip(distinct, map(repr, distinct)))
+    return map(memo.__getitem__, terms)
+
+
 def _cmd_gen(args) -> int:
     spec = WorkloadSpec(kind=args.workload, n=args.n, m=args.m, seed=args.seed,
                         d=args.d, theta=args.theta)
@@ -74,7 +89,7 @@ def _cmd_run(args) -> int:
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
     _emit("i,key,cost,bound",
-          zip(count(1), seq.accesses, cost.per_access, bound.per_access), args.out)
+          zip(count(1), seq.accesses, cost.per_access, _term_column(bound.per_access)), args.out)
     sys.stderr.write(
         f"total_cost={cost.total} total_bound={bound.total!r} ratio={fr.ratio!r} "
         f"slope={fr.slope!r} intercept={fr.intercept!r} r2={fr.r2!r}\n"
@@ -86,7 +101,8 @@ def _cmd_bound(args) -> int:
     seq = read_trace(args.trace)
     w = read_weights(args.weights) if args.weights else None
     report = weighted_df_bound(seq, w, args.start)
-    _emit("i,key,term", zip(count(1), seq.accesses, report.per_access), args.out)
+    _emit("i,key,term", zip(count(1), seq.accesses, _term_column(report.per_access)),
+          args.out)
     sys.stderr.write(f"total_bound={report.total!r}\n")
     return 0
 

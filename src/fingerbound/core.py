@@ -138,7 +138,12 @@ class WeightAssignment:
     prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ws = tuple(map(float, self.weights))
+        try:
+            ws = tuple(map(float, self.weights))
+        except OverflowError:  # an int or fraction past the float range
+            i = first_bad(self.weights, lambda part: tuple(map(float, part)))
+            raise ValueError(f"weight {i + 1} is past the float range; "
+                             "rescale the vector") from None
         if not ws:
             raise BadKeyspaceError("weight vector is empty")
         object.__setattr__(self, "weights", ws)

@@ -1,13 +1,14 @@
 """Instrumented splay tree baseline.
 
 Standard bottom-up splaying (Sleator and Tarjan, *Self-adjusting binary
-search trees*, JACM 1985), written with one primitive: `_rotate_up` rotates
-the edge between a node and its parent. A zig rotates x once, a zig-zig
-rotates its parent and then x, and a zig-zag rotates x twice. The reported
-cost of an access is the number of nodes on the root-to-key search path,
-measured before any restructuring, which makes costs comparable with the
-geometric greedy's touched-point counts. Every access then splays the key to
-the root; the number of rotations performed always equals cost - 1.
+search trees*, JACM 1985), written as one loop of splay steps. Each zig,
+zig-zig and zig-zag, left-handed or mirrored, is written out as the pointer
+changes that leave the tree as its rotations would: a zig rotates x once,
+a zig-zig rotates its parent and then x, and a zig-zag rotates x twice. The
+reported cost of an access is the number of nodes on the root-to-key search
+path, measured before any restructuring, which makes costs comparable with
+the geometric greedy's touched-point counts. Every access then splays the
+key to the root; the number of rotations performed always equals cost - 1.
 
 The initial tree is built lazily. A subtree no search has reached is one
 unbuilt node standing for its key interval; the first read or write of its
@@ -107,47 +108,77 @@ class SplayTree:
         self.rotations = 0
         self.root = _subtree(_UNBUILT[rule], 1, n, None)
 
-    def _rotate_up(self, x: _Node) -> None:
-        """Rotate the edge between x and its parent p, so that x takes p's
-        place under p's parent (or as the root) and p becomes x's child."""
-        p = x.parent
-        g = p.parent
-        if x is p.left:
-            p.left = inner = x.right
-            x.right = p
-        else:
-            p.right = inner = x.left
-            x.left = p
-        if inner is not None:
-            inner.parent = p
-        p.parent = x
-        x.parent = g
-        if g is None:
-            self.root = x
-        elif p is g.left:
-            g.left = x
-        else:
-            g.right = x
-        self.rotations += 1
-
-    def _splay(self, x: _Node) -> None:
-        while (p := x.parent) is not None:
-            g = p.parent
-            if g is not None:
-                self._rotate_up(p if (x is p.left) == (p is g.left) else x)
-            self._rotate_up(x)
-
     def access(self, key: Key) -> int:
         """Search for key, return the path node count, then splay it up."""
         check_key(key, self.n)
-        node = self.root
-        cost = 0
-        while True:
+        return self._access(key)
+
+    def _access(self, key: Key) -> int:
+        """`access` for a key already checked against n. Each splay step is
+        written out as its final pointer changes: a zig-zig or zig-zag lifts
+        x over its parent p and grandparent g at once, a zig (p the root)
+        over p alone. In the shapes below, subtree B moves under p and C
+        under g; the right-hand cases mirror the left."""
+        x = self.root
+        cost = 1
+        while key != x.key:
+            x = x.left if key < x.key else x.right
             cost += 1
-            if key == node.key:
+        p = x.parent
+        while p is not None:
+            g = p.parent
+            if g is None:  # zig
+                if x is p.left:
+                    p.left = b = x.right
+                    x.right = p
+                else:
+                    p.right = b = x.left
+                    x.left = p
+                if b is not None:
+                    b.parent = p
+                p.parent = x
                 break
-            node = node.left if key < node.key else node.right
-        self._splay(node)
+            gg = g.parent
+            if x is p.left:
+                if p is g.left:  # zig-zig: g(p(x(A, B), C), D) -> x(A, p(B, g(C, D)))
+                    g.left = c = p.right
+                    p.left = b = x.right
+                    p.right = g
+                    x.right = p
+                    g.parent = p
+                else:  # zig-zag: g(A, p(x(C, B), D)) -> x(g(A, C), p(B, D))
+                    g.right = c = x.left
+                    p.left = b = x.right
+                    x.left = g
+                    x.right = p
+                    g.parent = x
+            elif p is g.right:  # zig-zig: g(A, p(C, x(B, D))) -> x(p(g(A, C), B), D)
+                g.right = c = p.left
+                p.right = b = x.left
+                p.left = g
+                x.left = p
+                g.parent = p
+            else:  # zig-zag: g(p(A, x(B, C)), D) -> x(p(A, B), g(C, D))
+                p.right = b = x.left
+                g.left = c = x.right
+                x.left = p
+                x.right = g
+                g.parent = x
+            if b is not None:
+                b.parent = p
+            if c is not None:
+                c.parent = g
+            p.parent = x
+            if gg is None:
+                break
+            if gg.left is g:
+                gg.left = x
+            else:
+                gg.right = x
+            p = gg
+        x.parent = None  # the loop holds x's parent in p; x ends at the root
+        self.root = x
+        self.rotations += cost - 1
         return cost
 
     def in_order(self) -> list[Key]:
@@ -168,7 +199,8 @@ class SplayTree:
 def run_splay(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Serve a whole sequence on one tree, reporting per-access costs."""
     tree = SplayTree(seq.n, initial)
-    return CostReport(tuple(tree.access(x) for x in seq))
+    # `seq` has already checked every key against its n
+    return CostReport(tuple(map(tree._access, seq.accesses)))
 
 
 def _ref_rotate_up(links: dict[int, list[int]], child: int, par: int) -> None:

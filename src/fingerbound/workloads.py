@@ -9,9 +9,11 @@ output is finalized with
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-with all arithmetic modulo 2^64. Bounded draws use plain modulo reduction and
-unit-interval draws use the top 53 bits scaled by 2^-53; both are part of the
-reproducibility contract.
+with all arithmetic modulo 2^64. A draw below a bound of at most 2^64 is one
+output reduced modulo the bound. Past 2^64, it is one output more than the
+bound has 64-bit words, read as one integer, first output highest, and then
+reduced. Unit-interval draws use the top 53 bits scaled by 2^-53. All of this
+is part of the reproducibility contract.
 
 Trace file format: line 1 is "n m", then m lines with one key each.
 Weights file format: n lines, one strictly positive decimal per line.
@@ -32,7 +34,8 @@ from pathlib import Path
 from .core import MAX_BUILT_N, AccessSequence, Key, WeightAssignment, first_bad
 from .errors import BadSpecError, TraceParseError
 
-_MASK = (1 << 64) - 1
+_WORD = 1 << 64
+_MASK = _WORD - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -59,13 +62,21 @@ class Splitmix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound) by modulo; bound is an int >= 1, not a bool."""
-        return self.next_u64() % _check_bound(bound)
+        """Uniform-ish integer in [0, bound) by modulo; bound is an int >= 1, not a bool.
+        Past 2^64 the one word drawn beyond the bound's own keeps the modulo
+        bias below 2^-64."""
+        if _check_bound(bound) <= _WORD:
+            return self.next_u64() % bound
+        z = 0
+        for _ in range(-(-bound.bit_length() // 64) + 1):
+            z = z << 64 | self.next_u64()
+        return z % bound
 
     def keys(self, n: int, m: int) -> tuple[int, ...]:
         """m draws of `below(n) + 1`, in order, with n checked once: a
         uniform trace over the keys 1..n."""
-        _check_bound(n)
+        if _check_bound(n) > _WORD:
+            return tuple([self.below(n) + 1 for _ in range(m)])
         draw = self.next_u64
         return tuple([draw() % n + 1 for _ in range(m)])
 

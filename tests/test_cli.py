@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fingerbound import verify
 from fingerbound.cli import _emit, main
+from fingerbound.bounds import weighted_df_bound
 from fingerbound.core import MAX_BUILT_N, AccessSequence, WeightAssignment
 from fingerbound.greedy import greedy_execute
 from fingerbound.splay import run_splay
@@ -262,6 +263,43 @@ class TestOverflowingQuotient:
         assert code == 0
         assert out.splitlines()[2] == f"2,2,2,{self.TERM!r}"
         assert "total_bound=" in err and "inf" not in err
+
+
+class TestTermColumnBytes:
+    """`run` and `bound` write each row as a per-row `repr` rendering would,
+    whether the term column mostly repeats (formatted once per distinct
+    term) or is nearly all distinct (formatted term by term)."""
+
+    CASES = {  # spec, weights (a power law around key 20, or None), start, mostly repeats
+        "walk": (WorkloadSpec("walk", 64, 400, seed=3, d=4), False, "self", True),
+        "zipf_weighted_root": (WorkloadSpec("zipf_finger", 64, 400, seed=3, theta=2.5),
+                               True, "root", True),
+        "uniform": (WorkloadSpec("uniform", 2**16, 300, seed=3), False, "self", False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_match_repr(self, capsys, tmp_path, case):
+        spec, weighted, start, repeats = self.CASES[case]
+        seq = generate(spec)
+        trace = tmp_path / "trace.txt"
+        write_trace(seq, trace)
+        argv = ["--trace", str(trace), "--start", start]
+        w = None
+        if weighted:
+            w = WeightAssignment([(1.0 + abs(k - 20)) ** -1.5 for k in range(1, seq.n + 1)])
+            (tmp_path / "w.txt").write_text("".join(f"{x!r}\n" for x in w.weights))
+            argv += ["--weights", str(tmp_path / "w.txt")]
+        terms = weighted_df_bound(seq, w, start).per_access
+        assert (2 * len(set(terms)) <= len(terms)) == repeats
+        costs = run_splay(seq).per_access
+        rows = list(zip(range(1, seq.m + 1), seq.accesses, costs, terms))
+        code, out, _ = run_cli(capsys, "run", "--algo", "splay", *argv)
+        assert code == 0
+        assert out == "i,key,cost,bound\n" + "".join(f"{i},{k},{c},{t!r}\n"
+                                                      for i, k, c, t in rows)
+        code, out, _ = run_cli(capsys, "bound", *argv)
+        assert code == 0
+        assert out == "i,key,term\n" + "".join(f"{i},{k},{t!r}\n" for i, k, _, t in rows)
 
 
 class TestOptAndBestStatic:

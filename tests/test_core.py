@@ -252,6 +252,13 @@ class TestWeightRange:
             WeightAssignment((1.0, 1e308, 1e308, -1.0))
         assert WeightAssignment((1e308, 7e307)).total < math.inf
 
+    def test_number_past_the_float_range_is_named(self):
+        # float() of such an int raises OverflowError; the vector names it
+        with pytest.raises(ValueError, match="^weight 1 is past the float range; rescale"):
+            WeightAssignment((10**400,))
+        with pytest.raises(ValueError, match="^weight 3 is past the float range; rescale"):
+            WeightAssignment((1.0, 2, 10**400, -1.0))
+
 
 class TestBuiltSize:
     # each structure that builds an entry per key, checked before it builds

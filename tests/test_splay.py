@@ -13,6 +13,17 @@ from fingerbound.splay import (
 from fingerbound.workloads import Splitmix64
 
 
+def links(tree: SplayTree) -> dict:
+    """Each key's parent, left and right keys (0 for none): the tree's shape."""
+    out, stack = {}, [tree.root]
+    while stack:
+        node = stack.pop()
+        kids = [node.left, node.right]
+        out[node.key] = tuple(0 if v is None else v.key for v in [node.parent] + kids)
+        stack += [v for v in kids if v is not None]
+    return out
+
+
 class TestAccess:
     def test_single_node(self):
         tree = SplayTree(1)
@@ -35,6 +46,16 @@ class TestAccess:
     def test_out_of_range(self):
         with pytest.raises(KeyOutOfRangeError):
             SplayTree(3).access(4)
+
+    @pytest.mark.parametrize("key", [0, 8, True, 2.5, "3"])
+    def test_rejected_key_leaves_the_tree_as_it_was(self, key):
+        tree = SplayTree(7, "left_spine")
+        for k in (3, 6, 1):
+            tree.access(k)
+        before = (tree.root, tree.rotations, links(tree), tree.in_order())
+        with pytest.raises(KeyOutOfRangeError):
+            tree.access(key)
+        assert (tree.root, tree.rotations, links(tree), tree.in_order()) == before
 
 
 class TestBuild:
@@ -131,3 +152,19 @@ class TestRunSplay:
 def test_reference_agrees_sampled():
     # the differential suite's check, on a seed of its own
     assert verify.check_splay_reference(Splitmix64(9)) == 500
+
+
+@pytest.mark.parametrize("initial", ["left_spine", "right_spine"])
+@pytest.mark.parametrize("order", ["sequential", "reversed", "random"])
+def test_deep_spines_agree_with_reference(initial, order):
+    # the differential suite reaches n <= 128; a spine of 2000 keys splays
+    # paths up to 2000 nodes long
+    n = 2000
+    keys = {"sequential": tuple(range(1, n + 1)), "reversed": tuple(range(n, 0, -1)),
+            "random": Splitmix64(5).keys(n, n)}[order]
+    seq = AccessSequence(n, keys)
+    rep = run_splay(seq, initial)
+    assert rep == run_splay_reference(seq, initial)
+    tree = SplayTree(n, initial)
+    assert tuple(map(tree.access, keys)) == rep.per_access
+    assert tree.rotations == rep.total - seq.m

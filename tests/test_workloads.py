@@ -39,12 +39,36 @@ class TestSplitmix:
         rng = Splitmix64(4)
         assert all(0 <= rng.below(7) < 7 for _ in range(500))
 
+    def test_below_up_to_2_to_64_is_one_output_modulo_the_bound(self):
+        # pinned: these draws are part of every trace
+        rng = Splitmix64(5)
+        assert [rng.below(b) for b in (1, 7, 1000, 2**40, 2**64)] == [
+            0, 5, 63, 836881463621, 3467252261107883461]
+
+    @pytest.mark.parametrize("bound, words", [(2**64 + 1, 3), (10**20, 3), (10**400, 22)],
+                             ids=["2^64+1", "10^20", "10^400"])
+    def test_below_past_2_to_64_reduces_one_word_more_than_the_bound_has(self, bound, words):
+        rng, twin = Splitmix64(8), Splitmix64(8)
+        for _ in range(50):
+            wide = 0
+            for _ in range(words):
+                wide = wide << 64 | twin.next_u64()
+            assert rng.below(bound) == wide % bound
+        assert rng.state == twin.state
+
+    def test_draws_past_2_to_64_reach_the_whole_range(self):
+        rng = Splitmix64(2)
+        assert sum(rng.below(10**400) > 10**399 for _ in range(100)) > 50
+        keys = generate(WorkloadSpec("uniform", 10**20, 100, seed=2)).accesses
+        assert sum(k > 2**64 for k in keys) > 50  # 82% of 1..10^20 lies past 2^64
+
     @pytest.mark.parametrize("bound", [2.5, math.nan, True, "3", 0])
     def test_below_needs_a_positive_int(self, bound):
         with pytest.raises(ValueError, match="^bound must be a positive integer, got "):
             Splitmix64(1).below(bound)
 
-    @pytest.mark.parametrize("n, m", [(1, 0), (1, 6), (7, 0), (7, 500), (2**40, 50)])
+    @pytest.mark.parametrize("n, m", [(1, 0), (1, 6), (7, 0), (7, 500), (2**40, 50),
+                                      (10**20, 50)])
     def test_keys_are_the_below_loop(self, n, m):
         rng, loop = Splitmix64(12), Splitmix64(12)
         assert rng.keys(n, m) == tuple(loop.below(n) + 1 for _ in range(m))
