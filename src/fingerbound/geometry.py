@@ -10,7 +10,7 @@ Two routes are provided. `unsatisfied_pairs` is the definition itself: it
 reads no index, checks each pair against every other point of the set and
 lists the violations. `is_arborally_satisfied` runs a row sweep over the
 ranks of the set's keys that reduces the pair condition to one outward
-record search per open gap of a row:
+staircase walk per open gap of a row:
 
     at row time t, for an open key gap between neighbouring row points (or
     a row point and the keyspace boundary), the set is violated exactly
@@ -20,17 +20,18 @@ record search per open gap of a row:
 Everything farther out is witnessed by the nearest same-row point, blocked
 gap keys are witnessed by their blockers, and stale column points are
 witnessed by their successors in the same column, so that comparison is the
-only one left. It is the search greedy's staircase walk makes: from the
-earlier-touched neighbour, the nearest key touched after it (`RowSweep`'s
-`right_record` or `left_record`), a violation exactly when the hit lies
-inside the gap. The two routes are cross-checked in the test suite.
+only one left. It is greedy's staircase walk (`RowSweep`'s `right_stairs`
+or `left_stairs`), from the earlier-touched neighbour and stopped at the
+gap's far end: a violation exactly when it finds a record inside the gap,
+the nearest one first. The two routes are cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
 one row against them (`violation`), then folds the row in (`commit`). The
 sweep is causal, which the exhaustive search below relies on. It is also the
 state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
-row it emits and logs it, so `commit` is the one place last-touch times rise.
+row it emits and logs it, so `commit`'s unchecked fold is the one place
+last-touch times rise.
 The times are the leaves of a max segment tree, their one copy; a row's time
 is above every committed one, so `commit` raises each of its leaves and
 climbs only until it meets an ancestor the row has already raised.
@@ -64,10 +65,11 @@ class RowSweep:
     the maximum of its subtree, and padding leaves past n stay 0. Rows are
     sorted key lists, committed in increasing time.
 
-    The record searches answer greedy's staircase walk and the gap check:
-    the nearest key on one side of k touched after k. A time at or above
-    the root is an O(1) miss; other searches go outward from k's neighbour,
-    O(log gap) for a hit gap keys away and O(log n) at worst."""
+    The staircase walks answer greedy's rows and the gap check: each is one
+    loop that finds the strict records of last-touch time on one side of k,
+    nearest first, each record searched outward from the leaf next to the
+    last one, in O(log gap) for a hit gap keys away and O(log n) at worst.
+    A threshold at or above the root's maximum ends the walk at once."""
 
     __slots__ = ("n", "size", "time", "tree")
 
@@ -89,49 +91,67 @@ class RowSweep:
         check_key(k, self.n)
         return self.tree[self.size + k - 1]
 
-    def left_record(self, k: Key) -> Key:
-        """The nearest key left of k touched after k, or 0. From leaf k - 1,
-        a failing node climbs while it is a left child and passes the search
-        to its left neighbour; a hit descends to its nearest leaf. k must be
-        in 1..n, unchecked: this runs once per touched key."""
+    def left_stairs(self, k: Key, stop: Key) -> list[Key]:
+        """k's left staircase short of `stop`: the keys strictly between
+        `stop` and k whose last-touch time beats every one nearer k and k's
+        own, nearest first. Each record search goes outward from the leaf
+        left of the last record found: a failing node climbs while it is a
+        left child and passes the search to its left neighbour, and a hit
+        descends to its nearest leaf. Once the threshold reaches the root's
+        maximum no record is left. 0 <= stop < k <= n, unchecked: this runs
+        once per access."""
         t = self.tree
         size = self.size
-        i = size + k - 2
-        thr = t[i + 1]
-        if k == 1 or t[1] <= thr:
-            return 0
-        while t[i] <= thr:
-            if not i & (i - 1):  # leftmost node of its level
-                return 0
-            while not i & 1:
-                i >>= 1
+        top = t[1]
+        i = size + k - 1
+        thr = t[i]
+        end = size + stop  # the leaf of key stop + 1
+        out = []
+        while thr < top and i > end:
             i -= 1
-        while i < size:
-            i = 2 * i + 1
-            if t[i] <= thr:
+            while t[i] <= thr:
+                if not i & (i - 1):  # leftmost node of its level
+                    return out
+                while not i & 1:
+                    i >>= 1
                 i -= 1
-        return i - size + 1
+            while i < size:
+                i = 2 * i + 1
+                if t[i] <= thr:
+                    i -= 1
+            if i < end:
+                break
+            out.append(i - size + 1)
+            thr = t[i]
+        return out
 
-    def right_record(self, k: Key) -> Key:
-        """The nearest key right of k touched after k, or 0; from leaf k + 1.
-        k must be in 1..n, unchecked: this runs once per touched key."""
+    def right_stairs(self, k: Key, stop: Key) -> list[Key]:
+        """k's right staircase short of `stop`, nearest first; the mirror of
+        `left_stairs`. 1 <= k < stop <= n + 1, unchecked."""
         t = self.tree
         size = self.size
-        i = size + k
-        thr = t[i - 1]
-        if k == self.n or t[1] <= thr:
-            return 0
-        while t[i] <= thr:
-            if not (i + 1) & i:  # rightmost node of its level
-                return 0
-            while i & 1:
-                i >>= 1
+        top = t[1]
+        i = size + k - 1
+        thr = t[i]
+        end = size + stop - 2  # the leaf of key stop - 1
+        out = []
+        while thr < top and i < end:
             i += 1
-        while i < size:
-            i <<= 1
-            if t[i] <= thr:
+            while t[i] <= thr:
+                if not (i + 1) & i:  # rightmost node of its level
+                    return out
+                while i & 1:
+                    i >>= 1
                 i += 1
-        return i - size + 1
+            while i < size:
+                i <<= 1
+                if t[i] <= thr:
+                    i += 1
+            if i > end:
+                break
+            out.append(i - size + 1)
+            thr = t[i]
+        return out
 
     def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
         """A pair spanning an empty rectangle that row t would form with the
@@ -140,32 +160,41 @@ class RowSweep:
         base = self.size - 1
         n = self.n
         prev = 0
-        # each open gap between neighbouring row keys is searched outward
-        # from its earlier-touched neighbour (a keyspace end never bounds a
-        # rectangle) for the nearest key touched after it; a hit inside the
-        # gap spans an empty rectangle with that neighbour's row point, and
-        # no hit means every gap key is witnessed
+        # each open gap between neighbouring row keys is walked outward from
+        # its earlier-touched neighbour (a keyspace end never bounds a
+        # rectangle) up to its far end; a record inside the gap spans an
+        # empty rectangle with that neighbour's row point, and no record
+        # means every gap key is witnessed
         for y in (*row, n + 1):
             if y - prev > 1:
                 if prev and (y > n or tree[base + prev] <= tree[base + y]):
-                    z = self.right_record(prev)
-                    if 0 < z < y:
-                        return Point(z, tree[base + z]), Point(prev, t)
+                    z = self.right_stairs(prev, y)
+                    if z:
+                        return Point(z[0], tree[base + z[0]]), Point(prev, t)
                 elif y <= n:
-                    z = self.left_record(y)
-                    if z > prev:
-                        return Point(z, tree[base + z]), Point(y, t)
+                    z = self.left_stairs(y, prev)
+                    if z:
+                        return Point(z[0], tree[base + z[0]]), Point(y, t)
             prev = y
         return None
 
     def commit(self, row: Sequence[Key], t: int) -> None:
-        """Fold row t in: its keys were last touched at t. Each leaf is
-        raised to t, and so is each ancestor, up to the first already at t."""
+        """Fold row t in: its keys were last touched at t. Raises before any
+        write unless t follows the committed rows and every key, in any
+        order, is in 1..n."""
         if t <= self.time:
             raise ValueError(f"row {t} does not follow committed row {self.time}")
-        if row and (row[0] < 1 or row[-1] > self.n):
-            k = row[0] if row[0] < 1 else row[-1]
-            raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}] in row {t}")
+        if row:
+            lo, hi = min(row), max(row)
+            if lo < 1 or hi > self.n:
+                k = lo if lo < 1 else hi
+                raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}] in row {t}")
+        self._fold(row, t)
+
+    def _fold(self, row: Sequence[Key], t: int) -> None:
+        """`commit`, unchecked, for a row its caller built in 1..n at a time
+        after the committed rows. Each leaf is raised to t, and so is each
+        ancestor, up to the first already at t."""
         tree = self.tree
         base = self.size - 1
         for i in row:

@@ -22,11 +22,13 @@ times) that commits each emitted row and keeps a log of the rows.
 `greedy_sweep`, behind every greedy run, steps that state over the ranks of
 the accessed keys (`core.rank_keys`), not over the keys 1..n, so its memory
 grows with the d distinct keys accessed and not with n. `greedy_row` walks
-each staircase by `RowSweep`'s record searches, each outward from the last
-touched key: O(log gap) per touched key, gap ranks past the previous one,
-O(log d) at worst (on a `GreedyState(n)` stepped on the keys themselves,
-gap keys and O(log n)). Its row is a sorted list built from the two
-staircases, as is every row in the package, and the sweep raises it once.
+each staircase in one `RowSweep.left_stairs` or `right_stairs` call, whose
+record searches each go outward from the last touched key: O(log gap) per
+touched key, gap ranks past the previous one, O(log d) at worst (on a
+`GreedyState(n)` stepped on the keys themselves, gap keys and O(log n)).
+Its row is a sorted list built from the two staircases, as is every row in
+the package, and the sweep raises it once, unchecked: x is checked, and
+every other key is a leaf the walks found.
 `greedy_row_reference` is a plain O(n) prefix-maximum scan kept for
 differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances: x plus the
@@ -71,7 +73,7 @@ class GreedyState(RowSweep):
     def step(self, x: Key) -> list[Key]:
         """Process the next access: emit its row's keys and update touch times."""
         row = greedy_row(self, x)
-        self.commit(row, self.time + 1)
+        self._fold(row, self.time + 1)
         if self._log is not None:
             self._log.extend(row)
         self.per_row_cost.append(len(row))
@@ -105,22 +107,12 @@ class GreedyState(RowSweep):
 def greedy_row(state: GreedyState, x: Key) -> list[Key]:
     """Touched keys for an access to x, sorted, without mutating the state."""
     check_key(x, state.n)
-    # Left staircase, nearest first: strict records of last-touch time above
-    # x's own, each search starting next to the last record found.
-    left = state.left_record
-    row = []
-    j = left(x)
-    while j:
-        row.append(j)
-        j = left(j)
+    # Both staircases come nearest first: the left one is reversed into key
+    # order and the right one already is in it.
+    row = state.left_stairs(x, 0)
     row.reverse()
     row.append(x)
-    # Right staircase, symmetric, already in key order.
-    right = state.right_record
-    j = right(x)
-    while j:
-        row.append(j)
-        j = right(j)
+    row += state.right_stairs(x, state.n + 1)
     return row
 
 
@@ -154,6 +146,8 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
     the ranks by one `map` over the flat log. Its sweep (`n`, `tree` and
     `last_touch`) stays over the ranks, so its `step` and `commit` raise.
     """
+    if not isinstance(seq, AccessSequence):
+        raise TypeError(f"seq must be an AccessSequence, got {type(seq).__name__}")
     keys, rank = rank_keys(seq.accesses)
     state = GreedyState(len(keys), track_points)
     for r in map(rank.__getitem__, seq.accesses):

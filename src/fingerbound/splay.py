@@ -14,7 +14,10 @@ The initial tree is built lazily. A subtree no search has reached is one
 unbuilt node standing for its key interval; the first read or write of its
 `left` or `right` builds its two children, unbuilt in turn. So a run builds
 only the nodes its searches reach, and n may be far larger than the number
-of nodes memory could hold.
+of nodes memory could hold. An unbuilt node keeps its interval's ends in
+its own child slots, which its `lo` and `hi` name: they are `_Node`'s slot
+descriptors themselves, so building reads and writes the slots at slot
+speed, past the `left` and `right` properties that trigger it.
 
 `run_splay_reference` re-implements the same splaying over a parent-free
 link dict, rotating along an explicit search path, on an initial shape that
@@ -61,33 +64,33 @@ def _grown(slot) -> property:
 
 class _Unbuilt(_Node):
     """The root of a subtree over keys [lo, hi], lo < hi, that no search has
-    reached. lo and hi sit in the `left` and `right` slots; reading or writing
-    `left` or `right` first builds both children and turns this node into a
-    plain `_Node`. Each shape has a subclass whose `root_of` is its rule."""
+    reached. lo and hi sit in the `left` and `right` slots, which `lo` and
+    `hi` read and write directly; reading or writing `left` or `right` first
+    builds both children and turns this node into a plain `_Node`. Each
+    shape has a subclass whose `root_of` is its rule."""
 
     __slots__ = ()
     root_of = None
+    lo = _LEFT
+    hi = _RIGHT
 
     def __init__(self, lo: Key, hi: Key, parent: _Node | None):
         self.key = self.root_of(lo, hi)
-        _LEFT.__set__(self, lo)
-        _RIGHT.__set__(self, hi)
+        self.lo = lo
+        self.hi = hi
         self.parent = parent
 
     def _grow(self) -> None:
-        lo, hi, k = _LEFT.__get__(self), _RIGHT.__get__(self), self.key
-        _LEFT.__set__(self, _subtree(type(self), lo, k - 1, self) if lo < k else None)
-        _RIGHT.__set__(self, _subtree(type(self), k + 1, hi, self) if k < hi else None)
+        """Build both children, each a leaf when its interval holds one key,
+        else an unbuilt node of this node's shape."""
+        lo, hi, k = self.lo, self.hi, self.key
+        unbuilt = type(self)
+        self.lo = None if lo == k else _Node(lo, self) if lo == k - 1 else unbuilt(lo, k - 1, self)
+        self.hi = None if hi == k else _Node(hi, self) if hi == k + 1 else unbuilt(k + 1, hi, self)
         self.__class__ = _Node
 
     left = _grown(_LEFT)
     right = _grown(_RIGHT)
-
-
-def _subtree(unbuilt: type[_Unbuilt], lo: Key, hi: Key, parent: _Node | None) -> _Node:
-    """The root of a not yet reached subtree over [lo, hi]: a leaf when the
-    interval holds one key, else an unbuilt node."""
-    return _Node(lo, parent) if lo == hi else unbuilt(lo, hi, parent)
 
 
 # The unbuilt-node class of each shape rule.
@@ -106,7 +109,7 @@ class SplayTree:
             check_built_size(n, f"a {initial} splay tree")
         self.n = n
         self.rotations = 0
-        self.root = _subtree(_UNBUILT[rule], 1, n, None)
+        self.root = _Node(1, None) if n == 1 else _UNBUILT[rule](1, n, None)
 
     def access(self, key: Key) -> int:
         """Search for key, return the path node count, then splay it up."""
@@ -198,6 +201,8 @@ class SplayTree:
 
 def run_splay(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Serve a whole sequence on one tree, reporting per-access costs."""
+    if not isinstance(seq, AccessSequence):
+        raise TypeError(f"seq must be an AccessSequence, got {type(seq).__name__}")
     tree = SplayTree(seq.n, initial)
     # `seq` has already checked every key against its n
     return CostReport(tuple(map(tree._access, seq.accesses)))

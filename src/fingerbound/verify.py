@@ -127,10 +127,10 @@ class _CheckedGreedy(GreedyState):
         super().__init__(n)
         self.bad: tuple[Point, Point] | None = None
 
-    def commit(self, row: Sequence[Key], t: int) -> None:
+    def _fold(self, row: Sequence[Key], t: int) -> None:
         if self.bad is None:
             self.bad = self.violation(row, t)
-        super().commit(row, t)
+        super()._fold(row, t)
 
 
 def _greedy_violation(seq: AccessSequence) -> tuple[GreedyState, tuple[Point, Point] | None]:

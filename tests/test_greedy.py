@@ -191,6 +191,17 @@ def test_commit_rejects_keys_outside_the_keyspace(cls, n, row):
     assert (state.time, state.tree) == before
 
 
+@pytest.mark.parametrize("cls", [RowSweep, GreedyState])
+def test_commit_rejects_an_inner_key_outside_the_keyspace(cls):
+    # the unsorted row's bad key sits between its in-range ends; unchecked,
+    # key 0 would write time 1 into internal node 3
+    state = cls(4)
+    tree = state.tree[:]
+    with pytest.raises(KeyOutOfRangeError, match=r"^key 0 outside \[1, 4\] in row 1$"):
+        state.commit([2, 0, 3], 1)
+    assert (state.time, state.tree) == (0, tree)
+
+
 @pytest.mark.parametrize("track_points", [True, False])
 def test_copy_is_an_independent_greedy_state(track_points):
     def fields(state):
@@ -347,3 +358,19 @@ def test_sweep_on_ranks_does_not_step_on():
         state.copy().step(2)
     assert list(state.rows()) == [(1, [50]), (2, [10, 50]), (3, [50, 90])]
     assert state.per_row_cost == [1, 2, 2]
+
+
+def test_row_matches_reference_scan_on_a_far_uniform_trace():
+    # the differential suite reaches n <= 1025; uniform keys over 4096 walk
+    # staircases across the whole keyspace
+    seq = generate(WorkloadSpec("uniform", 4096, 300, seed=8))
+    state = GreedyState(seq.n, track_points=False)
+    for x in seq:
+        assert greedy_row(state, x) == greedy.greedy_row_reference(state, x)
+        state.step(x)
+
+
+@pytest.mark.parametrize("run", [greedy_cost, greedy_sweep, greedy_execute])
+def test_runs_reject_a_list_of_keys(run):
+    with pytest.raises(TypeError, match="^seq must be an AccessSequence, got list$"):
+        run([1, 2, 3])

@@ -1,4 +1,4 @@
-"""RowSweep's max segment tree: the record searches and last-touch reads
+"""RowSweep's max segment tree: the staircase walks and last-touch reads
 against brute-force scans of the last-touch times, and the batched row raise
 against raising one leaf at a time.
 
@@ -43,6 +43,17 @@ def seeded_rows(n, seed):
         yield sweep, one_by_one, times
 
 
+def strict_records(times, keys, last):
+    """The keys of `keys`, scanned in order, whose last-touch time beats
+    `last` and that of every key scanned before them."""
+    out = []
+    for j in keys:
+        if times[j - 1] > last:
+            out.append(j)
+            last = times[j - 1]
+    return out
+
+
 def assert_records_match_scans(sweep, times):
     n = len(times)
     for k in range(1, n + 1):
@@ -50,8 +61,18 @@ def assert_records_match_scans(sweep, times):
         left = [j for j in range(1, k) if times[j - 1] > last]
         right = [j for j in range(k + 1, n + 1) if times[j - 1] > last]
         assert sweep.last_touch(k) == last
-        assert sweep.left_record(k) == (left[-1] if left else 0)
-        assert sweep.right_record(k) == (right[0] if right else 0)
+        # each staircase's first step is the nearest key touched after k
+        assert sweep.left_stairs(k, 0)[:1] == left[-1:]
+        assert sweep.right_stairs(k, n + 1)[:1] == right[:1]
+        # a staircase short of `stop` is the scan's records beyond `stop`
+        left_scan = strict_records(times, range(k - 1, 0, -1), last)
+        right_scan = strict_records(times, range(k + 1, n + 1), last)
+        for stop in {0, 1, k // 2, k - 2, k - 1}:
+            if 0 <= stop < k:
+                assert sweep.left_stairs(k, stop) == [j for j in left_scan if j > stop]
+        for stop in {n + 1, n, (k + n + 1) // 2, k + 2, k + 1}:
+            if k < stop <= n + 1:
+                assert sweep.right_stairs(k, stop) == [j for j in right_scan if j < stop]
 
 
 @pytest.mark.parametrize("n", SIZES)

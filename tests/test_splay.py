@@ -10,7 +10,7 @@ from fingerbound.splay import (
     run_splay,
     run_splay_reference,
 )
-from fingerbound.workloads import Splitmix64
+from fingerbound.workloads import Splitmix64, WorkloadSpec, generate
 
 
 def links(tree: SplayTree) -> dict:
@@ -168,3 +168,19 @@ def test_deep_spines_agree_with_reference(initial, order):
     tree = SplayTree(n, initial)
     assert tuple(map(tree.access, keys)) == rep.per_access
     assert tree.rotations == rep.total - seq.m
+
+
+def test_far_uniform_trace_agrees_with_reference():
+    # the differential suite reaches n <= 128 on a balanced start; uniform
+    # keys over 2^16 reach deep into the lazily built tree
+    seq = generate(WorkloadSpec("uniform", 2**16, 2000, seed=4))
+    rep = run_splay(seq)
+    assert rep == run_splay_reference(seq)
+    tree = SplayTree(seq.n)
+    assert tuple(map(tree.access, seq.accesses)) == rep.per_access
+    assert tree.rotations == rep.total - seq.m
+
+
+def test_run_rejects_a_list_of_keys():
+    with pytest.raises(TypeError, match="^seq must be an AccessSequence, got list$"):
+        run_splay([1, 2, 3])
