@@ -45,7 +45,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment,
-                   check_built_size, check_key, check_size, first_bad)
+                   check_built_size, check_key, check_size, check_type, first_bad)
 from .errors import (
     BadBaseError,
     DimensionMismatchError,
@@ -183,6 +183,7 @@ def _ruled_tree(n: int, root_of: Callable[[int, int], int]) -> StaticTree:
 
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
     """Single weighted finger term for the access pair prev -> cur."""
+    check_type(w, WeightAssignment, "w")
     check_key(prev, w.n)
     check_key(cur, w.n)
     pair = AccessSequence(w.n, (operator.index(prev), operator.index(cur)))
@@ -203,8 +204,11 @@ def weighted_df_bound(
     1 + log2(|s_i - s_{i-1}| + 1), and 1 + log2(n) for a root start. For
     n < 2^53 these are bit for bit the terms at weights (1.0,) * n.
     """
-    if w is not None and w.n != seq.n:
-        raise DimensionMismatchError(f"weights cover {w.n} keys but sequence has n={seq.n}")
+    check_type(seq, AccessSequence, "seq")
+    if w is not None:
+        check_type(w, WeightAssignment, "w")
+        if w.n != seq.n:
+            raise DimensionMismatchError(f"weights cover {w.n} keys but sequence has n={seq.n}")
     if start not in (START_SELF, START_ROOT):
         raise ValueError(f"start must be '{START_SELF}' or '{START_ROOT}', got {start!r}")
     log2, inf = math.log2, math.inf
@@ -242,6 +246,8 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
     """Cost of serving a sequence on a fixed tree, walking from the previous
     accessed node; the first access walks from the root. Costs count nodes,
     so a repeated access costs 1."""
+    check_type(tree, StaticTree, "tree")
+    check_type(seq, AccessSequence, "seq")
     if tree.n != seq.n:
         raise DimensionMismatchError(f"tree has n={tree.n} but sequence has n={seq.n}")
     return CostReport(tuple(_finger_costs(tree, seq.accesses)))
@@ -251,6 +257,7 @@ def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:
     """w_i = base^(-depth_i): deeper keys get geometrically lighter. The base
     must be a float-sized number above 1, small enough that no weight
     underflows or vanishes in the prefix sums; else `BadBaseError`."""
+    check_type(tree, StaticTree, "tree")
     if not isinstance(base, (int, float)) or not 1.0 < base <= sys.float_info.max:
         raise BadBaseError(f"base must be a number above 1, got {base!r}")
     try:
@@ -268,6 +275,7 @@ def tree_from_weights(w: WeightAssignment) -> StaticTree:
     the smaller key. Both child intervals carry at most half the interval
     weight, giving depth(i) <= log2(W_total / w_i) + 1.
     """
+    check_type(w, WeightAssignment, "w")
     prefix = w.prefix
 
     def median(lo: int, hi: int) -> int:
@@ -353,6 +361,7 @@ def best_static_finger_cost(seq: AccessSequence) -> tuple[StaticTree, int]:
     plus the two subtrees' costs, and `iter_bsts` runs roots ascending, then
     left shapes, then right ones, so this is its first minimum.
     """
+    check_type(seq, AccessSequence, "seq")
     n, accesses = seq.n, seq.accesses
     if n > MAX_STATIC_N:
         raise TooLargeError(

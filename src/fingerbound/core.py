@@ -61,6 +61,14 @@ def check_key(k: Key, n: int) -> None:
         raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
 
 
+def check_type(value: object, cls: type, name: str) -> None:
+    """Raise `TypeError` naming the argument `name` unless value is a `cls`:
+    the type check at the library's entry points."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
 def rank_keys(keys: Iterable[Key]) -> tuple[list[Key], dict[Key, int]]:
     """The sorted distinct values of `keys`, and the map from each of them
     to its 1-based rank among them, built once for the caller to read."""
@@ -138,10 +146,15 @@ class WeightAssignment:
     prefix: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        weights = tuple(self.weights)
         try:
-            ws = tuple(map(float, self.weights))
-        except OverflowError:  # an int or fraction past the float range
-            i = first_bad(self.weights, lambda part: tuple(map(float, part)))
+            ws = tuple(map(float, weights))
+        except (OverflowError, TypeError) as exc:
+            i = first_bad(weights, lambda part: tuple(map(float, part)))
+            if isinstance(exc, TypeError):  # an entry `float` refuses, such as None
+                raise TypeError(f"weight {i + 1} must be a real number, "
+                                f"got {type(weights[i]).__name__}") from None
+            # an int or fraction past the float range
             raise ValueError(f"weight {i + 1} is past the float range; "
                              "rescale the vector") from None
         if not ws:

@@ -28,7 +28,7 @@ the nearest one first. The two routes are cross-checked in the test suite.
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
 one row against them (`violation`), then folds the row in (`commit`). The
-sweep is causal, which the exhaustive search below relies on. It is also the
+sweep is causal, which the exhaustive oracles rely on. It is also the
 state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
 row it emits and logs it, so `commit`'s unchecked fold is the one place
 last-touch times rise.
@@ -36,22 +36,18 @@ The times are the leaves of a max segment tree, their one copy; a row's time
 is above every committed one, so `commit` raises each of its leaves and
 climbs only until it meets an ancestor the row has already raised.
 
-`minimum_supersets` is the one exhaustive search over point additions: the
-greedy minimum-row oracle (with its uniqueness check) and the exact optimum
-take their answers from it. One recursion walks its rows in time order:
-at each row it adds a further free point of that row or closes the row,
-checking it once, and a failed row drops every subset through it. A row's
-points are added before it closes and a later row's points come later in
-the time-major `free` list, so answers keep `itertools.combinations` order.
-Every caller passes the `RowSweep` of its keyspace, holding any earlier rows
-it fixes, so only the later rows are searched and checked. Each answer is
-the list of points it adds, so a caller reads the added keys directly and
-builds no point set.
+`RowSweep.completions` is the one exhaustive search: the rows of the next
+time that hold a given key and a given number of other keys and pass
+`violation`. The greedy minimum-row oracle (`greedy.brute_min_row`, with
+its uniqueness check) takes them for one row on greedy's own state, and the
+exact optimum (`opt.opt_satisfied_superset`) row by row, committing each
+on a copy of the sweep. Each row is a sorted key list, so no caller builds
+a point set to search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .core import Key, Point, PointSet, check_built_size, check_key, rank_keys
@@ -178,6 +174,17 @@ class RowSweep:
             prev = y
         return None
 
+    def completions(self, x: Key, extra: int) -> Iterator[list[Key]]:
+        """The rows of time `time + 1` that hold x and exactly `extra` other
+        keys and pass `violation`, each sorted, in `itertools.combinations`
+        order of the other keys. x in 1..n, checked. The sweep is not
+        changed. Exhaustive: meant for tiny n."""
+        check_key(x, self.n)
+        t = self.time + 1
+        others = [k for k in range(1, self.n + 1) if k != x]
+        rows = (sorted((x, *keys)) for keys in combinations(others, extra))
+        return (row for row in rows if self.violation(row, t) is None)
+
     def commit(self, row: Sequence[Key], t: int) -> None:
         """Fold row t in: its keys were last touched at t. Raises before any
         write unless t follows the committed rows and every key, in any
@@ -237,72 +244,6 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     bad = RowSweep(len(keys)).sweep((t, [rank[k] for k in pset.row_keys(t)])
                                     for t in pset.times)
     return bad and tuple(Point(keys[r - 1], t) for r, t in bad)
-
-
-def minimum_supersets(base: list[Point], free: Sequence[Point],
-                      sweep: RowSweep) -> Iterator[list[Point]]:
-    """The points of `free` that each arborally satisfied superset of
-    `base` adds, for the fewest additions.
-
-    Yields, in `itertools.combinations` order, each subset of `free` of the
-    first size whose union with `base` is satisfied, as a list, then stops.
-    `free` must be time-major. `sweep`, over a keyspace holding their keys,
-    holds the committed rows before every point of `base` and `free`, which
-    count toward satisfaction; it is not changed. Exhaustive: meant for
-    tiny instances.
-
-    One recursion walks the rows in time order, for each size in turn. At
-    row r it either adds a free point of row r past the last one added, by
-    a recursive call, or closes row r: it checks the row with
-    `RowSweep.violation`, commits it on a copy of the sweep and goes on to
-    row r + 1 in the same call. Row r's points are tried before it closes
-    and a later row's points have larger indices, hence `combinations`
-    order. A failed row drops every subset through it, and no step is taken
-    while fewer free points remain than the size still needs.
-    """
-    free_times = [p.time for p in free]
-    if free_times != sorted(free_times):
-        raise ValueError("free points must be in time-major order")
-    for k, t in (*base, *free):
-        if not (1 <= k <= sweep.n and t > sweep.time):
-            raise ValueError(f"point {(k, t)} needs a key in [1, {sweep.n}] "
-                             f"and a time after {sweep.time}")
-    base_keys: dict[int, set[Key]] = {}
-    for k, t in base:
-        base_keys.setdefault(t, set()).add(k)
-    times = sorted(base_keys.keys() | set(free_times))
-    base_rows = [sorted(base_keys.get(t, ())) for t in times]
-    # row r's free points are free[start[r]:start[r + 1]]
-    start = [bisect_left(free_times, t) for t in times] + [len(free)]
-
-    def search(state: RowSweep, r: int, pos: int, extra: list[Key], need: int,
-               chosen: list[Point]) -> Iterator[list[Point]]:
-        # `state` holds the rows before row r, which holds `extra` so far;
-        # `need` more points are still to come from free[pos:]
-        while r < len(times):
-            if need:
-                for i in range(pos, min(start[r + 1], len(free) - need + 1)):
-                    yield from search(state, r, i + 1, extra + [free[i].key], need - 1,
-                                      chosen + [free[i]])
-            if len(free) - start[r + 1] < need:
-                return
-            row = sorted({*base_rows[r], *extra}) if extra else base_rows[r]
-            t = times[r]
-            if state.violation(row, t) is not None:
-                return
-            r, pos, extra = r + 1, start[r + 1], []
-            if r < len(times):
-                state = state.copy()
-                state.commit(row, t)
-        yield chosen
-
-    for size in range(len(free) + 1):
-        found = False
-        for candidate in search(sweep, 0, 0, [], size, []):
-            found = True
-            yield candidate
-        if found:
-            return
 
 
 def unsatisfied_pairs(pset: PointSet) -> list[tuple[Point, Point]]:

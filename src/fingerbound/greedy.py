@@ -30,11 +30,11 @@ Its row is a sorted list built from the two staircases, as is every row in
 the package, and the sweep raises it once, unchecked: x is checked, and
 every other key is a leaf the walks found.
 `greedy_row_reference` is a plain O(n) prefix-maximum scan kept for
-differential testing, and `brute_min_row` is
-the exhaustive minimum-cardinality oracle for tiny instances: x plus the
-keys that the first answer of `geometry.minimum_supersets` adds from the
-row's other keys, searched on top of the caller's sweep over the earlier
-rows (greedy's own state), which also confirms that minimum is unique.
+differential testing, and `brute_min_row` is the exhaustive
+minimum-cardinality oracle for tiny instances: the first
+`RowSweep.completions` of the row by increasing count of other keys,
+searched on the caller's sweep over the earlier rows (greedy's own state),
+which also confirms that minimum is unique.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from __future__ import annotations
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterator
 
-from .core import AccessSequence, CostReport, Key, Point, PointSet, check_key, rank_keys
-from .geometry import RowSweep, minimum_supersets
+from .core import (AccessSequence, CostReport, Key, PointSet, check_key, check_type,
+                   rank_keys)
+from .geometry import RowSweep
 
 
 class GreedyState(RowSweep):
@@ -146,8 +147,7 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
     the ranks by one `map` over the flat log. Its sweep (`n`, `tree` and
     `last_touch`) stays over the ranks, so its `step` and `commit` raise.
     """
-    if not isinstance(seq, AccessSequence):
-        raise TypeError(f"seq must be an AccessSequence, got {type(seq).__name__}")
+    check_type(seq, AccessSequence, "seq")
     keys, rank = rank_keys(seq.accesses)
     state = GreedyState(len(keys), track_points)
     for r in map(rank.__getitem__, seq.accesses):
@@ -183,17 +183,16 @@ def greedy_cost(seq: AccessSequence) -> CostReport:
 
 
 def brute_min_row(state: RowSweep, x: Key) -> list[Key]:
-    """Smallest completion of row `state.time + 1` that contains x, sorted.
+    """Smallest completion of the row after `state`'s rows that contains x,
+    sorted.
 
-    x plus the keys of the first `minimum_supersets` answer over the row's
-    other keys, searched on top of `state`, which is not changed. Raises
-    `ValueError` if a second completion of that size exists. Exhaustive:
-    meant for n at most about 12.
+    The first of `RowSweep.completions` with 0, 1, ... other keys, searched
+    on `state`, which is not changed. Raises `ValueError` if a second
+    completion of that size exists. Exhaustive: meant for n at most about 12.
     """
-    check_key(x, state.n)
-    t = state.time + 1
-    others = [Point(k, t) for k in range(1, state.n + 1) if k != x]
-    found = list(islice(minimum_supersets([Point(x, t)], others, state), 2))
-    if len(found) > 1:
-        raise ValueError(f"row {t} has two minimum completions containing {x}")
-    return sorted([x, *(k for k, _ in found[0])])
+    for extra in range(state.n):  # the full row, n - 1 other keys, always passes
+        found = list(islice(state.completions(x, extra), 2))
+        if len(found) > 1:
+            raise ValueError(f"row {state.time + 1} has two minimum completions containing {x}")
+        if found:
+            return found[0]

@@ -1,22 +1,24 @@
 """Exact minimum arborally satisfied superset for tiny instances.
 
-Takes the first answer of `geometry.minimum_supersets` over the grid
-{1..n} x {1..m}, searched on an empty `RowSweep(n)`: it tries the added
-points by increasing count, so the accesses plus the first points it adds
-form a satisfied superset of provably minimum size, the one witness built
-as a `PointSet`. The grid points are listed time-major, so the search
-checks each row once its added points are chosen and skips every extension
-of a choice whose row fails: a row's verdict depends only on the rows at or
-before it. Guarded to n, m <= 5; the grid blow-up is factorial beyond that.
+A depth-first search over rows: row t is one of the
+`RowSweep.completions` of access t, by increasing count of other keys,
+committed on a copy of the sweep over the rows before it, and a failed row
+drops every extension through it. The search deepens iteratively on
+`spare`, the total of other keys the rows may add, from 0 up, and the last
+row takes exactly the keys still spare. So the first total that completes
+row m is the least, and the accesses plus those rows form a satisfied
+superset of provably minimum size, m + spare: the one witness built as a
+`PointSet`. Guarded to n, m <= 5: the search is exponential in n·m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
-from .core import AccessSequence, Point, PointSet
+from .core import AccessSequence, Key, Point, PointSet, check_type
 from .errors import TooLargeError
-from .geometry import RowSweep, minimum_supersets
+from .geometry import RowSweep
 
 MAX_N = 5
 MAX_M = 5
@@ -31,17 +33,31 @@ class OptResult:
 
 
 def opt_satisfied_superset(seq: AccessSequence) -> OptResult:
+    check_type(seq, AccessSequence, "seq")
     if seq.n > MAX_N or seq.m > MAX_M:
         raise TooLargeError(
             f"exact optimum is guarded to n <= {MAX_N}, m <= {MAX_M}; got n={seq.n}, m={seq.m}"
         )
-    base = [Point(k, t) for t, k in enumerate(seq, start=1)]
-    taken = set(base)
-    free = [
-        Point(k, t)
-        for t in range(1, seq.m + 1)
-        for k in range(1, seq.n + 1)
-        if Point(k, t) not in taken
-    ]
-    added = next(minimum_supersets(base, free, RowSweep(seq.n)))
-    return OptResult(len(base) + len(added), PointSet(base + added))
+    accesses = seq.accesses
+    m = len(accesses)
+
+    def rows_after(sweep: RowSweep, spare: int) -> list[list[Key]] | None:
+        # the rows after the sweep's, holding `spare` other keys in all; every
+        # smaller total has failed, so the last row takes all that is left
+        t = sweep.time + 1
+        for extra in range(spare + 1) if t < m else (spare,):
+            for row in sweep.completions(accesses[t - 1], extra):
+                if t == m:
+                    return [row]
+                later = sweep.copy()
+                later.commit(row, t)
+                rest = rows_after(later, spare - extra)
+                if rest is not None:
+                    return [row, *rest]
+        return None
+
+    for spare in count():
+        rows = rows_after(RowSweep(seq.n), spare)
+        if rows is not None:
+            witness = PointSet(Point(k, t) for t, row in enumerate(rows, start=1) for k in row)
+            return OptResult(m + spare, witness)

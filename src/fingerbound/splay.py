@@ -30,7 +30,8 @@ the lazy build too.
 from __future__ import annotations
 
 from .bounds import INITIAL_SHAPES, SHAPE_ROOTS, shape_children, shape_rule
-from .core import AccessSequence, CostReport, Key, check_built_size, check_key, check_size
+from .core import (AccessSequence, CostReport, Key, check_built_size, check_key, check_size,
+                   check_type)
 
 
 class _Node:
@@ -201,8 +202,7 @@ class SplayTree:
 
 def run_splay(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Serve a whole sequence on one tree, reporting per-access costs."""
-    if not isinstance(seq, AccessSequence):
-        raise TypeError(f"seq must be an AccessSequence, got {type(seq).__name__}")
+    check_type(seq, AccessSequence, "seq")
     tree = SplayTree(seq.n, initial)
     # `seq` has already checked every key against its n
     return CostReport(tuple(map(tree._access, seq.accesses)))
@@ -228,6 +228,7 @@ def _ref_replace_child(links: dict[int, list[int]], par: int, old: int, new: int
 def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> CostReport:
     """Parent-free differential re-implementation of `run_splay`, on an
     eagerly built initial shape."""
+    check_type(seq, AccessSequence, "seq")
     root, left, right = shape_children(seq.n, shape_rule(initial))
     links = {k: [left[k], right[k]] for k in range(1, seq.n + 1)}
     costs: list[int] = []

@@ -4,7 +4,18 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fingerbound.bounds import SHAPE_ROOTS, StaticTree, shape_children
+from fingerbound.bounds import (
+    SHAPE_ROOTS,
+    StaticTree,
+    best_static_finger_cost,
+    dynamic_finger_bound,
+    shape_children,
+    static_finger_cost,
+    tree_from_weights,
+    wdf_term,
+    weighted_df_bound,
+    weights_from_tree,
+)
 from fingerbound.core import (
     MAX_BUILT_N,
     AccessSequence,
@@ -17,7 +28,8 @@ from fingerbound.core import (
 )
 from fingerbound.geometry import RowSweep
 from fingerbound.greedy import GreedyState, greedy_row
-from fingerbound.splay import SplayTree
+from fingerbound.opt import opt_satisfied_superset
+from fingerbound.splay import SplayTree, run_splay, run_splay_reference
 from fingerbound.errors import (
     BadKeyspaceError,
     EmptySequenceError,
@@ -153,6 +165,11 @@ class TestWeights:
         with pytest.raises(ValueError, match="weight 3 must be a finite positive number"):
             WeightAssignment((1e300, 1e300, float("inf")))
 
+    @pytest.mark.parametrize("weights, i", [((None,), 1), ((1.0, 2.0, [3.0]), 3)])
+    def test_a_weight_of_the_wrong_type_is_named(self, weights, i):
+        with pytest.raises(TypeError, match=rf"^weight {i} must be a real number, got "):
+            WeightAssignment(weights)
+
     def test_prefix_is_the_running_sum(self):
         rng = Splitmix64(7)
         ws = tuple(rng.unit() + 1e-3 for _ in range(500))
@@ -165,6 +182,31 @@ class TestWeights:
 
     def test_total(self):
         assert WeightAssignment((0.5, 2.0, 0.25)).total == pytest.approx(2.75)
+
+
+SEQ = AccessSequence(3, (1, 3, 2))
+TREE = StaticTree.balanced(3)
+
+
+@pytest.mark.parametrize("call, name, cls", [
+    (lambda: weighted_df_bound([1, 3], None), "seq", "an AccessSequence"),
+    (lambda: weighted_df_bound(SEQ, [1.0] * 3), "w", "a WeightAssignment"),
+    (lambda: dynamic_finger_bound([1, 3]), "seq", "an AccessSequence"),
+    (lambda: wdf_term([1.0] * 3, 1, 2), "w", "a WeightAssignment"),
+    (lambda: static_finger_cost(TREE, [1, 3]), "seq", "an AccessSequence"),
+    (lambda: static_finger_cost([2, 1, 3], SEQ), "tree", "a StaticTree"),
+    (lambda: best_static_finger_cost([1, 3]), "seq", "an AccessSequence"),
+    (lambda: tree_from_weights([1.0] * 3), "w", "a WeightAssignment"),
+    (lambda: weights_from_tree([2, 1, 3]), "tree", "a StaticTree"),
+    (lambda: opt_satisfied_superset([1, 3]), "seq", "an AccessSequence"),
+    (lambda: run_splay([1, 3]), "seq", "an AccessSequence"),
+    (lambda: run_splay_reference([1, 3]), "seq", "an AccessSequence"),
+], ids=["wdf_seq", "wdf_w", "dynamic_finger", "wdf_term", "static_finger_seq",
+        "static_finger_tree", "best_static", "tree_from_weights", "weights_from_tree",
+        "opt", "splay", "splay_reference"])
+def test_entry_points_reject_the_wrong_type(call, name, cls):
+    with pytest.raises(TypeError, match=f"^{name} must be {cls}, got list$"):
+        call()
 
 
 class TestPointSet:

@@ -1,4 +1,3 @@
-import random
 import re
 import tracemalloc
 from itertools import combinations
@@ -8,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from fingerbound import verify
 from fingerbound.core import Point, PointSet
+from fingerbound.errors import KeyOutOfRangeError
 from fingerbound.geometry import (
     RowSweep,
     first_violation,
     is_arborally_satisfied,
-    minimum_supersets,
     unsatisfied_pairs,
 )
 from fingerbound.workloads import Splitmix64
@@ -128,51 +127,42 @@ def test_degenerate_lines_always_satisfied(fixed, varying):
     assert is_arborally_satisfied(row)
 
 
-def test_minimum_supersets_yields_every_smallest_and_stops():
-    base = [Point(1, 1), Point(2, 2)]
-    found = [PointSet(base + added)
-             for added in minimum_supersets(base, [Point(2, 1), Point(1, 2)], RowSweep(2))]
-    assert found == [ps((1, 1), (2, 2), (2, 1)), ps((1, 1), (2, 2), (1, 2))]
+def test_completions_yield_every_passing_row():
+    sweep = RowSweep(3)
+    # on an empty sweep every row passes
+    assert list(sweep.completions(2, 1)) == [[1, 2], [2, 3]]
+    sweep.commit([2], 1)
+    # (1, 2) spans an empty rectangle with (2, 1) unless (2, 2) joins it
+    assert [list(sweep.completions(1, extra)) for extra in range(3)] == [
+        [], [[1, 2]], [[1, 2, 3]]]
 
 
-def _plain_minimum_supersets(base, free):
-    """The reference: whole candidate sets, every combination of every size."""
-    for size in range(len(free) + 1):
-        found = [c for c in (PointSet(base + list(combo)) for combo in combinations(free, size))
-                 if is_arborally_satisfied(c)]
-        if found:
-            return found
-    return []
-
-
-def test_pruned_search_matches_plain_enumeration():
-    # n <= 5, m <= 4: one base point per row plus up to two more, and the
-    # free grid points kept whole or thinned to a half or a quarter
-    rng = random.Random(20261018)
-    for _ in range(2000):
-        n, m = rng.randint(1, 5), rng.randint(1, 4)
-        base = {Point(rng.randint(1, n), t) for t in range(1, m + 1)}
-        base |= {Point(rng.randint(1, n), rng.randint(1, m)) for _ in range(rng.randint(0, 2))}
-        base = sorted(base, key=lambda p: (p.time, p.key))
-        keep = rng.choice((1.0, 0.5, 0.25))
-        free = [Point(k, t) for t in range(1, m + 1) for k in range(1, n + 1)
-                if Point(k, t) not in base and rng.random() < keep]
-        expect = _plain_minimum_supersets(base, free)
-        got = [PointSet(base + added) for added in minimum_supersets(base, free, RowSweep(n))]
-        assert got == expect, (base, free)
-        if not free:
-            continue
-        # the same search on top of the carried rows before the first free time
-        start = free[0].time
-        sweep = RowSweep(5)
-        early = PointSet(p for p in base if p.time < start)
-        if sweep.sweep((t, early.row_keys(t)) for t in early.times) is not None:
-            assert expect == []
-            continue
+def test_completions_match_the_definition():
+    # seeded sweeps of up to 4 satisfied rows over n <= 5; for every x and
+    # every count of other keys, the rows holding x that leave no
+    # unsatisfied pair with the committed points, in `combinations` order
+    rng = Splitmix64(20261020)
+    for _ in range(300):
+        n = rng.below(5) + 1
+        sweep = RowSweep(n)
+        points = []
+        for t in range(1, rng.below(5) + 1):
+            while True:
+                bits = rng.below(2**n - 1) + 1
+                row = [k for k in range(1, n + 1) if bits >> (k - 1) & 1]
+                if sweep.violation(row, t) is None:
+                    break
+            sweep.commit(row, t)
+            points += [Point(k, t) for k in row]
         carried = (sweep.time, sweep.tree[:])
-        later = [p for p in base if p.time >= start]
-        got = [PointSet(later + added) for added in minimum_supersets(later, free, sweep)]
-        assert got == [PointSet(p for p in c if p.time >= start) for c in expect]
+        t = sweep.time + 1
+        for x in range(1, n + 1):
+            others = [k for k in range(1, n + 1) if k != x]
+            for extra in range(n):
+                expect = [sorted((x, *keys)) for keys in combinations(others, extra)
+                          if not unsatisfied_pairs(
+                              PointSet([*points, *(Point(k, t) for k in (x, *keys))]))]
+                assert list(sweep.completions(x, extra)) == expect, (points, x, extra)
         assert (sweep.time, sweep.tree) == carried
 
 
@@ -196,27 +186,41 @@ def test_search_checks_rows_not_subsets(monkeypatch, check, most):
     assert 0 < calls <= most
 
 
-def test_minimum_supersets_needs_time_major_free():
-    with pytest.raises(ValueError, match="time-major"):
-        list(minimum_supersets([Point(1, 1)], [Point(1, 3), Point(2, 2)], RowSweep(2)))
-
-
-def test_minimum_supersets_rejects_points_the_sweep_covers():
+def test_completions_reject_a_key_outside_the_keyspace():
     sweep = RowSweep(3)
     sweep.commit([2], 1)
-    with pytest.raises(ValueError):
-        list(minimum_supersets([Point(1, 1)], [], sweep))
-    with pytest.raises(ValueError):
-        list(minimum_supersets([Point(4, 2)], [], sweep))
+    for x in (0, 4, True, 2.0):
+        with pytest.raises(KeyOutOfRangeError):
+            sweep.completions(x, 0)
     # a far key fails the keyspace check before the search builds anything
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=re.escape("point (134217728, 2) needs a key in [1, 2]")):
-            next(minimum_supersets([Point(1, 1), Point(2**27, 2)], [Point(1, 2)], RowSweep(2)))
+        with pytest.raises(KeyOutOfRangeError, match=re.escape("key 134217728 outside [1, 2]")):
+            RowSweep(2).completions(2**27, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+@pytest.mark.parametrize("check, calls", [
+    (verify.check_greedy_minimality, 25_761),
+    (verify.check_opt_dominance, 16_721),
+])
+def test_oracles_make_pinned_row_checks(monkeypatch, check, calls):
+    # the exact work of the two exhaustive oracles' self-checks, one
+    # `violation` call per row they try
+    made = 0
+    violation = RowSweep.violation
+
+    def counted(self, row, t):
+        nonlocal made
+        made += 1
+        return violation(self, row, t)
+
+    monkeypatch.setattr(RowSweep, "violation", counted)
+    check()
+    assert made == calls
 
 
 # The gap rule, on hand-built rows: rows 1.. are committed, and the last row

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fingerbound import greedy, verify
 from fingerbound.core import AccessSequence, Point, PointSet
 from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
-from fingerbound.geometry import RowSweep, is_arborally_satisfied, minimum_supersets
+from fingerbound.geometry import RowSweep, is_arborally_satisfied
 from fingerbound.greedy import (
     GreedyState,
     brute_min_row,
@@ -156,10 +156,10 @@ def test_search_on_the_state_leaves_it_unchanged():
         for _ in range(rng.below(5)):
             state.step(rng.below(n) + 1)
         before = (list(state.rows()), state.per_row_cost[:], state.tree[:], state.time)
-        x, t = rng.below(n) + 1, state.time + 1
-        others = [Point(k, t) for k in range(1, n + 1) if k != x]
-        found = list(minimum_supersets([Point(x, t)], others, state))
-        assert [sorted([x, *(p.key for p in f)]) for f in found] == [greedy_row(state, x)]
+        x = rng.below(n) + 1
+        row = greedy_row(state, x)
+        assert list(state.completions(x, len(row) - 1)) == [row]
+        assert all(list(state.completions(x, extra)) == [] for extra in range(len(row) - 1))
         assert brute_min_row(state, x) == greedy_row(state, x)
         assert (list(state.rows()), state.per_row_cost, state.tree, state.time) == before
 
@@ -245,14 +245,12 @@ def test_minimality_suite_names_the_first_wrong_prefix(monkeypatch):
 
 
 def test_minimality_suite_reports_a_second_minimum(monkeypatch):
-    search = greedy.minimum_supersets
+    completions = RowSweep.completions
 
-    def twice(base, free, sweep):
-        first = next(search(base, free, sweep))
-        yield first
-        yield first
+    def twice(self, x, extra):
+        return list(completions(self, x, extra))[:1] * 2
 
-    monkeypatch.setattr(greedy, "minimum_supersets", twice)
+    monkeypatch.setattr(RowSweep, "completions", twice)
     with pytest.raises(ValueError, match="row 1 has two minimum completions containing 1"):
         brute_min_row(GreedyState(1), 1)
     report = verify.run_suite("minimality")

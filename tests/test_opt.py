@@ -1,13 +1,14 @@
-from itertools import product
+from itertools import combinations, count, product
 
 import pytest
 
 from fingerbound.cli import main
 from fingerbound.core import AccessSequence, Point, PointSet
 from fingerbound.errors import TooLargeError
-from fingerbound.geometry import RowSweep, is_arborally_satisfied, minimum_supersets
+from fingerbound.geometry import RowSweep, is_arborally_satisfied, unsatisfied_pairs
 from fingerbound.greedy import greedy_execute
 from fingerbound.opt import opt_satisfied_superset
+from fingerbound.workloads import Splitmix64
 
 
 def test_already_satisfied_input():
@@ -84,8 +85,42 @@ def test_opt_command_builds_one_point_set(monkeypatch, tmp_path, capsys):
 
 def test_search_answers_build_no_point_sets(monkeypatch):
     built = count_pointsets(monkeypatch)
-    base = [Point(k, t) for t, k in enumerate((1, 4, 2, 3), start=1)]
-    free = [Point(k, t) for t in range(1, 5) for k in range(1, 5) if Point(k, t) not in base]
-    answers = list(minimum_supersets(base, free, RowSweep(4)))
-    assert answers and built == []
-    assert all(set(added) <= set(free) for added in answers)
+    sweep = RowSweep(4)
+    for t, x in enumerate((1, 4, 2, 3), start=1):
+        rows = [row for extra in range(4) for row in sweep.completions(x, extra)]
+        assert rows and all(type(row) is list and x in row for row in rows)
+        sweep.commit(rows[0], t)
+    assert built == []
+
+
+def definition_opt(seq):
+    """The fewest points of any superset of the accesses that has no
+    unsatisfied pair, by trying every superset of the grid by size."""
+    base = [Point(k, t) for t, k in enumerate(seq, start=1)]
+    free = [Point(k, t) for t in range(1, seq.m + 1) for k in range(1, seq.n + 1)
+            if Point(k, t) not in base]
+    for size in count():
+        if any(not unsatisfied_pairs(PointSet(base + list(added)))
+               for added in combinations(free, size)):
+            return seq.m + size
+
+
+def test_opt_matches_the_definition():
+    # every sequence with n, m <= 3
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for accesses in product(range(1, n + 1), repeat=m):
+                seq = AccessSequence(n, accesses)
+                assert opt_satisfied_superset(seq).size == definition_opt(seq), accesses
+
+
+def test_opt_sizes_of_seeded_traces():
+    # pinned from the earlier search over subsets of the free grid points
+    rng = Splitmix64(2028)
+    shapes = ((5, 4), (4, 5), (5, 5))
+    sizes = []
+    for i in range(20):
+        n, m = shapes[i % 3]
+        seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(m)))
+        sizes.append(opt_satisfied_superset(seq).size)
+    assert sizes == [8, 8, 7, 7, 9, 9, 7, 7, 8, 6, 10, 10, 6, 8, 8, 7, 7, 8, 7, 7]
