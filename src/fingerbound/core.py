@@ -149,11 +149,14 @@ class WeightAssignment:
         weights = tuple(self.weights)
         try:
             ws = tuple(map(float, weights))
-        except (OverflowError, TypeError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             i = first_bad(weights, lambda part: tuple(map(float, part)))
             if isinstance(exc, TypeError):  # an entry `float` refuses, such as None
                 raise TypeError(f"weight {i + 1} must be a real number, "
                                 f"got {type(weights[i]).__name__}") from None
+            if isinstance(exc, ValueError):  # a string `float` cannot parse
+                raise ValueError(f"weight {i + 1} must be a real number, "
+                                 f"got {weights[i]!r}") from None
             # an int or fraction past the float range
             raise ValueError(f"weight {i + 1} is past the float range; "
                              "rescale the vector") from None

@@ -9,8 +9,8 @@ impose no constraint.
 Two routes are provided. `unsatisfied_pairs` is the definition itself: it
 reads no index, checks each pair against every other point of the set and
 lists the violations. `is_arborally_satisfied` runs a row sweep over the
-ranks of the set's keys that reduces the pair condition to one outward
-staircase walk per open gap of a row:
+ranks of the set's keys that reduces the pair condition to one range-maximum
+test per open gap of a row:
 
     at row time t, for an open key gap between neighbouring row points (or
     a row point and the keyspace boundary), the set is violated exactly
@@ -20,25 +20,27 @@ staircase walk per open gap of a row:
 Everything farther out is witnessed by the nearest same-row point, blocked
 gap keys are witnessed by their blockers, and stale column points are
 witnessed by their successors in the same column, so that comparison is the
-only one left. It is greedy's staircase walk (`RowSweep`'s `right_stairs`
-or `left_stairs`), from the earlier-touched neighbour and stopped at the
-gap's far end: a violation exactly when it finds a record inside the gap,
-the nearest one first. The two routes are cross-checked in the test suite.
+only one left: the gap's maximum last-touch time against that threshold
+(`RowSweep.failing_gap`). Only a failing gap needs its witness, the gap's
+key nearest the earlier-touched neighbour among those touched later, which
+is the first record of greedy's staircase walk from that neighbour
+(`RowSweep`'s `right_stairs` or `left_stairs`). The two routes are
+cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
-one row against them (`violation`), then folds the row in (`commit`). The
-sweep is causal, which the exhaustive oracles rely on. It is also the
-state greedy reads: `greedy.GreedyState` is a `RowSweep` that commits each
-row it emits and logs it, so `commit`'s unchecked fold is the one place
-last-touch times rise.
+one row against them (`failing_gap`, or `violation` for the witness), then
+folds the row in (`commit`). The sweep is causal, which the exhaustive
+oracles rely on. It is also the state greedy reads: `greedy.GreedyState` is
+a `RowSweep` that commits each row it emits and logs it, so `commit`'s
+unchecked fold is the one place last-touch times rise.
 The times are the leaves of a max segment tree, their one copy; a row's time
 is above every committed one, so `commit` raises each of its leaves and
 climbs only until it meets an ancestor the row has already raised.
 
 `RowSweep.completions` is the one exhaustive search: the rows of the next
 time that hold a given key and a given number of other keys and pass
-`violation`. The greedy minimum-row oracle (`greedy.brute_min_row`, with
+`failing_gap`. The greedy minimum-row oracle (`greedy.brute_min_row`, with
 its uniqueness check) takes them for one row on greedy's own state, and the
 exact optimum (`opt.opt_satisfied_superset`) row by row, committing each
 on a copy of the sweep. Each row is a sorted key list, so no caller builds
@@ -47,7 +49,8 @@ a point set to search.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .core import Key, Point, PointSet, check_built_size, check_key, rank_keys
@@ -61,11 +64,14 @@ class RowSweep:
     the maximum of its subtree, and padding leaves past n stay 0. Rows are
     sorted key lists, committed in increasing time.
 
-    The staircase walks answer greedy's rows and the gap check: each is one
-    loop that finds the strict records of last-touch time on one side of k,
-    nearest first, each record searched outward from the leaf next to the
-    last one, in O(log gap) for a hit gap keys away and O(log n) at worst.
-    A threshold at or above the root's maximum ends the walk at once."""
+    The staircase walks answer greedy's rows: each is one loop that finds
+    the strict records of last-touch time on one side of k, nearest first,
+    each record searched outward from the leaf next to the last one, in
+    O(log gap) for a hit gap keys away and O(log n) at worst. The gap test
+    (`failing_gap`) is one bottom-up pass over a gap's leaves, O(log gap),
+    stopped at the first node above the gap's threshold; `violation` builds
+    a failing gap's witness with one walk. In both, a threshold at or above
+    the root's maximum ends the search at once."""
 
     __slots__ = ("n", "size", "time", "tree")
 
@@ -149,41 +155,67 @@ class RowSweep:
             thr = t[i]
         return out
 
-    def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
-        """A pair spanning an empty rectangle that row t would form with the
-        committed rows, earlier point first, or None."""
+    def failing_gap(self, row: Sequence[Key]) -> tuple[Key, Key] | None:
+        """The bounds (prev, y) of the sorted row's first open gap, in key
+        order, that holds a key touched later than the earlier-touched of
+        its bounding row keys, or None; prev is 0 and y is n + 1 at the
+        keyspace ends, which bound nothing, so an empty row passes."""
         tree = self.tree
         base = self.size - 1
         n = self.n
+        top = tree[1]
         prev = 0
-        # each open gap between neighbouring row keys is walked outward from
-        # its earlier-touched neighbour (a keyspace end never bounds a
-        # rectangle) up to its far end; a record inside the gap spans an
-        # empty rectangle with that neighbour's row point, and no record
-        # means every gap key is witnessed
         for y in (*row, n + 1):
             if y - prev > 1:
-                if prev and (y > n or tree[base + prev] <= tree[base + y]):
-                    z = self.right_stairs(prev, y)
-                    if z:
-                        return Point(z[0], tree[base + z[0]]), Point(prev, t)
-                elif y <= n:
-                    z = self.left_stairs(y, prev)
-                    if z:
-                        return Point(z[0], tree[base + z[0]]), Point(y, t)
+                thr = tree[base + prev] if prev else top
+                if y <= n and tree[base + y] < thr:
+                    thr = tree[base + y]
+                if thr < top:
+                    lo = base + prev + 1  # the leaves of keys prev + 1 .. y - 1
+                    hi = base + y - 1
+                    while lo <= hi:
+                        if lo & 1:
+                            if tree[lo] > thr:
+                                return prev, y
+                            lo += 1
+                        if not hi & 1:
+                            if tree[hi] > thr:
+                                return prev, y
+                            hi -= 1
+                        lo >>= 1
+                        hi >>= 1
             prev = y
         return None
 
+    def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
+        """A pair spanning an empty rectangle that the sorted row t would
+        form with the committed rows, earlier point first, or None: in the
+        first failing gap, the nearest record from its earlier-touched
+        neighbour, with that neighbour's row point."""
+        gap = self.failing_gap(row)
+        if gap is None:
+            return None
+        prev, y = gap
+        tree = self.tree
+        base = self.size - 1
+        if prev and (y > self.n or tree[base + prev] <= tree[base + y]):
+            near, z = prev, self.right_stairs(prev, y)[0]
+        else:
+            near, z = y, self.left_stairs(y, prev)[0]
+        return Point(z, tree[base + z]), Point(near, t)
+
     def completions(self, x: Key, extra: int) -> Iterator[list[Key]]:
         """The rows of time `time + 1` that hold x and exactly `extra` other
-        keys and pass `violation`, each sorted, in `itertools.combinations`
-        order of the other keys. x in 1..n, checked. The sweep is not
-        changed. Exhaustive: meant for tiny n."""
+        keys and pass `failing_gap`, each sorted, in `itertools.combinations`
+        order of the other keys. x in 1..n and extra, a non-negative int
+        (not a bool), checked. The sweep is not changed. Exhaustive: meant
+        for tiny n."""
         check_key(x, self.n)
-        t = self.time + 1
+        if type(extra) is not int or extra < 0:
+            raise ValueError(f"extra must be a non-negative integer, got {extra!r}")
         others = [k for k in range(1, self.n + 1) if k != x]
         rows = (sorted((x, *keys)) for keys in combinations(others, extra))
-        return (row for row in rows if self.violation(row, t) is None)
+        return (row for row in rows if self.failing_gap(row) is None)
 
     def commit(self, row: Sequence[Key], t: int) -> None:
         """Fold row t in: its keys were last touched at t. Raises before any
@@ -215,8 +247,11 @@ class RowSweep:
 
     def sweep(self, rows: Iterable[tuple[int, Sequence[Key]]]) -> tuple[Point, Point] | None:
         """Check and commit (time, keys) rows in turn; the first row's
-        violation, or None once all are committed."""
+        violation, or None once all are committed. Raises `ValueError`
+        naming a row whose keys do not strictly increase before judging it."""
         for t, row in rows:
+            if not all(map(lt, row, islice(row, 1, None))):
+                raise ValueError(f"the keys of row {t} do not strictly increase")
             bad = self.violation(row, t)
             if bad is not None:
                 return bad

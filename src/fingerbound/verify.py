@@ -44,8 +44,10 @@ pin the returned count; test_c* is in tests/test_acceptance.py:
 
 `check_greedy_satisfied` checks greedy's rows on greedy's own sweep: each
 row is checked against the last-touch state greedy holds just before
-committing it, so no second sweep replays the rows. The tests cross-check
-that verdict against a fresh `RowSweep` replay of the logged rows.
+committing it, by the sweep's gap test (`failing_gap`), and only a failing
+row builds its witness, so no second sweep replays the rows. The tests
+cross-check that verdict against a fresh `RowSweep` replay of the logged
+rows. The rows' own checks are builtin passes over greedy's flat log.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, compress, count, islice, product
+from operator import contains, ge
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -128,7 +131,7 @@ class _CheckedGreedy(GreedyState):
         self.bad: tuple[Point, Point] | None = None
 
     def _fold(self, row: Sequence[Key], t: int) -> None:
-        if self.bad is None:
+        if self.bad is None and self.failing_gap(row) is not None:
             self.bad = self.violation(row, t)
         super()._fold(row, t)
 
@@ -147,24 +150,22 @@ def check_greedy_satisfied(rng: Splitmix64) -> int:
     """Greedy output on 1000 random sequences (n <= 64, m <= 256) and on every
     sequence with n, m <= 4 is arborally satisfied; on the random ones it
     also holds every access point and one point per unit of cost, at least
-    one per row."""
+    one per row, each row's keys strictly increasing."""
     checked = 0
     for _ in range(1000):
         seq = _random_sequence(rng, 64, 256)
         state, bad = _greedy_violation(seq)
         if bad is not None:
             raise CheckFailure(f"violating pair {bad} on sequence {seq.accesses}")
-        points = 0
-        for (t, row), k in zip(state.rows(), seq):
-            if k not in row:
-                raise CheckFailure(f"access point ({k},{t}) missing on {seq.accesses}")
-            if row != sorted(set(row)):
-                raise CheckFailure(f"row {t} repeats or misorders keys on {seq.accesses}")
-            points += len(row)
-        if any(c < 1 for c in state.per_row_cost):
-            raise CheckFailure(f"zero-cost row on {seq.accesses}")
-        if sum(state.per_row_cost) != points:
-            raise CheckFailure(f"cost total disagrees with point count on {seq.accesses}")
+        log, cost = state._tracked_log(), state.per_row_cost
+        ends = list(accumulate(cost))
+        # builtin passes over the flat log: its descents fall on row ends only,
+        # and each row's slice holds its access
+        if not (min(cost) >= 1 and ends[-1] == len(log)
+                and set(compress(count(1), map(ge, log, islice(log, 1, None)))).issubset(ends)
+                and all(map(contains, map(log.__getitem__, map(slice, [0, *ends], ends)),
+                            seq.accesses))):
+            raise CheckFailure(_greedy_rows_fault(state, seq))
         checked += 1
     for n, m in product(range(1, 5), repeat=2):
         for accesses in product(range(1, n + 1), repeat=m):
@@ -172,6 +173,19 @@ def check_greedy_satisfied(rng: Splitmix64) -> int:
                 raise CheckFailure(f"unsatisfied output on {accesses}")
             checked += 1
     return checked
+
+
+def _greedy_rows_fault(state: GreedyState, seq: AccessSequence) -> str:
+    """The first fault of greedy's logged rows on seq that
+    `check_greedy_satisfied`'s passes found, row by row."""
+    for (t, row), k in zip(state.rows(), seq):
+        if k not in row:
+            return f"access point ({k},{t}) missing on {seq.accesses}"
+        if row != sorted(set(row)):
+            return f"row {t} repeats or misorders keys on {seq.accesses}"
+    if min(state.per_row_cost) < 1:
+        return f"zero-cost row on {seq.accesses}"
+    return f"cost total disagrees with point count on {seq.accesses}"
 
 
 def check_sweep_routes(rng: Splitmix64) -> int:

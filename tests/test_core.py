@@ -170,6 +170,12 @@ class TestWeights:
         with pytest.raises(TypeError, match=rf"^weight {i} must be a real number, got "):
             WeightAssignment(weights)
 
+    def test_a_string_weight_is_named(self):
+        # still a ValueError, which read_weights turns into its line's error
+        with pytest.raises(ValueError, match=r"^weight 2 must be a real number, got 'x'$"):
+            WeightAssignment((1.0, "x"))
+        assert WeightAssignment(("1.5", " 2 ")).weights == (1.5, 2.0)
+
     def test_prefix_is_the_running_sum(self):
         rng = Splitmix64(7)
         ws = tuple(rng.unit() + 1e-3 for _ in range(500))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fingerbound import verify
 from fingerbound.core import Point, PointSet
 from fingerbound.errors import KeyOutOfRangeError
+from fingerbound.greedy import greedy_row
 from fingerbound.geometry import (
     RowSweep,
     first_violation,
@@ -174,16 +175,89 @@ def test_search_checks_rows_not_subsets(monkeypatch, check, most):
     # the row checks these self-checks made with the search's row-level
     # pruning; a search that checked the rows of every subset makes more
     calls = 0
-    violation = RowSweep.violation
+    failing_gap = RowSweep.failing_gap
 
-    def counted(self, row, t):
+    def counted(self, row):
         nonlocal calls
         calls += 1
-        return violation(self, row, t)
+        return failing_gap(self, row)
 
-    monkeypatch.setattr(RowSweep, "violation", counted)
+    monkeypatch.setattr(RowSweep, "failing_gap", counted)
     check()
     assert 0 < calls <= most
+
+
+@pytest.mark.parametrize("extra", [-1, True, 1.0, "1", None])
+def test_completions_name_a_bad_extra(extra):
+    with pytest.raises(ValueError, match=rf"^extra must be a non-negative integer, "
+                                         rf"got {re.escape(repr(extra))}$"):
+        RowSweep(3).completions(1, extra)
+
+
+def test_sweep_rejects_a_row_out_of_order():
+    # sorted, row 2 is satisfied; read in its given order, key 1 would be
+    # taken for a key of the gap left of key 3
+    assert RowSweep(3).sweep([(1, [1]), (2, [1, 3])]) is None
+    for rows in ([(1, [1]), (2, [3, 1])], [(1, [1]), (2, [1, 1])], [(1, [2]), (2, [3, 1])]):
+        with pytest.raises(ValueError, match=r"^the keys of row 2 do not strictly increase$"):
+            RowSweep(3).sweep(rows)
+    # `commit` folds its keys in any order
+    sweep = RowSweep(3)
+    sweep.commit([3, 1], 1)
+    assert [sweep.last_touch(k) for k in (1, 2, 3)] == [1, 0, 1]
+
+
+def open_gaps_by_scan(sweep, row):
+    """Each open gap (prev, y) of the sorted row in key order, with its
+    earlier-touched row neighbour, that neighbour's last touch (the gap's
+    threshold) and the gap's keys touched later, by a scan of every key's
+    last touch. An empty row has no gap."""
+    n = sweep.n
+    last = [0, *map(sweep.last_touch, range(1, n + 1))]
+    prev = 0
+    for y in (*row, n + 1) if row else ():
+        if y - prev > 1:
+            near = y if prev == 0 or (y <= n and last[y] < last[prev]) else prev
+            late = [k for k in range(prev + 1, y) if last[k] > last[near]]
+            yield (prev, y), near, last[near], late
+        prev = y
+
+
+def test_gap_test_matches_the_definition():
+    # seeded sweeps of up to 8 greedy rows over n <= 12, each followed by
+    # random sorted candidate rows: `violation` is None exactly when the
+    # candidate leaves no unsatisfied pair, and otherwise the first failing
+    # gap's key nearest its earlier-touched neighbour, by the scan;
+    # `failing_gap` names that gap
+    rng = Splitmix64(29)
+    seen = dict.fromkeys(("left end", "right end", "inside", "threshold at the maximum"), 0)
+    for _ in range(400):
+        n = rng.below(12) + 1
+        sweep = RowSweep(n)
+        points = []
+        for t in range(1, rng.below(9) + 1):
+            row = greedy_row(sweep, rng.below(n) + 1)
+            sweep.commit(row, t)
+            points += [Point(k, t) for k in row]
+        t = sweep.time + 1
+        top = sweep.time  # the root's maximum
+        for _ in range(3):
+            bits = rng.below(2**n)
+            row = [k for k in range(1, n + 1) if bits >> (k - 1) & 1]
+            gaps = list(open_gaps_by_scan(sweep, row))
+            fails = [(gap, near, late) for gap, near, _, late in gaps if late]
+            gap, witness = None, None
+            if fails:
+                gap, near, late = fails[0]
+                z = min(late) if near == gap[0] else max(late)
+                witness = Point(z, sweep.last_touch(z)), Point(near, t)
+                seen["left end" if gap[0] == 0 else "right end" if gap[1] > n else "inside"] += 1
+            seen["threshold at the maximum"] += any(top and thr == top for _, _, thr, _ in gaps)
+            pset = PointSet([*points, *(Point(k, t) for k in row)])
+            assert sweep.failing_gap(row) == gap, (points, row)
+            assert sweep.violation(row, t) == witness, (points, row)
+            assert (witness is None) == (unsatisfied_pairs(pset) == []), (points, row)
+    assert all(seen.values()), seen
 
 
 def test_completions_reject_a_key_outside_the_keyspace():
@@ -209,16 +283,16 @@ def test_completions_reject_a_key_outside_the_keyspace():
 ])
 def test_oracles_make_pinned_row_checks(monkeypatch, check, calls):
     # the exact work of the two exhaustive oracles' self-checks, one
-    # `violation` call per row they try
+    # `failing_gap` call per row they try
     made = 0
-    violation = RowSweep.violation
+    failing_gap = RowSweep.failing_gap
 
-    def counted(self, row, t):
+    def counted(self, row):
         nonlocal made
         made += 1
-        return violation(self, row, t)
+        return failing_gap(self, row)
 
-    monkeypatch.setattr(RowSweep, "violation", counted)
+    monkeypatch.setattr(RowSweep, "failing_gap", counted)
     check()
     assert made == calls
 

@@ -292,6 +292,42 @@ def test_satisfaction_suite_catches_a_dropped_staircase_key(monkeypatch):
         verify.check_greedy_satisfied(Splitmix64(1))
 
 
+def missing_access(row):
+    row.remove(2)
+
+
+def repeated_key(row):
+    row.insert(1, row[1])
+
+
+def swapped_keys(row):
+    row[0], row[-1] = row[-1], row[0]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (missing_access, r"access point \(2,3\) missing on \(1, 3, 2\)"),
+    (repeated_key, r"row 3 repeats or misorders keys on \(1, 3, 2\)"),
+    (swapped_keys, r"row 3 repeats or misorders keys on \(1, 3, 2\)"),
+])
+def test_satisfaction_suite_catches_each_row_fault(monkeypatch, fault, message):
+    # every random sequence is 1, 3, 2 over n = 3, and its row 3, [1, 2, 3],
+    # loses its access, repeats key 2 or swaps keys 1 and 3; no such row
+    # spans an empty rectangle, so the row checks are what fail
+    monkeypatch.setattr(verify, "_random_sequence",
+                        lambda rng, n, m: AccessSequence(3, (1, 3, 2)))
+    row_rule = greedy.greedy_row
+
+    def faulty(state, x):
+        row = row_rule(state, x)
+        if state.time == 2:
+            fault(row)
+        return row
+
+    monkeypatch.setattr(greedy, "greedy_row", faulty)
+    with pytest.raises(verify.CheckFailure, match=rf"^{message}$"):
+        verify.check_greedy_satisfied(Splitmix64(1))
+
+
 class TestBruteMinRow:
     def test_needs_the_witness_column(self):
         sweep = RowSweep(2)
