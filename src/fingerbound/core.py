@@ -46,10 +46,10 @@ def check_built_size(n: int, what: str) -> None:
         raise TooLargeError(f"{what} is guarded to n <= {MAX_BUILT_N}, got n={n}")
 
 
-def check_key(k: Key, n: int) -> None:
-    """Raise `KeyOutOfRangeError` unless k is an integer with 1 <= k <= n.
-    Integer-like keys (those with `__index__`, such as numpy ints) pass; a
-    bool does not."""
+def check_key(k: Key, n: int) -> int:
+    """k as an int; raise `KeyOutOfRangeError` unless k is an integer with
+    1 <= k <= n. Integer-like keys (those with `__index__`, such as numpy
+    ints) pass; a bool does not."""
     if type(k) is not int:
         try:
             if isinstance(k, bool):
@@ -59,6 +59,7 @@ def check_key(k: Key, n: int) -> None:
             raise KeyOutOfRangeError(f"key {k!r} is not an integer") from None
     if not 1 <= k <= n:
         raise KeyOutOfRangeError(f"key {k} outside [1, {n}]")
+    return k
 
 
 def check_type(value: object, cls: type, name: str) -> None:

@@ -24,16 +24,17 @@ only one left: the gap's maximum last-touch time against that threshold
 (`RowSweep.failing_gap`). Only a failing gap needs its witness, the gap's
 key nearest the earlier-touched neighbour among those touched later, which
 is the first record of greedy's staircase walk from that neighbour
-(`RowSweep`'s `right_stairs` or `left_stairs`). The two routes are
-cross-checked in the test suite.
+(`greedy.greedy_row`); `RowSweep.violation` finds it by a scan of the gap
+from that neighbour. The two routes are cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
 one row against them (`failing_gap`, or `violation` for the witness), then
-folds the row in (`commit`). The sweep is causal, which the exhaustive
-oracles rely on. It is also the state greedy reads: `greedy.GreedyState` is
-a `RowSweep` that commits each row it emits and logs it, so `commit`'s
-unchecked fold is the one place last-touch times rise.
+folds the row in (`commit`); `RowSweep.sweep` checks each row before it
+judges it. The sweep is causal, which the exhaustive oracles rely on. It
+is also the state greedy reads: `greedy.GreedyState` is a `RowSweep` that
+commits each row it emits and logs it, so `commit`'s unchecked fold is the
+one place last-touch times rise.
 The times are the leaves of a max segment tree, their one copy; a row's time
 is above every committed one, so `commit` raises each of its leaves and
 climbs only until it meets an ancestor the row has already raised.
@@ -64,14 +65,11 @@ class RowSweep:
     the maximum of its subtree, and padding leaves past n stay 0. Rows are
     sorted key lists, committed in increasing time.
 
-    The staircase walks answer greedy's rows: each is one loop that finds
-    the strict records of last-touch time on one side of k, nearest first,
-    each record searched outward from the leaf next to the last one, in
-    O(log gap) for a hit gap keys away and O(log n) at worst. The gap test
-    (`failing_gap`) is one bottom-up pass over a gap's leaves, O(log gap),
-    stopped at the first node above the gap's threshold; `violation` builds
-    a failing gap's witness with one walk. In both, a threshold at or above
-    the root's maximum ends the search at once."""
+    Greedy's staircase walks (`greedy.greedy_row`) read this tree. The gap
+    test (`failing_gap`) reads each row key's leaf once and makes one
+    bottom-up pass over each gap's leaves, O(log gap), stopped at the first
+    node above the gap's threshold, or none if the threshold is the root's
+    maximum; `violation` scans a failing gap for its witness."""
 
     __slots__ = ("n", "size", "time", "tree")
 
@@ -93,68 +91,6 @@ class RowSweep:
         check_key(k, self.n)
         return self.tree[self.size + k - 1]
 
-    def left_stairs(self, k: Key, stop: Key) -> list[Key]:
-        """k's left staircase short of `stop`: the keys strictly between
-        `stop` and k whose last-touch time beats every one nearer k and k's
-        own, nearest first. Each record search goes outward from the leaf
-        left of the last record found: a failing node climbs while it is a
-        left child and passes the search to its left neighbour, and a hit
-        descends to its nearest leaf. Once the threshold reaches the root's
-        maximum no record is left. 0 <= stop < k <= n, unchecked: this runs
-        once per access."""
-        t = self.tree
-        size = self.size
-        top = t[1]
-        i = size + k - 1
-        thr = t[i]
-        end = size + stop  # the leaf of key stop + 1
-        out = []
-        while thr < top and i > end:
-            i -= 1
-            while t[i] <= thr:
-                if not i & (i - 1):  # leftmost node of its level
-                    return out
-                while not i & 1:
-                    i >>= 1
-                i -= 1
-            while i < size:
-                i = 2 * i + 1
-                if t[i] <= thr:
-                    i -= 1
-            if i < end:
-                break
-            out.append(i - size + 1)
-            thr = t[i]
-        return out
-
-    def right_stairs(self, k: Key, stop: Key) -> list[Key]:
-        """k's right staircase short of `stop`, nearest first; the mirror of
-        `left_stairs`. 1 <= k < stop <= n + 1, unchecked."""
-        t = self.tree
-        size = self.size
-        top = t[1]
-        i = size + k - 1
-        thr = t[i]
-        end = size + stop - 2  # the leaf of key stop - 1
-        out = []
-        while thr < top and i < end:
-            i += 1
-            while t[i] <= thr:
-                if not (i + 1) & i:  # rightmost node of its level
-                    return out
-                while i & 1:
-                    i >>= 1
-                i += 1
-            while i < size:
-                i <<= 1
-                if t[i] <= thr:
-                    i += 1
-            if i > end:
-                break
-            out.append(i - size + 1)
-            thr = t[i]
-        return out
-
     def failing_gap(self, row: Sequence[Key]) -> tuple[Key, Key] | None:
         """The bounds (prev, y) of the sorted row's first open gap, in key
         order, that holds a key touched later than the earlier-touched of
@@ -162,14 +98,12 @@ class RowSweep:
         keyspace ends, which bound nothing, so an empty row passes."""
         tree = self.tree
         base = self.size - 1
-        n = self.n
         top = tree[1]
-        prev = 0
-        for y in (*row, n + 1):
+        prev, last = 0, top  # prev's last touch: top past the keyspace end
+        for y in row:
+            now = tree[base + y]
             if y - prev > 1:
-                thr = tree[base + prev] if prev else top
-                if y <= n and tree[base + y] < thr:
-                    thr = tree[base + y]
+                thr = now if now < last else last
                 if thr < top:
                     lo = base + prev + 1  # the leaves of keys prev + 1 .. y - 1
                     hi = base + y - 1
@@ -184,7 +118,17 @@ class RowSweep:
                             hi -= 1
                         lo >>= 1
                         hi >>= 1
-            prev = y
+            prev, last = y, now
+        # the last gap, keys prev + 1 .. n and the 0 padding past n, ends its
+        # level: its pass stops at a leftmost node, reached past the right edge
+        if last < top:
+            lo = base + prev + 1
+            while lo & (lo - 1):
+                if lo & 1:
+                    if tree[lo] > last:
+                        return prev, self.n + 1
+                    lo += 1
+                lo >>= 1
         return None
 
     def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
@@ -199,9 +143,10 @@ class RowSweep:
         tree = self.tree
         base = self.size - 1
         if prev and (y > self.n or tree[base + prev] <= tree[base + y]):
-            near, z = prev, self.right_stairs(prev, y)[0]
+            near, keys = prev, range(prev + 1, y)
         else:
-            near, z = y, self.left_stairs(y, prev)[0]
+            near, keys = y, range(y - 1, prev, -1)
+        z = next(k for k in keys if tree[base + k] > tree[base + near])
         return Point(z, tree[base + z]), Point(near, t)
 
     def completions(self, x: Key, extra: int) -> Iterator[list[Key]]:
@@ -221,6 +166,11 @@ class RowSweep:
         """Fold row t in: its keys were last touched at t. Raises before any
         write unless t follows the committed rows and every key, in any
         order, is in 1..n."""
+        self._check(row, t)
+        self._fold(row, t)
+
+    def _check(self, row: Sequence[Key], t: int) -> None:
+        """`commit`'s checks, raising before any write."""
         if t <= self.time:
             raise ValueError(f"row {t} does not follow committed row {self.time}")
         if row:
@@ -228,7 +178,6 @@ class RowSweep:
             if lo < 1 or hi > self.n:
                 k = lo if lo < 1 else hi
                 raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}] in row {t}")
-        self._fold(row, t)
 
     def _fold(self, row: Sequence[Key], t: int) -> None:
         """`commit`, unchecked, for a row its caller built in 1..n at a time
@@ -247,15 +196,17 @@ class RowSweep:
 
     def sweep(self, rows: Iterable[tuple[int, Sequence[Key]]]) -> tuple[Point, Point] | None:
         """Check and commit (time, keys) rows in turn; the first row's
-        violation, or None once all are committed. Raises `ValueError`
-        naming a row whose keys do not strictly increase before judging it."""
+        violation, or None once all are committed. Before judging a row,
+        raises `ValueError` naming it unless its keys strictly increase and
+        it passes `commit`'s checks."""
         for t, row in rows:
             if not all(map(lt, row, islice(row, 1, None))):
                 raise ValueError(f"the keys of row {t} do not strictly increase")
+            self._check(row, t)
             bad = self.violation(row, t)
             if bad is not None:
                 return bad
-            self.commit(row, t)
+            self._fold(row, t)
         return None
 
 
@@ -274,11 +225,15 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     if len(pset) < 2:
         return None
     # satisfaction depends only on key order: sweep the ranks of the set's
-    # keys, so the sweep's size is the number of distinct keys
+    # keys, as many as the distinct keys, in sorted rows that need no checks
     keys, rank = rank_keys({k for k, _ in pset.points})
-    bad = RowSweep(len(keys)).sweep((t, [rank[k] for k in pset.row_keys(t)])
-                                    for t in pset.times)
-    return bad and tuple(Point(keys[r - 1], t) for r, t in bad)
+    sweep = RowSweep(len(keys))
+    for t in pset.times:
+        row = [rank[k] for k in pset.row_keys(t)]
+        if bad := sweep.violation(row, t):
+            return tuple(Point(keys[r - 1], s) for r, s in bad)
+        sweep._fold(row, t)
+    return None
 
 
 def unsatisfied_pairs(pset: PointSet) -> list[tuple[Point, Point]]:

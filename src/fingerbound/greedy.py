@@ -21,14 +21,14 @@ times) that commits each emitted row and keeps a log of the rows.
 
 `greedy_sweep`, behind every greedy run, steps that state over the ranks of
 the accessed keys (`core.rank_keys`), not over the keys 1..n, so its memory
-grows with the d distinct keys accessed and not with n. `greedy_row` walks
-each staircase in one `RowSweep.left_stairs` or `right_stairs` call, whose
-record searches each go outward from the last touched key: O(log gap) per
-touched key, gap ranks past the previous one, O(log d) at worst (on a
-`GreedyState(n)` stepped on the keys themselves, gap keys and O(log n)).
-Its row is a sorted list built from the two staircases, as is every row in
-the package, and the sweep raises it once, unchecked: x is checked, and
-every other key is a leaf the walks found.
+grows with the d distinct keys accessed and not with n. `greedy_row` holds
+the package's one staircase walk, both sides in one frame, each record
+search going outward from the last touched key: O(log gap) per touched key,
+gap ranks past the previous one, O(log d) at worst (O(log n) stepped on the
+keys). Its row is sorted, as is every row in the package, and the sweep
+raises it once, unchecked: x is checked, and every other key is a leaf the
+walks found. Each access makes one `GreedyState.step` and one module-level
+`greedy_row` call, so a wrapper on either sees every row.
 `greedy_row_reference` is a plain O(n) prefix-maximum scan kept for
 differential testing, and `brute_min_row` is the exhaustive
 minimum-cardinality oracle for tiny instances: the first
@@ -106,14 +106,59 @@ class GreedyState(RowSweep):
 
 
 def greedy_row(state: GreedyState, x: Key) -> list[Key]:
-    """Touched keys for an access to x, sorted, without mutating the state."""
-    check_key(x, state.n)
-    # Both staircases come nearest first: the left one is reversed into key
-    # order and the right one already is in it.
-    row = state.left_stairs(x, 0)
-    row.reverse()
+    """Touched keys for an access to x, sorted, without mutating the state.
+
+    Each side's walk finds its strict records of last-touch time nearest
+    first, each searched from the leaf past the last: a node no later than
+    the threshold climbs while a left (right) child and passes the search
+    on, and a later one descends to its nearest leaf."""
+    n = state.n
+    if type(x) is not int or not 0 < x <= n:
+        x = check_key(x, n)
+    t = state.tree
+    size = state.size
+    top = t[1]
+    leaf = size + x - 1
+    row = []
+    i, thr = leaf, t[leaf]
+    while thr < top and i > size:  # the left walk, stopped at key 1's leaf
+        i -= 1
+        while t[i] <= thr:
+            if not i & (i - 1):  # leftmost node of its level
+                break
+            while not i & 1:
+                i >>= 1
+            i -= 1
+        else:
+            while i < size:
+                i = 2 * i + 1
+                if t[i] <= thr:
+                    i -= 1
+            row.append(i - size + 1)
+            thr = t[i]
+            continue
+        break
+    row.reverse()  # nearest first, into key order
     row.append(x)
-    row += state.right_stairs(x, state.n + 1)
+    end = size + n - 1  # key n's leaf; padding leaves past it stay 0, never a record
+    i, thr = leaf, t[leaf]
+    while thr < top and i < end:  # the right walk, already in key order
+        i += 1
+        while t[i] <= thr:
+            if not (i + 1) & i:  # rightmost node of its level
+                break
+            while i & 1:
+                i >>= 1
+            i += 1
+        else:
+            while i < size:
+                i <<= 1
+                if t[i] <= thr:
+                    i += 1
+            row.append(i - size + 1)
+            thr = t[i]
+            continue
+        break
     return row
 
 

@@ -42,12 +42,11 @@ pin the returned count; test_c* is in tests/test_acceptance.py:
     check_splay_reference    differential suite; tests/test_splay.py
     check_splay_invariants   differential suite; test_c10_splay_baseline
 
-`check_greedy_satisfied` checks greedy's rows on greedy's own sweep: each
-row is checked against the last-touch state greedy holds just before
-committing it, by the sweep's gap test (`failing_gap`), and only a failing
-row builds its witness, so no second sweep replays the rows. The tests
-cross-check that verdict against a fresh `RowSweep` replay of the logged
-rows. The rows' own checks are builtin passes over greedy's flat log.
+`check_greedy_satisfied` checks each greedy row, in `GreedyState.step`'s
+fold, against the state greedy holds just before committing it, by the gap
+test (`RowSweep.failing_gap`); only a failing row builds its witness, and
+no second sweep replays the rows (the tests cross-check a replay). The
+rows' own checks are builtin passes over greedy's flat log.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from .bounds import (
     weights_from_tree,
     wdf_term,
 )
-from .geometry import is_arborally_satisfied, unsatisfied_pairs
+from .geometry import RowSweep, is_arborally_satisfied, unsatisfied_pairs
 from .greedy import (
     GreedyState,
     brute_min_row,
@@ -133,7 +132,7 @@ class _CheckedGreedy(GreedyState):
     def _fold(self, row: Sequence[Key], t: int) -> None:
         if self.bad is None and self.failing_gap(row) is not None:
             self.bad = self.violation(row, t)
-        super()._fold(row, t)
+        RowSweep._fold(self, row, t)
 
 
 def _greedy_violation(seq: AccessSequence) -> tuple[GreedyState, tuple[Point, Point] | None]:

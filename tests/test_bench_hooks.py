@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import fingerbound as fb
-from fingerbound import greedy, splay
+from fingerbound import greedy, splay, verify
 from fingerbound.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -48,6 +48,25 @@ def test_trace_hooks_record_greedy_spans(tmp_path, monkeypatch):
     assert names.count("greedy.row_search") == 5
     assert names.count("greedy.row_update") == 5
     assert tracer.counts["greedy.touched_keys"] > 0
+
+
+def test_traced_checked_greedy_records_one_search_and_one_update_per_access(monkeypatch):
+    # the satisfaction suite's checked greedy steps through the same two
+    # wrapped names, so its rows are traced like any greedy run's
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = load_bench_module("run")
+    tracer = load_bench_module("tracing").Tracer()
+    seq = fb.AccessSequence(4, (2, 4, 1, 3, 2, 2, 4))
+    run.instrument(tracer, [])
+    try:
+        state, bad = verify._greedy_violation(seq)
+    finally:
+        tracer.uninstall()
+    assert bad is None
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("greedy.row_search") == seq.m
+    assert names.count("greedy.row_update") == seq.m
+    assert tracer.counts["greedy.touched_keys"] == sum(state.per_row_cost)
 
 
 def test_traced_touched_keys_are_greedys_total_cost(tmp_path, monkeypatch):

@@ -207,6 +207,18 @@ def test_sweep_rejects_a_row_out_of_order():
     assert [sweep.last_touch(k) for k in (1, 2, 3)] == [1, 0, 1]
 
 
+@pytest.mark.parametrize("row, error, message", [
+    ((3, [1, 9]), KeyOutOfRangeError, r"^key 9 outside \[1, 4\] in row 3$"),
+    ((3, [0, 3]), KeyOutOfRangeError, r"^key 0 outside \[1, 4\] in row 3$"),
+    ((2, [1, 3]), ValueError, r"^row 2 does not follow committed row 2$"),
+], ids=["key past n", "key 0", "stale time"])
+def test_sweep_checks_a_row_before_judging_it(row, error, message):
+    # each row would fail the gap test after these two, so a sweep that
+    # judged it first would return a witness
+    with pytest.raises(error, match=message):
+        RowSweep(4).sweep([(1, [1, 2, 3, 4]), (2, [2]), row])
+
+
 def open_gaps_by_scan(sweep, row):
     """Each open gap (prev, y) of the sorted row in key order, with its
     earlier-touched row neighbour, that neighbour's last touch (the gap's

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerbound import greedy, verify
-from fingerbound.core import AccessSequence, Point, PointSet
+from fingerbound.core import AccessSequence, Point, PointSet, check_key
 from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
 from fingerbound.geometry import RowSweep, is_arborally_satisfied
 from fingerbound.greedy import (
@@ -16,6 +17,19 @@ from fingerbound.greedy import (
     greedy_sweep,
 )
 from fingerbound.workloads import Splitmix64, WorkloadSpec, generate
+
+
+class Index:
+    """An integer-like key: an object with `__index__` and no arithmetic."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
 
 
 def state_after(n, accesses):
@@ -50,6 +64,22 @@ class TestGreedyRow:
         state = GreedyState(3)
         with pytest.raises(KeyOutOfRangeError):
             greedy_row(state, 4)
+
+    @pytest.mark.parametrize("x", [True, 2.0, 0, 4, Index(0), Index(4)],
+                             ids=["bool", "float", "zero", "n+1", "index zero", "index n+1"])
+    def test_key_guard_raises_check_keys_error(self, x):
+        state = state_after(3, [1, 3])
+        with pytest.raises(KeyOutOfRangeError) as expected:
+            check_key(x, 3)
+        with pytest.raises(KeyOutOfRangeError, match=f"^{re.escape(str(expected.value))}$"):
+            greedy_row(state, x)
+
+    def test_key_guard_accepts_an_index_int(self):
+        state = state_after(3, [1, 3])
+        row = greedy_row(state, Index(2))
+        assert row == greedy_row(state, 2) == [1, 2, 3]
+        assert all(type(k) is int for k in row)
+        assert state.step(Index(2)) == row
 
     def test_rows_match_brute_force_oracle(self):
         for n, accesses, x, expect in [

@@ -1,6 +1,6 @@
-"""RowSweep's max segment tree: the staircase walks and last-touch reads
-against brute-force scans of the last-touch times, and the batched row raise
-against raising one leaf at a time.
+"""RowSweep's max segment tree: greedy's staircase walks (`greedy_row`) and
+last-touch reads against brute-force scans of the last-touch times, and the
+batched row raise against raising one leaf at a time.
 
 Sizes cover every n up to 33 and both sides of 64 and 128, so the padding
 leaves past n and every climb to the edge of a level are exercised."""
@@ -9,6 +9,7 @@ import pytest
 
 from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
 from fingerbound.geometry import RowSweep
+from fingerbound.greedy import greedy_row
 from fingerbound.workloads import Splitmix64
 
 SIZES = list(range(1, 34)) + [63, 64, 65, 127, 128, 129]
@@ -58,21 +59,11 @@ def assert_records_match_scans(sweep, times):
     n = len(times)
     for k in range(1, n + 1):
         last = times[k - 1]
-        left = [j for j in range(1, k) if times[j - 1] > last]
-        right = [j for j in range(k + 1, n + 1) if times[j - 1] > last]
         assert sweep.last_touch(k) == last
-        # each staircase's first step is the nearest key touched after k
-        assert sweep.left_stairs(k, 0)[:1] == left[-1:]
-        assert sweep.right_stairs(k, n + 1)[:1] == right[:1]
-        # a staircase short of `stop` is the scan's records beyond `stop`
+        # greedy's row is both staircases, each the scan's strict records
         left_scan = strict_records(times, range(k - 1, 0, -1), last)
         right_scan = strict_records(times, range(k + 1, n + 1), last)
-        for stop in {0, 1, k // 2, k - 2, k - 1}:
-            if 0 <= stop < k:
-                assert sweep.left_stairs(k, stop) == [j for j in left_scan if j > stop]
-        for stop in {n + 1, n, (k + n + 1) // 2, k + 2, k + 1}:
-            if k < stop <= n + 1:
-                assert sweep.right_stairs(k, stop) == [j for j in right_scan if j < stop]
+        assert greedy_row(sweep, k) == [*reversed(left_scan), k, *right_scan]
 
 
 @pytest.mark.parametrize("n", SIZES)
