@@ -22,22 +22,23 @@ gap keys are witnessed by their blockers, and stale column points are
 witnessed by their successors in the same column, so that comparison is the
 only one left: the gap's maximum last-touch time against that threshold
 (`RowSweep.failing_gap`). Only a failing gap needs its witness, the gap's
-key nearest the earlier-touched neighbour among those touched later, which
-is the first record of greedy's staircase walk from that neighbour
-(`greedy.greedy_row`); `RowSweep.violation` finds it by a scan of the gap
-from that neighbour. The two routes are cross-checked in the test suite.
+key nearest the earlier-touched neighbour among those touched later: the
+first record of the staircase seen from that neighbour, which
+`RowSweep.violation` takes from the one staircase walk, `staircase`, the
+function greedy binds as its row (`greedy.greedy_row`).
+`staircase_reference` is its O(n) scan, kept for differential testing. The
+two satisfaction routes are cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
 one row against them (`failing_gap`, or `violation` for the witness), then
-folds the row in (`commit`); `RowSweep.sweep` checks each row before it
-judges it. The sweep is causal, which the exhaustive oracles rely on. It
-is also the state greedy reads: `greedy.GreedyState` is a `RowSweep` that
-commits each row it emits and logs it, so `commit`'s unchecked fold is the
-one place last-touch times rise.
-The times are the leaves of a max segment tree, their one copy; a row's time
-is above every committed one, so `commit` raises each of its leaves and
-climbs only until it meets an ancestor the row has already raised.
+folds the row in (`commit`, checked, or `_fold` for a row its caller built).
+The sweep is causal, which the exhaustive oracles rely on. It is also the
+state greedy reads: `greedy.GreedyState` is a `RowSweep` that folds each row
+it emits and logs it. Only this module reads the sweep's tree, the max
+segment tree whose leaves are the times, their one copy; a row's time is
+above every committed one, so a fold raises each of its leaves and climbs
+only until it meets an ancestor the row has already raised.
 
 `RowSweep.completions` is the one exhaustive search: the rows of the next
 time that hold a given key and a given number of other keys and pass
@@ -50,11 +51,11 @@ a point set to search.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from operator import lt
-from typing import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from itertools import combinations
+from typing import Iterator, Sequence
 
-from .core import Key, Point, PointSet, check_built_size, check_key, rank_keys
+from .core import Key, Point, PointSet, check_built_size, check_key, check_type, rank_keys
 from .errors import KeyOutOfRangeError
 
 
@@ -65,11 +66,11 @@ class RowSweep:
     the maximum of its subtree, and padding leaves past n stay 0. Rows are
     sorted key lists, committed in increasing time.
 
-    Greedy's staircase walks (`greedy.greedy_row`) read this tree. The gap
-    test (`failing_gap`) reads each row key's leaf once and makes one
-    bottom-up pass over each gap's leaves, O(log gap), stopped at the first
-    node above the gap's threshold, or none if the threshold is the root's
-    maximum; `violation` scans a failing gap for its witness."""
+    The staircase walk (`staircase`) reads this tree. The gap test
+    (`failing_gap`) reads each row key's leaf once and makes one bottom-up
+    pass over each gap's leaves, O(log gap), stopped at the first node
+    above the gap's threshold, or none if the threshold is the root's
+    maximum; `violation` takes a failing gap's witness from the walk."""
 
     __slots__ = ("n", "size", "time", "tree")
 
@@ -133,9 +134,9 @@ class RowSweep:
 
     def violation(self, row: Sequence[Key], t: int) -> tuple[Point, Point] | None:
         """A pair spanning an empty rectangle that the sorted row t would
-        form with the committed rows, earlier point first, or None: in the
-        first failing gap, the nearest record from its earlier-touched
-        neighbour, with that neighbour's row point."""
+        form with the committed rows, earlier point first, or None: the
+        first failing gap's first record of the `staircase` seen from its
+        earlier-touched neighbour, with that neighbour's row point."""
         gap = self.failing_gap(row)
         if gap is None:
             return None
@@ -143,10 +144,11 @@ class RowSweep:
         tree = self.tree
         base = self.size - 1
         if prev and (y > self.n or tree[base + prev] <= tree[base + y]):
-            near, keys = prev, range(prev + 1, y)
+            near, step = prev, 1  # the walk's first record right of prev
         else:
-            near, keys = y, range(y - 1, prev, -1)
-        z = next(k for k in keys if tree[base + k] > tree[base + near])
+            near, step = y, -1  # the walk's first record left of y
+        stairs = staircase(self, near)
+        z = stairs[bisect_left(stairs, near) + step]
         return Point(z, tree[base + z]), Point(near, t)
 
     def completions(self, x: Key, extra: int) -> Iterator[list[Key]]:
@@ -164,13 +166,10 @@ class RowSweep:
 
     def commit(self, row: Sequence[Key], t: int) -> None:
         """Fold row t in: its keys were last touched at t. Raises before any
-        write unless t follows the committed rows and every key, in any
-        order, is in 1..n."""
-        self._check(row, t)
-        self._fold(row, t)
-
-    def _check(self, row: Sequence[Key], t: int) -> None:
-        """`commit`'s checks, raising before any write."""
+        write unless t is an int (not a bool) after the committed rows and
+        every key, in any order, is in 1..n."""
+        if type(t) is not int:
+            raise ValueError(f"row time must be an integer, got {t!r}")
         if t <= self.time:
             raise ValueError(f"row {t} does not follow committed row {self.time}")
         if row:
@@ -178,6 +177,7 @@ class RowSweep:
             if lo < 1 or hi > self.n:
                 k = lo if lo < 1 else hi
                 raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}] in row {t}")
+        self._fold(row, t)
 
     def _fold(self, row: Sequence[Key], t: int) -> None:
         """`commit`, unchecked, for a row its caller built in 1..n at a time
@@ -194,20 +194,78 @@ class RowSweep:
                 i >>= 1
         self.time = t
 
-    def sweep(self, rows: Iterable[tuple[int, Sequence[Key]]]) -> tuple[Point, Point] | None:
-        """Check and commit (time, keys) rows in turn; the first row's
-        violation, or None once all are committed. Before judging a row,
-        raises `ValueError` naming it unless its keys strictly increase and
-        it passes `commit`'s checks."""
-        for t, row in rows:
-            if not all(map(lt, row, islice(row, 1, None))):
-                raise ValueError(f"the keys of row {t} do not strictly increase")
-            self._check(row, t)
-            bad = self.violation(row, t)
-            if bad is not None:
-                return bad
-            self._fold(row, t)
-        return None
+
+def staircase(sweep: RowSweep, x: Key) -> list[Key]:
+    """The staircase seen from key x, sorted: x and, on each side, every key
+    touched later than x and than each key between them. The sweep is not
+    changed. Greedy's row for an access to x (`greedy.greedy_row`).
+
+    Each side's walk finds its strict records of last-touch time nearest
+    first, each searched from the leaf past the last: a node no later than
+    the threshold climbs while a left (right) child and passes the search
+    on, and a later one descends to its nearest leaf."""
+    n = sweep.n
+    if type(x) is not int or not 0 < x <= n:
+        x = check_key(x, n)
+    t = sweep.tree
+    size = sweep.size
+    top = t[1]
+    leaf = size + x - 1
+    row = []
+    i, thr = leaf, t[leaf]
+    while thr < top and i > size:  # the left walk, stopped at key 1's leaf
+        i -= 1
+        while t[i] <= thr:
+            if not i & (i - 1):  # leftmost node of its level
+                break
+            while not i & 1:
+                i >>= 1
+            i -= 1
+        else:
+            while i < size:
+                i = 2 * i + 1
+                if t[i] <= thr:
+                    i -= 1
+            row.append(i - size + 1)
+            thr = t[i]
+            continue
+        break
+    row.reverse()  # nearest first, into key order
+    row.append(x)
+    end = size + n - 1  # key n's leaf; padding leaves past it stay 0, never a record
+    i, thr = leaf, t[leaf]
+    while thr < top and i < end:  # the right walk, already in key order
+        i += 1
+        while t[i] <= thr:
+            if not (i + 1) & i:  # rightmost node of its level
+                break
+            while i & 1:
+                i >>= 1
+            i += 1
+        else:
+            while i < size:
+                i <<= 1
+                if t[i] <= thr:
+                    i += 1
+            row.append(i - size + 1)
+            thr = t[i]
+            continue
+        break
+    return row
+
+
+def staircase_reference(sweep: RowSweep, x: Key) -> list[Key]:
+    """O(n) prefix-maximum scan implementing the same staircase rule."""
+    check_key(x, sweep.n)
+    last = sweep.tree[sweep.size - 1:]  # last[k] is key k's last-touch time
+    left, right = [], []
+    for side, keys in ((left, range(x - 1, 0, -1)), (right, range(x + 1, sweep.n + 1))):
+        best = last[x]
+        for y in keys:
+            if last[y] > best:
+                side.append(y)
+                best = last[y]
+    return [*reversed(left), x, *right]
 
 
 def is_arborally_satisfied(pset: PointSet) -> bool:
@@ -222,6 +280,7 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     returned is an implementation detail; use `unsatisfied_pairs` for the
     complete lexicographic listing.
     """
+    check_type(pset, PointSet, "pset")
     if len(pset) < 2:
         return None
     # satisfaction depends only on key order: sweep the ranks of the set's
@@ -243,6 +302,7 @@ def unsatisfied_pairs(pset: PointSet) -> list[tuple[Point, Point]]:
     Points are ordered by (time, key) inside each pair and pairs are listed
     lexicographically in that order. Empty iff `is_arborally_satisfied`.
     """
+    check_type(pset, PointSet, "pset")
     pts = list(pset)
     bad: list[tuple[Point, Point]] = []
     for i, p in enumerate(pts):

@@ -17,21 +17,22 @@ Cost of an access = number of points placed on its row.
 
 The sweep state is the satisfaction checker's: `GreedyState` is a
 `geometry.RowSweep` (a max segment tree whose leaves are the last-touch
-times) that commits each emitted row and keeps a log of the rows.
+times) that folds each emitted row and keeps a log of the rows.
 
 `greedy_sweep`, behind every greedy run, steps that state over the ranks of
 the accessed keys (`core.rank_keys`), not over the keys 1..n, so its memory
-grows with the d distinct keys accessed and not with n. `greedy_row` holds
-the package's one staircase walk, both sides in one frame, each record
-search going outward from the last touched key: O(log gap) per touched key,
-gap ranks past the previous one, O(log d) at worst (O(log n) stepped on the
-keys). Its row is sorted, as is every row in the package, and the sweep
-raises it once, unchecked: x is checked, and every other key is a leaf the
-walks found. Each access makes one `GreedyState.step` and one module-level
-`greedy_row` call, so a wrapper on either sees every row.
-`greedy_row_reference` is a plain O(n) prefix-maximum scan kept for
-differential testing, and `brute_min_row` is the exhaustive
-minimum-cardinality oracle for tiny instances: the first
+grows with the d distinct keys accessed and not with n. `greedy_row` is the
+package's one staircase walk, `geometry.staircase`, which also finds the
+satisfaction checker's witnesses: both sides in one frame, O(log gap) per
+touched key, gap ranks past the previous one, O(log d) at worst (O(log n)
+stepped on the keys). Its row is sorted, and the sweep raises it once,
+unchecked: x is checked, and every other key is a leaf the walks found.
+Each access makes one `GreedyState.step` and one module-level `greedy_row`
+call, so a wrapper on either sees every row, and none of the checker's
+witness searches, which call the walk by its geometry name.
+`greedy_row_reference` (`geometry.staircase_reference`) is a plain O(n)
+prefix-maximum scan kept for differential testing, and `brute_min_row` is
+the exhaustive minimum-cardinality oracle for tiny instances: the first
 `RowSweep.completions` of the row by increasing count of other keys,
 searched on the caller's sweep over the earlier rows (greedy's own state),
 which also confirms that minimum is unique.
@@ -42,9 +43,9 @@ from __future__ import annotations
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterator
 
-from .core import (AccessSequence, CostReport, Key, PointSet, check_key, check_type,
-                   rank_keys)
-from .geometry import RowSweep
+from .core import AccessSequence, CostReport, Key, PointSet, check_type, rank_keys
+from .geometry import (RowSweep, staircase as greedy_row,
+                       staircase_reference as greedy_row_reference)
 
 
 class GreedyState(RowSweep):
@@ -103,77 +104,6 @@ class GreedyState(RowSweep):
 
     def cost_report(self) -> CostReport:
         return CostReport(tuple(self.per_row_cost))
-
-
-def greedy_row(state: GreedyState, x: Key) -> list[Key]:
-    """Touched keys for an access to x, sorted, without mutating the state.
-
-    Each side's walk finds its strict records of last-touch time nearest
-    first, each searched from the leaf past the last: a node no later than
-    the threshold climbs while a left (right) child and passes the search
-    on, and a later one descends to its nearest leaf."""
-    n = state.n
-    if type(x) is not int or not 0 < x <= n:
-        x = check_key(x, n)
-    t = state.tree
-    size = state.size
-    top = t[1]
-    leaf = size + x - 1
-    row = []
-    i, thr = leaf, t[leaf]
-    while thr < top and i > size:  # the left walk, stopped at key 1's leaf
-        i -= 1
-        while t[i] <= thr:
-            if not i & (i - 1):  # leftmost node of its level
-                break
-            while not i & 1:
-                i >>= 1
-            i -= 1
-        else:
-            while i < size:
-                i = 2 * i + 1
-                if t[i] <= thr:
-                    i -= 1
-            row.append(i - size + 1)
-            thr = t[i]
-            continue
-        break
-    row.reverse()  # nearest first, into key order
-    row.append(x)
-    end = size + n - 1  # key n's leaf; padding leaves past it stay 0, never a record
-    i, thr = leaf, t[leaf]
-    while thr < top and i < end:  # the right walk, already in key order
-        i += 1
-        while t[i] <= thr:
-            if not (i + 1) & i:  # rightmost node of its level
-                break
-            while i & 1:
-                i >>= 1
-            i += 1
-        else:
-            while i < size:
-                i <<= 1
-                if t[i] <= thr:
-                    i += 1
-            row.append(i - size + 1)
-            thr = t[i]
-            continue
-        break
-    return row
-
-
-def greedy_row_reference(state: GreedyState, x: Key) -> list[Key]:
-    """O(n) prefix-maximum scan implementing the same staircase rule."""
-    check_key(x, state.n)
-    last = state.tree[state.size - 1:]  # last[k] is key k's last-touch time
-    left, right = [], []
-    for side, keys in ((left, range(x - 1, 0, -1)), (right, range(x + 1, state.n + 1))):
-        best = last[x]
-        for y in keys:
-            if last[y] > best:
-                side.append(y)
-                best = last[y]
-    return [*reversed(left), x, *right]
 
 
 def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:

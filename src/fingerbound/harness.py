@@ -9,11 +9,12 @@ cumulative bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Sequence
 
-from .core import AccessSequence, BoundReport, CostReport, WeightAssignment, first_bad
+from .core import (AccessSequence, BoundReport, CostReport, WeightAssignment, check_type,
+                   first_bad)
 from .errors import DimensionMismatchError
 from .bounds import START_SELF, weighted_df_bound
 from .greedy import greedy_cost
@@ -34,6 +35,8 @@ def fit(cost_series: Sequence[float], bound_series: Sequence[float]) -> FitResul
     """Fit cumulative cost against cumulative bound. Every value must be
     finite, the bound total positive, and the fit's sums of centred squares
     within the float range."""
+    check_type(cost_series, Sequence, "cost_series")
+    check_type(bound_series, Sequence, "bound_series")
     if len(cost_series) != len(bound_series):
         raise DimensionMismatchError(
             f"series lengths differ: {len(cost_series)} vs {len(bound_series)}"

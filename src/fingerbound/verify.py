@@ -137,8 +137,8 @@ class _CheckedGreedy(GreedyState):
 
 def _greedy_violation(seq: AccessSequence) -> tuple[GreedyState, tuple[Point, Point] | None]:
     """Greedy's final state on seq, and the first violating pair of its rows:
-    the pair `RowSweep(seq.n).sweep(state.rows())` would find, since each
-    row is checked against the same committed rows."""
+    the pair `geometry.first_violation` finds on the emitted point set,
+    since each row is checked against the same committed rows."""
     state = _CheckedGreedy(seq.n)
     for x in seq:
         state.step(x)

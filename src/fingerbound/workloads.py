@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import MAX_BUILT_N, AccessSequence, Key, WeightAssignment, first_bad
+from .core import MAX_BUILT_N, AccessSequence, Key, WeightAssignment, check_type, first_bad
 from .errors import BadSpecError, TraceParseError
 
 _WORD = 1 << 64
@@ -73,8 +73,10 @@ class Splitmix64:
         return z % bound
 
     def keys(self, n: int, m: int) -> tuple[int, ...]:
-        """m draws of `below(n) + 1`, in order, with n checked once: a
-        uniform trace over the keys 1..n."""
+        """m draws of `below(n) + 1`, in order, with n checked once and m a
+        non-negative int, not a bool: a uniform trace over the keys 1..n."""
+        if type(m) is not int or m < 0:
+            raise ValueError(f"m must be a non-negative integer, got {m!r}")
         if _check_bound(n) > _WORD:
             return tuple([self.below(n) + 1 for _ in range(m)])
         draw = self.next_u64
@@ -131,6 +133,7 @@ class WorkloadSpec:
 
 def generate(spec: WorkloadSpec) -> AccessSequence:
     """Materialize the access sequence for a spec; pure given the spec."""
+    check_type(spec, WorkloadSpec, "spec")
     n, m = spec.n, spec.m
     if spec.kind == "sequential":
         return AccessSequence(n, tuple((i % n) + 1 for i in range(m)))
@@ -230,6 +233,7 @@ def trace_text(seq: AccessSequence) -> str:
 
 
 def write_trace(seq: AccessSequence, path: str | Path) -> None:
+    check_type(seq, AccessSequence, "seq")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(trace_text(seq))
 
@@ -258,5 +262,6 @@ def read_weights(path: str | Path) -> WeightAssignment:
 
 
 def write_weights(w: WeightAssignment, path: str | Path) -> None:
+    check_type(w, WeightAssignment, "w")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(("%r\n" * w.n) % w.weights)

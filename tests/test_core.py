@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import pytest
@@ -26,8 +27,9 @@ from fingerbound.core import (
     check_built_size,
     first_bad,
 )
-from fingerbound.geometry import RowSweep
+from fingerbound.geometry import RowSweep, first_violation, is_arborally_satisfied, unsatisfied_pairs
 from fingerbound.greedy import GreedyState, greedy_row
+from fingerbound.harness import fit
 from fingerbound.opt import opt_satisfied_superset
 from fingerbound.splay import SplayTree, run_splay, run_splay_reference
 from fingerbound.errors import (
@@ -36,7 +38,7 @@ from fingerbound.errors import (
     KeyOutOfRangeError,
     TooLargeError,
 )
-from fingerbound.workloads import Splitmix64
+from fingerbound.workloads import Splitmix64, generate, write_trace, write_weights
 
 
 class TestValidateSequence:
@@ -194,24 +196,35 @@ SEQ = AccessSequence(3, (1, 3, 2))
 TREE = StaticTree.balanced(3)
 
 
-@pytest.mark.parametrize("call, name, cls", [
-    (lambda: weighted_df_bound([1, 3], None), "seq", "an AccessSequence"),
-    (lambda: weighted_df_bound(SEQ, [1.0] * 3), "w", "a WeightAssignment"),
-    (lambda: dynamic_finger_bound([1, 3]), "seq", "an AccessSequence"),
-    (lambda: wdf_term([1.0] * 3, 1, 2), "w", "a WeightAssignment"),
-    (lambda: static_finger_cost(TREE, [1, 3]), "seq", "an AccessSequence"),
-    (lambda: static_finger_cost([2, 1, 3], SEQ), "tree", "a StaticTree"),
-    (lambda: best_static_finger_cost([1, 3]), "seq", "an AccessSequence"),
-    (lambda: tree_from_weights([1.0] * 3), "w", "a WeightAssignment"),
-    (lambda: weights_from_tree([2, 1, 3]), "tree", "a StaticTree"),
-    (lambda: opt_satisfied_superset([1, 3]), "seq", "an AccessSequence"),
-    (lambda: run_splay([1, 3]), "seq", "an AccessSequence"),
-    (lambda: run_splay_reference([1, 3]), "seq", "an AccessSequence"),
+@pytest.mark.parametrize("call, message", [
+    (lambda: weighted_df_bound([1, 3], None), "seq must be an AccessSequence, got list"),
+    (lambda: weighted_df_bound(SEQ, [1.0] * 3), "w must be a WeightAssignment, got list"),
+    (lambda: dynamic_finger_bound([1, 3]), "seq must be an AccessSequence, got list"),
+    (lambda: wdf_term([1.0] * 3, 1, 2), "w must be a WeightAssignment, got list"),
+    (lambda: static_finger_cost(TREE, [1, 3]), "seq must be an AccessSequence, got list"),
+    (lambda: static_finger_cost([2, 1, 3], SEQ), "tree must be a StaticTree, got list"),
+    (lambda: best_static_finger_cost([1, 3]), "seq must be an AccessSequence, got list"),
+    (lambda: tree_from_weights([1.0] * 3), "w must be a WeightAssignment, got list"),
+    (lambda: weights_from_tree([2, 1, 3]), "tree must be a StaticTree, got list"),
+    (lambda: opt_satisfied_superset([1, 3]), "seq must be an AccessSequence, got list"),
+    (lambda: run_splay([1, 3]), "seq must be an AccessSequence, got list"),
+    (lambda: run_splay_reference([1, 3]), "seq must be an AccessSequence, got list"),
+    (lambda: generate(None), "spec must be a WorkloadSpec, got NoneType"),
+    (lambda: write_trace([1], os.devnull), "seq must be an AccessSequence, got list"),
+    (lambda: write_weights([1.0], os.devnull), "w must be a WeightAssignment, got list"),
+    (lambda: unsatisfied_pairs([(1, 1), (2, 2)]), "pset must be a PointSet, got list"),
+    (lambda: is_arborally_satisfied([(1, 1), (2, 2)]), "pset must be a PointSet, got list"),
+    (lambda: is_arborally_satisfied([(1, 1)]), "pset must be a PointSet, got list"),
+    (lambda: first_violation([(1, 1), (2, 2)]), "pset must be a PointSet, got list"),
+    (lambda: fit(None, None), "cost_series must be a Sequence, got NoneType"),
+    (lambda: fit([1.0], None), "bound_series must be a Sequence, got NoneType"),
 ], ids=["wdf_seq", "wdf_w", "dynamic_finger", "wdf_term", "static_finger_seq",
         "static_finger_tree", "best_static", "tree_from_weights", "weights_from_tree",
-        "opt", "splay", "splay_reference"])
-def test_entry_points_reject_the_wrong_type(call, name, cls):
-    with pytest.raises(TypeError, match=f"^{name} must be {cls}, got list$"):
+        "opt", "splay", "splay_reference", "generate", "write_trace", "write_weights",
+        "unsatisfied_pairs", "is_satisfied", "is_satisfied_one_point", "first_violation",
+        "fit_cost", "fit_bound"])
+def test_entry_points_reject_the_wrong_type(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         call()
 
 

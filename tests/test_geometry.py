@@ -194,29 +194,51 @@ def test_completions_name_a_bad_extra(extra):
         RowSweep(3).completions(1, extra)
 
 
-def test_sweep_rejects_a_row_out_of_order():
-    # sorted, row 2 is satisfied; read in its given order, key 1 would be
-    # taken for a key of the gap left of key 3
-    assert RowSweep(3).sweep([(1, [1]), (2, [1, 3])]) is None
-    for rows in ([(1, [1]), (2, [3, 1])], [(1, [1]), (2, [1, 1])], [(1, [2]), (2, [3, 1])]):
-        with pytest.raises(ValueError, match=r"^the keys of row 2 do not strictly increase$"):
-            RowSweep(3).sweep(rows)
-    # `commit` folds its keys in any order
+def test_commit_folds_keys_in_any_order():
     sweep = RowSweep(3)
     sweep.commit([3, 1], 1)
     assert [sweep.last_touch(k) for k in (1, 2, 3)] == [1, 0, 1]
 
 
-@pytest.mark.parametrize("row, error, message", [
-    ((3, [1, 9]), KeyOutOfRangeError, r"^key 9 outside \[1, 4\] in row 3$"),
-    ((3, [0, 3]), KeyOutOfRangeError, r"^key 0 outside \[1, 4\] in row 3$"),
-    ((2, [1, 3]), ValueError, r"^row 2 does not follow committed row 2$"),
-], ids=["key past n", "key 0", "stale time"])
-def test_sweep_checks_a_row_before_judging_it(row, error, message):
-    # each row would fail the gap test after these two, so a sweep that
-    # judged it first would return a witness
+@pytest.mark.parametrize("t, keys, error, message", [
+    (3, [1, 9], KeyOutOfRangeError, r"^key 9 outside \[1, 4\] in row 3$"),
+    (3, [0, 3], KeyOutOfRangeError, r"^key 0 outside \[1, 4\] in row 3$"),
+    (2, [1, 3], ValueError, r"^row 2 does not follow committed row 2$"),
+    (2.5, [1, 3], ValueError, r"^row time must be an integer, got 2\.5$"),
+    (3.0, [1, 3], ValueError, r"^row time must be an integer, got 3\.0$"),
+    (True, [1, 3], ValueError, r"^row time must be an integer, got True$"),
+], ids=["key past n", "key 0", "stale time", "float time", "integral float time",
+        "bool time"])
+def test_commit_checks_a_row_before_any_write(t, keys, error, message):
+    sweep = RowSweep(4)
+    sweep.commit([1, 2, 3, 4], 1)
+    sweep.commit([2], 2)
+    before = (sweep.time, sweep.tree[:])
     with pytest.raises(error, match=message):
-        RowSweep(4).sweep([(1, [1, 2, 3, 4]), (2, [2]), row])
+        sweep.commit(keys, t)
+    assert (sweep.time, sweep.tree) == before
+
+
+class CountedReads(list):
+    """A tree that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_witness_of_a_far_gap_reads_o_log_n_nodes():
+    # one key touched at the far end of 2^16: the failing gap is keys 2..n,
+    # and its witness, key n, is found by the staircase walk from key 1, not
+    # by a scan of the gap
+    n = 2**16
+    sweep = RowSweep(n)
+    sweep.commit([n], 1)
+    sweep.tree = CountedReads(sweep.tree)
+    assert sweep.violation([1], 2) == ((n, 1), (1, 2))
+    assert sweep.tree.reads <= 4 * n.bit_length()  # 54 reads; a scan of the gap reads 131,089
 
 
 def open_gaps_by_scan(sweep, row):

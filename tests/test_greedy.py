@@ -4,10 +4,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fingerbound import greedy, verify
+from fingerbound import geometry, greedy, verify
 from fingerbound.core import AccessSequence, Point, PointSet, check_key
 from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
-from fingerbound.geometry import RowSweep, is_arborally_satisfied
+from fingerbound.geometry import RowSweep, first_violation, is_arborally_satisfied
 from fingerbound.greedy import (
     GreedyState,
     brute_min_row,
@@ -300,8 +300,8 @@ def drop_farthest(row):
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_satisfaction_on_greedys_sweep_matches_the_replay(monkeypatch, broken):
-    # the pair found while greedy commits its rows is the one a fresh sweep
-    # over the logged rows finds, violated or not
+    # the pair found while greedy commits its rows is the one the point-set
+    # check finds on its emitted points, violated or not
     if broken:
         monkeypatch.setattr(greedy, "greedy_row", drop_farthest(greedy.greedy_row))
     rng = Splitmix64(89)
@@ -310,9 +310,20 @@ def test_satisfaction_on_greedys_sweep_matches_the_replay(monkeypatch, broken):
         n = rng.below(24) + 1
         seq = AccessSequence(n, tuple(rng.below(n) + 1 for _ in range(rng.below(60) + 1)))
         state, bad = verify._greedy_violation(seq)
-        assert bad == RowSweep(n).sweep(state.rows()), seq.accesses
+        assert bad == first_violation(state.emitted()), seq.accesses
         violated += bad is not None
     assert (violated > 100) if broken else violated == 0
+
+
+def test_greedy_row_is_the_geometry_walk(monkeypatch):
+    # one walk, bound under greedy's names; a patch of greedy's name does not
+    # reach the checker, which calls the walk by its geometry name
+    assert greedy.greedy_row is geometry.staircase
+    assert greedy.greedy_row_reference is geometry.staircase_reference
+    monkeypatch.setattr(greedy, "greedy_row", drop_farthest(greedy.greedy_row))
+    sweep = RowSweep(3)
+    sweep.commit([3], 1)
+    assert sweep.violation([1], 2) == (Point(3, 1), Point(1, 2))
 
 
 def test_satisfaction_suite_catches_a_dropped_staircase_key(monkeypatch):

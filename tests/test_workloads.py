@@ -81,6 +81,13 @@ class TestSplitmix:
             rng.keys(bound, 3)
         assert rng.state == Splitmix64(1).state
 
+    @pytest.mark.parametrize("m", [-1, True, 2.0, None])
+    def test_keys_need_a_non_negative_int_count(self, m):
+        rng = Splitmix64(1)
+        with pytest.raises(ValueError, match=rf"^m must be a non-negative integer, got {m!r}$"):
+            rng.keys(3, m)
+        assert rng.state == Splitmix64(1).state
+
     @pytest.mark.parametrize("seed", [1.0, None, "1", True, False])
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer, got "):
