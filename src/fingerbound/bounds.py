@@ -45,7 +45,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment,
-                   check_built_size, check_key, check_size, check_type, first_bad)
+                   check_built_size, check_key, check_size, check_type, first_bad, ints_within)
 from .errors import (
     BadBaseError,
     DimensionMismatchError,
@@ -87,18 +87,16 @@ class StaticTree:
         check_size(self.n)
         if len(self.left) != self.n + 1 or len(self.right) != self.n + 1:
             raise DimensionMismatchError("left/right arrays must have length n + 1")
-        if type(self.root) is not int:
-            raise KeyOutOfRangeError(f"root {self.root!r} is not an integer key")
-        if not 1 <= self.root <= self.n:
-            raise KeyOutOfRangeError(f"root {self.root} outside [1, {self.n}]")
-        for side, children in (("left", self.left), ("right", self.right)):
-            k = first_bad(children, lambda cs: set(map(type, cs)) == {int}
-                          and 0 <= min(cs) and max(cs) <= self.n)
+        root, left, right = self.root, self.left, self.right
+        if not ints_within((root,), 1, self.n):
+            fault = "is not an integer key" if type(root) is not int else f"outside [1, {self.n}]"
+            raise KeyOutOfRangeError(f"root {root!r} {fault}")
+        for side, children in (("left", left), ("right", right)):
+            k = first_bad(children, lambda cs: ints_within(cs, 0, self.n))
             if k is not None:
                 c = children[k]
                 fault = "is not an integer key" if type(c) is not int else f"outside [0, {self.n}]"
                 raise KeyOutOfRangeError(f"{side}[{k}] = {c!r} {fault}")
-        left, right = self.left, self.right
         parent = [0] * (self.n + 1)
         depth = [0] * (self.n + 1)
         # One walk down from the root, each node with the key interval its
@@ -106,7 +104,7 @@ class StaticTree:
         # it between its children, so the intervals on the stack are disjoint
         # and no key is reached twice: the shape is a BST over 1..n exactly
         # when every node lies in its interval and n keys are reached.
-        stack = [(self.root, 1, self.n)]
+        stack = [(root, 1, self.n)]
         reached = 0
         while stack:
             node, lo, hi = stack.pop()

@@ -29,7 +29,7 @@ from .bounds import (
     weighted_df_bound,
 )
 from .greedy import greedy_cost, greedy_sweep
-from .harness import ALGORITHMS, _bound_and_fit, fit, run_experiment
+from .harness import ALGORITHMS, fit, run_experiment
 from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
@@ -84,7 +84,8 @@ def _cmd_run(args) -> int:
         # one sweep yields both the points and the per-access costs
         state = greedy_sweep(seq)
         cost = state.cost_report()
-        bound, fr = _bound_and_fit(seq, cost, w, args.start)
+        bound = weighted_df_bound(seq, w, args.start)
+        fr = fit(cost.per_access, bound.per_access)
         _emit("time,key", state.points(), args.points)
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)

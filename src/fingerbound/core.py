@@ -3,7 +3,8 @@
 Keys are dense integers 1..n. Arbitrary ordered key types are expected to be
 mapped to ranks before they reach this layer; everything downstream depends
 only on key order. `rank_keys` is the one map from keys to the ranks among
-those present, for the structures that need only the keys in use.
+those present, for the structures that need only the keys in use, and
+`ints_within` and `sums_rise` the one check of each kind of input column.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ def rank_keys(keys: Iterable[Key]) -> tuple[list[Key], dict[Key, int]]:
     return distinct, dict(zip(distinct, count(1)))
 
 
+def ints_within(column: Sequence, lo: int, hi: int) -> bool:
+    """True iff the non-empty column holds only ints (not bools) in [lo, hi]: the key
+    check of `AccessSequence`, `bounds.StaticTree`, `geometry.RowSweep`, `workloads.read_trace`."""
+    return set(map(type, column)) == {int} and lo <= min(column) and max(column) <= hi
+
+
+def sums_rise(sums: Sequence[float]) -> bool:
+    """True iff the running sums rise strictly to a finite total; from 0.0, iff every weight
+    is finite and positive, none vanishes in them and their total stays in the float range:
+    the weight check of `WeightAssignment` and `workloads.read_weights`."""
+    return all(map(lt, sums, islice(sums, 1, None))) and sums[-1] < math.inf
+
+
 def first_bad(column: Sequence, accept: Callable[[Sequence], object]) -> int | None:
     """Index of the first entry of a non-empty column that `accept` rejects,
     or None, at the cost of one call, when it accepts the whole column.
@@ -112,8 +126,7 @@ class AccessSequence:
         object.__setattr__(self, "accesses", accs)
         if not accs:
             raise EmptySequenceError("access sequence is empty")
-        bad = first_bad(accs, lambda ks: set(map(type, ks)) == {int}
-                        and 1 <= min(ks) and max(ks) <= self.n)
+        bad = first_bad(accs, lambda ks: ints_within(ks, 1, self.n))
         if bad is not None:
             fault = "is not an integer" if type(accs[bad]) is not int else f"outside [1, {self.n}]"
             raise KeyOutOfRangeError(f"access {bad + 1}: key {accs[bad]!r} {fault}")
@@ -165,9 +178,7 @@ class WeightAssignment:
             raise BadKeyspaceError("weight vector is empty")
         object.__setattr__(self, "weights", ws)
         prefix = tuple(accumulate(ws, initial=0.0))
-        # The sums rise strictly to a finite total exactly when every weight
-        # is finite and positive and no running sum vanishes or overflows.
-        i = first_bad(prefix, lambda p: all(map(lt, p, islice(p, 1, None))) and p[-1] < math.inf)
+        i = first_bad(prefix, sums_rise)
         if i is not None:  # prefix[i] is the first bad sum, and weight i broke it
             w = ws[i - 1]
             if not 0.0 < w < math.inf:

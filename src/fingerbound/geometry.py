@@ -44,8 +44,8 @@ only until it meets an ancestor the row has already raised.
 time that hold a given key and a given number of other keys and pass
 `failing_gap`. The greedy minimum-row oracle (`greedy.brute_min_row`, with
 its uniqueness check) takes them for one row on greedy's own state, and the
-exact optimum (`opt.opt_satisfied_superset`) row by row, committing each
-on a copy of the sweep. Each row is a sorted key list, so no caller builds
+exact optimum (`opt.opt_satisfied_superset`) row by row, folding each
+into a copy of the sweep. Each row is a sorted key list, so no caller builds
 a point set to search.
 """
 
@@ -55,7 +55,8 @@ from bisect import bisect_left
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import Key, Point, PointSet, check_built_size, check_key, check_type, rank_keys
+from .core import (Key, Point, PointSet, check_built_size, check_key, check_type, first_bad,
+                   ints_within, rank_keys)
 from .errors import KeyOutOfRangeError
 
 
@@ -166,17 +167,16 @@ class RowSweep:
 
     def commit(self, row: Sequence[Key], t: int) -> None:
         """Fold row t in: its keys were last touched at t. Raises before any
-        write unless t is an int (not a bool) after the committed rows and
-        every key, in any order, is in 1..n."""
+        write unless t is an int after the committed rows and every key, in
+        any order, is an int in 1..n (`core.ints_within`); a bool is neither."""
         if type(t) is not int:
             raise ValueError(f"row time must be an integer, got {t!r}")
         if t <= self.time:
             raise ValueError(f"row {t} does not follow committed row {self.time}")
-        if row:
-            lo, hi = min(row), max(row)
-            if lo < 1 or hi > self.n:
-                k = lo if lo < 1 else hi
-                raise KeyOutOfRangeError(f"key {k} outside [1, {self.n}] in row {t}")
+        if row and not ints_within(row, 1, self.n):
+            k = row[first_bad(row, lambda ks: ints_within(ks, 1, self.n))]
+            fault = "is not an integer" if type(k) is not int else f"outside [1, {self.n}]"
+            raise KeyOutOfRangeError(f"key {k!r} {fault} in row {t}")
         self._fold(row, t)
 
     def _fold(self, row: Sequence[Key], t: int) -> None:

@@ -93,13 +93,5 @@ def run_experiment(
     if algo not in ALGORITHMS:
         raise ValueError(f"algo must be one of {ALGORITHMS}, got {algo!r}")
     cost = greedy_cost(seq) if algo == "greedy" else run_splay(seq, initial)
-    return (cost, *_bound_and_fit(seq, cost, weights, start))
-
-
-def _bound_and_fit(
-    seq: AccessSequence, cost: CostReport, w: WeightAssignment | None, start: str
-) -> tuple[BoundReport, FitResult]:
-    """The weighted finger bound of a sequence (w=None for equal weights),
-    and the fit of a run's per-access costs against it."""
-    bound = weighted_df_bound(seq, w, start)
-    return bound, fit(cost.per_access, bound.per_access)
+    bound = weighted_df_bound(seq, weights, start)
+    return cost, bound, fit(cost.per_access, bound.per_access)

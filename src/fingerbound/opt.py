@@ -1,14 +1,13 @@
 """Exact minimum arborally satisfied superset for tiny instances.
 
-A depth-first search over rows: row t is one of the
-`RowSweep.completions` of access t, by increasing count of other keys,
-committed on a copy of the sweep over the rows before it, and a failed row
-drops every extension through it. The search deepens iteratively on
-`spare`, the total of other keys the rows may add, from 0 up, and the last
-row takes exactly the keys still spare. So the first total that completes
-row m is the least, and the accesses plus those rows form a satisfied
-superset of provably minimum size, m + spare: the one witness built as a
-`PointSet`. Guarded to n, m <= 5: the search is exponential in n·m.
+A depth-first search over rows: row t is one of the `RowSweep.completions` of
+access t, by increasing count of other keys, folded into a copy of the sweep
+over the rows before it, and a failed row drops every extension through it. The
+search deepens iteratively on `spare`, the total of other keys the rows may
+add, from 0 up, and the last row takes exactly the keys still spare. So the
+first total that completes row m is the least, and the accesses plus those rows
+form a satisfied superset of provably minimum size, m + spare: the one witness
+built as a `PointSet`. Guarded to n, m <= 5: the search is exponential in n·m.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def opt_satisfied_superset(seq: AccessSequence) -> OptResult:
                 if t == m:
                     return [row]
                 later = sweep.copy()
-                later.commit(row, t)
+                later._fold(row, t)
                 rest = rows_after(later, spare - extra)
                 if rest is not None:
                     return [row, *rest]

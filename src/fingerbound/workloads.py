@@ -19,9 +19,10 @@ Trace file format: line 1 is "n m", then m lines with one key each.
 Weights file format: n lines, one strictly positive decimal per line.
 
 Files are converted and written a whole column at a time, in builtin passes
-(`map`, one `%` over a whole column) with no per-line Python loop. The
-values are checked once, by `AccessSequence` and `WeightAssignment`; when
-they reject a file, `core.first_bad` finds its first bad line.
+(`map`, one `%` over a whole column) with no per-line Python loop. The values
+are checked once, by `AccessSequence` and `WeightAssignment`; when they
+reject a file, `core.first_bad` finds its first bad line by their column
+checks, `core.ints_within` and `core.sums_rise`, on converted lines.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
-from .core import MAX_BUILT_N, AccessSequence, Key, WeightAssignment, check_type, first_bad
+from .core import (MAX_BUILT_N, AccessSequence, Key, WeightAssignment, check_type, first_bad,
+                   ints_within, sums_rise)
 from .errors import BadSpecError, TraceParseError
 
 _WORD = 1 << 64
@@ -210,14 +213,10 @@ def read_trace(path: str | Path) -> AccessSequence:
                               f"expected {m} access lines after the header, found {len(lines) - 1}",
                               path)
     del lines[0]
-
-    def parse(rows: list[str]) -> AccessSequence:
-        return AccessSequence(n, tuple(map(int, rows)))
-
     try:
-        return parse(lines)
+        return AccessSequence(n, tuple(map(int, lines)))
     except ValueError:
-        bad = first_bad(lines, parse)
+        bad = first_bad(lines, lambda rows: ints_within(tuple(map(int, rows)), 1, n))
     raw = lines[bad]
     try:
         key = int(raw)
@@ -246,7 +245,7 @@ def read_weights(path: str | Path) -> WeightAssignment:
     try:
         return WeightAssignment(lines)  # which converts each line with `float`
     except ValueError:
-        bad = first_bad(lines, WeightAssignment)
+        bad = first_bad(lines, lambda rows: sums_rise((0.0, *accumulate(map(float, rows)))))
     raw = lines[bad]
     try:
         w = float(raw)
@@ -255,7 +254,7 @@ def read_weights(path: str | Path) -> WeightAssignment:
     if not 0.0 < w < math.inf:
         raise TraceParseError(bad + 1, f"weight must be finite and positive, got {raw!r}", path)
     # the weight is fine, so the sum of those before it vanishes it or overflows
-    overflows = WeightAssignment(lines[:bad]).total + w == math.inf
+    overflows = math.inf in accumulate(map(float, lines[:bad + 1]))
     fault = ("takes the running sum past the float range" if overflows
              else "vanishes in the running sum")
     raise TraceParseError(bad + 1, f"weight {raw!r} {fault}; rescale the weights", path)

@@ -1,12 +1,17 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import fingerbound
 
 # A backticked dotted name, such as `geometry.RowSweep` or `RowSweep.commit`.
 REFERENCE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`")
+# A test named by file and path, such as `test_bounds.py::TestBestStatic::test_x`.
+TEST_NAME = re.compile(r"`(test_\w+\.py)::([\w:]+)`")
+TESTS = Path(__file__).parent
 MODULES = [importlib.import_module(f"fingerbound.{info.name}")
            for info in pkgutil.iter_modules(fingerbound.__path__)]
 
@@ -50,3 +55,27 @@ def test_docstring_references_resolve():
                           for owner, attr in REFERENCE.findall(doc)]
     assert len(found) >= 12
     assert [(where, ref) for where, ref, ok in found if not ok] == []
+
+
+def test_readme_references_resolve():
+    """README's dotted names resolve as a docstring's would, with the package
+    as its module, and each test it names is a function or class, or a
+    member of one, in that file of the test suite."""
+    text = (TESTS.parent / "README.md").read_text()
+    refs = REFERENCE.findall(text)
+    assert len(refs) >= 4
+    assert [f"{owner}.{attr}" for owner, attr in refs
+            if not resolve(fingerbound, owner, attr)] == []
+    tests = TEST_NAME.findall(text)
+    assert len(tests) >= 6
+    missing = []
+    for file, path in tests:
+        scope = ast.parse((TESTS / file).read_text()).body
+        for part in path.split("::"):
+            defined = {node.name: node for node in scope
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            if part not in defined:
+                missing.append(f"{file}::{path}")
+                break
+            scope = defined[part].body
+    assert missing == []

@@ -207,8 +207,11 @@ def test_commit_folds_keys_in_any_order():
     (2.5, [1, 3], ValueError, r"^row time must be an integer, got 2\.5$"),
     (3.0, [1, 3], ValueError, r"^row time must be an integer, got 3\.0$"),
     (True, [1, 3], ValueError, r"^row time must be an integer, got True$"),
+    (3, [1, 2.5], KeyOutOfRangeError, r"^key 2\.5 is not an integer in row 3$"),
+    (3, [True], KeyOutOfRangeError, r"^key True is not an integer in row 3$"),
+    (3, [1, "2"], KeyOutOfRangeError, r"^key '2' is not an integer in row 3$"),
 ], ids=["key past n", "key 0", "stale time", "float time", "integral float time",
-        "bool time"])
+        "bool time", "float key", "bool key", "str key"])
 def test_commit_checks_a_row_before_any_write(t, keys, error, message):
     sweep = RowSweep(4)
     sweep.commit([1, 2, 3, 4], 1)

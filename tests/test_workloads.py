@@ -306,6 +306,24 @@ class TestWeightsPrefixFaults:
         assert str(exc.value) == f"line 2: {fault}; rescale the weights in {p}"
 
 
+@pytest.mark.parametrize("model, reader, text, line, message", [
+    (AccessSequence, read_trace, "100 100000\n" + "7\n" * 99_999 + "101\n", 100_001,
+     "key 101 out of range [1, 100]"),
+    (WeightAssignment, read_weights, "1.0\n" * (2 ** 16 - 1) + "0\n", 2 ** 16,
+     "weight must be finite and positive, got '0'"),
+], ids=["trace", "weights"])
+def test_a_failing_read_builds_the_model_at_most_once(tmp_path, monkeypatch, model, reader,
+                                                      text, line, message):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    post_init, built = model.__post_init__, []
+    monkeypatch.setattr(model, "__post_init__", lambda self: built.append(1) or post_init(self))
+    with pytest.raises(TraceParseError) as exc:
+        reader(p)
+    assert str(exc.value) == f"line {line}: {message} in {p}"
+    assert len(built) <= 1
+
+
 # Lines without line breaks: printable ASCII, with numbers that are likely
 # to be bad in each way the readers know.
 TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
