@@ -141,8 +141,8 @@ class StaticTree:
 
     def path_nodes(self, a: Key, b: Key) -> int:
         """Number of nodes on the unique tree path from a to b, inclusive."""
-        check_key(a, self.n)
-        check_key(b, self.n)
+        a = check_key(a, self.n)
+        b = check_key(b, self.n)
         return _finger_costs(self, (a, b))[1]
 
 
@@ -182,9 +182,7 @@ def _ruled_tree(n: int, root_of: Callable[[int, int], int]) -> StaticTree:
 def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
     """Single weighted finger term for the access pair prev -> cur."""
     check_type(w, WeightAssignment, "w")
-    check_key(prev, w.n)
-    check_key(cur, w.n)
-    pair = AccessSequence(w.n, (operator.index(prev), operator.index(cur)))
+    pair = AccessSequence(w.n, (check_key(prev, w.n), check_key(cur, w.n)))
     return weighted_df_bound(pair, w).per_access[1]
 
 

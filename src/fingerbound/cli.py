@@ -4,11 +4,14 @@ Subcommands: gen, run, bound, beststatic, opt, fit, verify. All output is
 numeric CSV with a header row; summaries go to stderr. Exit codes: 0 success,
 1 verification failure, 2 usage or input errors.
 
-CSV columns are formatted and read back a whole column at a time, in builtin
-passes (`map`, `zip`, `all`, `writelines`) with no per-row Python loop. A
-bound-term column whose terms mostly repeat is formatted once per distinct
-value. When `_read_series` rejects a column, `core.first_bad` finds its first
-bad line.
+CSV rows are written a chunk at a time: `_emit` flattens the row tuples'
+fields and formats `EMIT_CHUNK_ROWS` rows with one `%` of the row format
+repeated per row, so a file streams out in strings of bounded size with no
+per-row Python call. A bound-term column whose terms mostly repeat is
+formatted once per distinct value. Columns are read back a whole column at a
+time, in builtin passes (`map`, `all`); when `_read_series` rejects a column,
+`core.first_bad` finds its first bad line. An output path, when given, is
+opened as given: an empty one is an error, not stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import count, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -37,18 +40,29 @@ from .workloads import (WORKLOAD_KINDS, WorkloadSpec, generate, read_ascii_lines
                         read_weights, trace_text, write_trace)
 
 
+# Rows per `%` call in `_emit`: small enough that a chunk's field tuple and
+# its formatted string stay under glibc's 128 KB mmap threshold.
+EMIT_CHUNK_ROWS = 1024
+
+
 def _emit(header: str, rows: Iterable[tuple], out: str | None) -> None:
-    """Write a headed CSV, one line per row tuple, streamed. `%s` of a float
-    is its repr and of an int its str."""
-    row_format = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
-    lines = map(row_format.__mod__, rows)
-    if out:
+    """Write a headed CSV, one line per row tuple, to the file `out`, or to
+    stdout when out is None. The rows' fields are flattened and taken
+    `EMIT_CHUNK_ROWS` rows at a time; each chunk is one `%` of the row format
+    repeated per row, and the chunk strings are streamed with `writelines`.
+    `%s` of a float is its repr and of an int its str."""
+    width = header.count(",") + 1
+    row_format = "%s," * (width - 1) + "%s\n"
+    fields = chain.from_iterable(rows)
+    chunks = iter(lambda: tuple(islice(fields, width * EMIT_CHUNK_ROWS)), ())
+    text = ((row_format * (len(chunk) // width)) % chunk for chunk in chunks)
+    if out is not None:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(header + "\n")
-            fh.writelines(lines)
+            fh.writelines(text)
     else:
         sys.stdout.write(header + "\n")
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(text)
 
 
 def _term_column(terms: tuple[float, ...]) -> Iterable:
@@ -68,7 +82,7 @@ def _cmd_gen(args) -> int:
     spec = WorkloadSpec(kind=args.workload, n=args.n, m=args.m, seed=args.seed,
                         d=args.d, theta=args.theta)
     seq = generate(spec)
-    if args.out:
+    if args.out is not None:
         write_trace(seq, args.out)
     else:
         sys.stdout.write(trace_text(seq))
@@ -76,11 +90,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.points and args.algo != "greedy":
+    if args.points is not None and args.algo != "greedy":
         raise ValueError("--points is only meaningful with --algo greedy")
     seq = read_trace(args.trace)
-    w = read_weights(args.weights) if args.weights else None  # None: equal weights
-    if args.points:
+    w = read_weights(args.weights) if args.weights is not None else None  # None: equal weights
+    if args.points is not None:
         # one sweep yields both the points and the per-access costs
         state = greedy_sweep(seq)
         cost = state.cost_report()
@@ -100,7 +114,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bound(args) -> int:
     seq = read_trace(args.trace)
-    w = read_weights(args.weights) if args.weights else None
+    w = read_weights(args.weights) if args.weights is not None else None
     report = weighted_df_bound(seq, w, args.start)
     _emit("i,key,term", zip(count(1), seq.accesses, _term_column(report.per_access)),
           args.out)
@@ -111,10 +125,10 @@ def _cmd_bound(args) -> int:
 def _cmd_beststatic(args) -> int:
     seq = read_trace(args.trace)
     tree, total = best_static_finger_cost(seq)
-    _emit("n,m,total", [(seq.n, seq.m, total)], args.out)
-    if args.tree:
+    if args.tree is not None:  # first, so that a bad path fails before any output
         rows = ((k, tree.parent[k], tree.depth[k]) for k in range(1, tree.n + 1))
         _emit("key,parent,depth", rows, args.tree)
+    _emit("n,m,total", [(seq.n, seq.m, total)], args.out)
     return 0
 
 

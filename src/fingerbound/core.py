@@ -197,12 +197,12 @@ class WeightAssignment:
         return self.prefix[-1]
 
     def weight(self, k: Key) -> float:
-        check_key(k, self.n)
+        k = check_key(k, self.n)
         return self.weights[k - 1]
 
     def range_weight(self, a: Key, b: Key) -> float:
-        check_key(a, self.n)
-        check_key(b, self.n)
+        a = check_key(a, self.n)
+        b = check_key(b, self.n)
         lo, hi = (a, b) if a <= b else (b, a)
         return self.prefix[hi] - self.prefix[lo - 1]
 

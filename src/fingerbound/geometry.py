@@ -90,7 +90,7 @@ class RowSweep:
 
     def last_touch(self, k: Key) -> int:
         """Key k's last-touch time, 0 if never touched; k in 1..n, checked."""
-        check_key(k, self.n)
+        k = check_key(k, self.n)
         return self.tree[self.size + k - 1]
 
     def failing_gap(self, row: Sequence[Key]) -> tuple[Key, Key] | None:
@@ -158,7 +158,7 @@ class RowSweep:
         order of the other keys. x in 1..n and extra, a non-negative int
         (not a bool), checked. The sweep is not changed. Exhaustive: meant
         for tiny n."""
-        check_key(x, self.n)
+        x = check_key(x, self.n)
         if type(extra) is not int or extra < 0:
             raise ValueError(f"extra must be a non-negative integer, got {extra!r}")
         others = [k for k in range(1, self.n + 1) if k != x]
@@ -256,7 +256,7 @@ def staircase(sweep: RowSweep, x: Key) -> list[Key]:
 
 def staircase_reference(sweep: RowSweep, x: Key) -> list[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
-    check_key(x, sweep.n)
+    x = check_key(x, sweep.n)
     last = sweep.tree[sweep.size - 1:]  # last[k] is key k's last-touch time
     left, right = [], []
     for side, keys in ((left, range(x - 1, 0, -1)), (right, range(x + 1, sweep.n + 1))):

@@ -114,8 +114,7 @@ class SplayTree:
 
     def access(self, key: Key) -> int:
         """Search for key, return the path node count, then splay it up."""
-        check_key(key, self.n)
-        return self._access(key)
+        return self._access(check_key(key, self.n))
 
     def _access(self, key: Key) -> int:
         """`access` for a key already checked against n. Each splay step is

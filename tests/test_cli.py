@@ -5,19 +5,23 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from itertools import cycle, islice, repeat
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerbound import verify
-from fingerbound.cli import _emit, main
+from fingerbound.cli import EMIT_CHUNK_ROWS, _emit, main
 from fingerbound.bounds import weighted_df_bound
 from fingerbound.core import MAX_BUILT_N, AccessSequence, WeightAssignment
-from fingerbound.greedy import greedy_execute
+from fingerbound.greedy import greedy_execute, greedy_sweep
+from fingerbound.harness import fit
 from fingerbound.splay import run_splay
 from fingerbound.verify import run_suite
-from fingerbound.workloads import WorkloadSpec, generate, read_trace, write_trace
+from fingerbound.workloads import (Splitmix64, WorkloadSpec, generate, read_trace, write_trace,
+                                   write_weights)
 
 
 @pytest.fixture
@@ -40,28 +44,44 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def csv_text(header, rows):
+    """A CSV's text as a per-row `",".join(map(str, row))` loop gives it."""
+    return "".join(f"{line}\n" for line in [header] + [",".join(map(str, r)) for r in rows])
+
+
 class TestEmit:
     ROWS = [(1, 2, 3, 1.5), (2, -0.0, 0.0, 5e-324), (3, 1e16, 1e15, -2.5e-7),
             (4, float("nan"), float("inf"), float("-inf")), (10**20, 7, 0.1, 1 / 3)]
 
-    @staticmethod
-    def joined(header, rows):
-        """The CSV text as a per-row `",".join(map(str, row))` loop gives it."""
-        return "".join(f"{line}\n" for line in [header] + [",".join(map(str, r)) for r in rows])
-
-    @pytest.mark.parametrize("count", [0, 1, len(ROWS)])
+    # row counts at the edges of `_emit`'s chunks
+    @pytest.mark.parametrize("count", [0, 1, len(ROWS), EMIT_CHUNK_ROWS - 1, EMIT_CHUNK_ROWS,
+                                       EMIT_CHUNK_ROWS + 1, 2 * EMIT_CHUNK_ROWS + 3])
     def test_bytes_match_joined_rows(self, capsys, tmp_path, count):
-        rows = self.ROWS[:count]
+        rows = list(islice(cycle(self.ROWS), count))
         _emit("i,key,cost,bound", iter(rows), None)
-        assert capsys.readouterr().out == self.joined("i,key,cost,bound", rows)
+        assert capsys.readouterr().out == csv_text("i,key,cost,bound", rows)
         out = tmp_path / "o.csv"
         _emit("i,key,cost,bound", iter(rows), str(out))
-        assert out.read_bytes() == self.joined("i,key,cost,bound", rows).encode("ascii")
+        assert out.read_bytes() == csv_text("i,key,cost,bound", rows).encode("ascii")
 
     def test_one_column(self, tmp_path):
         out = tmp_path / "o.csv"
         _emit("total", [(2.0,), (-0.0,), (3,)], str(out))
         assert out.read_text() == "total\n2.0\n-0.0\n3\n"
+
+    def test_streams_in_bounded_memory(self, tmp_path):
+        # 10^5 four-field rows: formatting the whole file with one `%` would
+        # hold a 400,000-field tuple (3.2 MB) and its text at once
+        rows = zip(range(10**5), repeat(65536), repeat(3), repeat(1.5))
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            _emit("i,key,cost,bound", rows, str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert out.read_text().count("\n") == 10**5 + 1
 
 
 class TestGen:
@@ -571,6 +591,69 @@ def finite(text):
         return abs(float(text)) < float("inf")
     except ValueError:
         return False
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--trace", "{trace}", "--out", ""],
+        ["gen", "--workload", "uniform", "--n", "8", "--m", "5", "--out", ""],
+        ["run", "--trace", "{trace}", "--algo", "greedy", "--points", ""],
+        ["beststatic", "--trace", "{trace}", "--tree", ""],
+        ["bound", "--trace", "{trace}", "--weights", ""],
+    ], ids=["bound out", "gen out", "run points", "beststatic tree", "bound weights"])
+    def test_empty_path_is_input_error(self, capsys, tiny_trace, argv):
+        code, out, err = run_cli(capsys, *(a.format(trace=tiny_trace) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestEndToEndBytes:
+    """Every file of the `gen -> run -> bound -> fit` pipeline, written
+    through `main`, equals the text rebuilt row by row from the library: the
+    CLI changes no number. m spans several of `_emit`'s chunks."""
+
+    def test_pipeline_files_match_the_library(self, capsys, tmp_path):
+        p = {name: str(tmp_path / name) for name in
+             ("trace.txt", "w.txt", "points.csv", "greedy.csv", "splay.csv", "bound.csv",
+              "wbound.csv", "fit.csv")}
+        assert main(["gen", "--workload", "walk", "--n", str(2**12), "--m", "3000",
+                     "--d", "8", "--seed", "7", "--out", p["trace.txt"]]) == 0
+        seq = generate(WorkloadSpec("walk", 2**12, 3000, seed=7, d=8))
+        assert 3000 > 2 * EMIT_CHUNK_ROWS
+        rng = Splitmix64(7)
+        w = WeightAssignment(tuple(0.25 + rng.unit() for _ in range(seq.n)))
+        write_weights(w, p["w.txt"])
+        for argv in (["run", "--algo", "greedy", "--points", p["points.csv"],
+                      "--out", p["greedy.csv"]],
+                     ["run", "--algo", "splay", "--out", p["splay.csv"]],
+                     ["bound", "--out", p["bound.csv"]],
+                     ["bound", "--weights", p["w.txt"], "--out", p["wbound.csv"]]):
+            assert main(argv + ["--trace", p["trace.txt"]]) == 0
+        assert main(["fit", "--cost", p["greedy.csv"], "--bound", p["bound.csv"],
+                     "--out", p["fit.csv"]]) == 0
+        capsys.readouterr()
+
+        state = greedy_sweep(seq)
+        greedy, splay = state.per_row_cost, run_splay(seq).per_access
+        bound = weighted_df_bound(seq, None).per_access
+        wbound = weighted_df_bound(seq, w).per_access
+        fr = fit(greedy, bound)
+        expected = {
+            "trace.txt": f"{seq.n} {seq.m}\n" + "".join(f"{k}\n" for k in seq.accesses),
+            "points.csv": csv_text("time,key", state.points()),
+            "greedy.csv": csv_text("i,key,cost,bound",
+                                   zip(range(1, seq.m + 1), seq.accesses, greedy, bound)),
+            "splay.csv": csv_text("i,key,cost,bound",
+                                  zip(range(1, seq.m + 1), seq.accesses, splay, bound)),
+            "bound.csv": csv_text("i,key,term", zip(range(1, seq.m + 1), seq.accesses, bound)),
+            "wbound.csv": csv_text("i,key,term",
+                                   zip(range(1, seq.m + 1), seq.accesses, wbound)),
+            "fit.csv": csv_text("ratio,slope,intercept,r2",
+                                [(fr.ratio, fr.slope, fr.intercept, fr.r2)]),
+        }
+        for name, text in expected.items():
+            assert Path(p[name]).read_bytes() == text.encode("ascii"), name
 
 
 class TestVerify:

@@ -27,7 +27,8 @@ from fingerbound.core import (
     check_built_size,
     first_bad,
 )
-from fingerbound.geometry import RowSweep, first_violation, is_arborally_satisfied, unsatisfied_pairs
+from fingerbound.geometry import (RowSweep, first_violation, is_arborally_satisfied,
+                                  staircase_reference, unsatisfied_pairs)
 from fingerbound.greedy import GreedyState, greedy_row
 from fingerbound.harness import fit
 from fingerbound.opt import opt_satisfied_superset
@@ -39,6 +40,7 @@ from fingerbound.errors import (
     TooLargeError,
 )
 from fingerbound.workloads import Splitmix64, generate, write_trace, write_weights
+from test_greedy import Index
 
 
 class TestValidateSequence:
@@ -100,6 +102,35 @@ class TestCheckKey:
         self.CALLERS[caller](2)
         with pytest.raises(KeyOutOfRangeError, match="key 11 outside"):
             self.CALLERS[caller](11)
+
+    @staticmethod
+    def _swept():
+        state = GreedyState(5)
+        for x in (2, 4, 1):
+            state.step(x)
+        return state
+
+    # each takes `key`, which makes its key arguments from the ints 1..5
+    ENTRY_POINTS = {
+        "weight": lambda key: WeightAssignment((1.0, 2.0, 3.0, 4.0, 5.0)).weight(key(4)),
+        "range_weight": lambda key: WeightAssignment((1.0, 2.0, 3.0, 4.0, 5.0)).range_weight(
+            key(4), key(2)),
+        "last_touch": lambda key: TestCheckKey._swept().last_touch(key(2)),
+        "completions": lambda key: list(TestCheckKey._swept().completions(key(3), 1)),
+        "splay_access": lambda key: SplayTree(5).access(key(5)),
+        "staircase_reference": lambda key: staircase_reference(TestCheckKey._swept(), key(3)),
+        "path_nodes": lambda key: StaticTree.balanced(5).path_nodes(key(1), key(5)),
+        "wdf_term": lambda key: wdf_term(WeightAssignment((1.0, 2.0, 3.0, 4.0, 5.0)), key(1),
+                                         key(5)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_index_key_is_used_as_its_int(self, entry):
+        # the int that check_key returns is the key each entry point goes on with
+        call = self.ENTRY_POINTS[entry]
+        assert call(Index) == call(int)
+        with pytest.raises(KeyOutOfRangeError, match="key True is not an integer"):
+            call(lambda k: True)
 
 
 class TestRangeWeight:
