@@ -31,13 +31,13 @@ two satisfaction routes are cross-checked in the test suite.
 
 So row t's verdict depends only on row t's keys and the last-touch times of
 the rows before it. `RowSweep` carries those times from row to row: it checks
-one row against them (`failing_gap`, or `violation` for the witness), then
-folds the row in (`commit`, checked, or `_fold` for a row its caller built).
-The sweep is causal, which the exhaustive oracles rely on. It is also the
-state greedy reads: `greedy.GreedyState` is a `RowSweep` that folds each row
-it emits and logs it. Only this module reads the sweep's tree, the max
-segment tree whose leaves are the times, their one copy; a row's time is
-above every committed one, so a fold raises each of its leaves and climbs
+one row against them (`failing_gap`, unchecked, or `violation`, checked, for
+the witness), then folds the row in (`commit`, checked, or `_fold` for a row
+its caller built). The sweep is causal, which the exhaustive oracles rely on.
+It is also the state greedy reads: `greedy.GreedyState` is a `RowSweep` that
+folds each row it emits and logs it. Only this module reads the sweep's tree,
+the max segment tree whose leaves are the times, their one copy; a row's time
+is above every committed one, so a fold raises each of its leaves and climbs
 only until it meets an ancestor the row has already raised.
 
 `RowSweep.completions` is the one exhaustive search: the rows of the next
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
+from operator import lt
 from typing import Iterator, Sequence
 
 from .core import (Key, Point, PointSet, check_built_size, check_key, check_type, first_bad,
@@ -97,7 +98,8 @@ class RowSweep:
         """The bounds (prev, y) of the sorted row's first open gap, in key
         order, that holds a key touched later than the earlier-touched of
         its bounding row keys, or None; prev is 0 and y is n + 1 at the
-        keyspace ends, which bound nothing, so an empty row passes."""
+        keyspace ends, which bound nothing, so an empty row passes.
+        Unchecked, like `_fold`: the row's keys must rise strictly in 1..n."""
         tree = self.tree
         base = self.size - 1
         top = tree[1]
@@ -137,7 +139,11 @@ class RowSweep:
         """A pair spanning an empty rectangle that the sorted row t would
         form with the committed rows, earlier point first, or None: the
         first failing gap's first record of the `staircase` seen from its
-        earlier-touched neighbour, with that neighbour's row point."""
+        earlier-touched neighbour, with that neighbour's row point. Raises
+        unless `commit` would take row t and its keys rise strictly."""
+        self._check_row(row, t)
+        if (i := first_bad(row, lambda ks: all(map(lt, ks, ks[1:])))) is not None:
+            raise ValueError(f"key {row[i]} does not rise above key {row[i - 1]} in row {t}")
         gap = self.failing_gap(row)
         if gap is None:
             return None
@@ -167,7 +173,12 @@ class RowSweep:
 
     def commit(self, row: Sequence[Key], t: int) -> None:
         """Fold row t in: its keys were last touched at t. Raises before any
-        write unless t is an int after the committed rows and every key, in
+        write unless `_check_row` passes."""
+        self._check_row(row, t)
+        self._fold(row, t)
+
+    def _check_row(self, row: Sequence[Key], t: int) -> None:
+        """Raise unless t is an int after the committed rows and every key, in
         any order, is an int in 1..n (`core.ints_within`); a bool is neither."""
         if type(t) is not int:
             raise ValueError(f"row time must be an integer, got {t!r}")
@@ -177,7 +188,6 @@ class RowSweep:
             k = row[first_bad(row, lambda ks: ints_within(ks, 1, self.n))]
             fault = "is not an integer" if type(k) is not int else f"outside [1, {self.n}]"
             raise KeyOutOfRangeError(f"key {k!r} {fault} in row {t}")
-        self._fold(row, t)
 
     def _fold(self, row: Sequence[Key], t: int) -> None:
         """`commit`, unchecked, for a row its caller built in 1..n at a time
@@ -289,8 +299,8 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
     sweep = RowSweep(len(keys))
     for t in pset.times:
         row = [rank[k] for k in pset.row_keys(t)]
-        if bad := sweep.violation(row, t):
-            return tuple(Point(keys[r - 1], s) for r, s in bad)
+        if sweep.failing_gap(row) is not None:  # only the failing row pays for the checks
+            return tuple(Point(keys[r - 1], s) for r, s in sweep.violation(row, t))
         sweep._fold(row, t)
     return None
 

@@ -165,6 +165,7 @@ def brute_min_row(state: RowSweep, x: Key) -> list[Key]:
     on `state`, which is not changed. Raises `ValueError` if a second
     completion of that size exists. Exhaustive: meant for n at most about 12.
     """
+    check_type(state, RowSweep, "state")
     for extra in range(state.n):  # the full row, n - 1 other keys, always passes
         found = list(islice(state.completions(x, extra), 2))
         if len(found) > 1:

@@ -13,7 +13,8 @@ with all arithmetic modulo 2^64. A draw below a bound of at most 2^64 is one
 output reduced modulo the bound. Past 2^64, it is one output more than the
 bound has 64-bit words, read as one integer, first output highest, and then
 reduced. Unit-interval draws use the top 53 bits scaled by 2^-53. All of this
-is part of the reproducibility contract.
+is part of the reproducibility contract. One `Splitmix64.keys` call draws a
+uniform trace's keys, or a walk's steps; walk and zipf_finger step one finger.
 
 Trace file format: line 1 is "n m", then m lines with one key each.
 Weights file format: n lines, one strictly positive decimal per line.
@@ -77,7 +78,8 @@ class Splitmix64:
 
     def keys(self, n: int, m: int) -> tuple[int, ...]:
         """m draws of `below(n) + 1`, in order, with n checked once and m a
-        non-negative int, not a bool: a uniform trace over the keys 1..n."""
+        non-negative int, not a bool: a uniform trace over the keys 1..n, or
+        a walk's steps, drawn over 1..2d (see `generate`)."""
         if type(m) is not int or m < 0:
             raise ValueError(f"m must be a non-negative integer, got {m!r}")
         if _check_bound(n) > _WORD:
@@ -135,50 +137,42 @@ class WorkloadSpec:
 
 
 def generate(spec: WorkloadSpec) -> AccessSequence:
-    """Materialize the access sequence for a spec; pure given the spec."""
+    """Materialize the access sequence for a spec; pure given the spec. walk
+    (its steps one `Splitmix64.keys` call) and zipf_finger step `_finger_walk`."""
     check_type(spec, WorkloadSpec, "spec")
     n, m = spec.n, spec.m
     if spec.kind == "sequential":
         return AccessSequence(n, tuple((i % n) + 1 for i in range(m)))
-    if spec.kind == "bit_reversal":
+    if spec.kind == "bit_reversal":  # i's width-bit binary digits, read backwards
         width = n.bit_length() - 1
-        return AccessSequence(n, tuple(_reverse_bits(i, width) + 1 for i in range(n)))
+        return AccessSequence(n, tuple(int(f"{i:0{width}b}"[::-1], 2) + 1 for i in range(n)))
     rng = Splitmix64(spec.seed)
     if spec.kind == "uniform":
         return AccessSequence(n, rng.keys(n, m))
-    if spec.kind == "walk":
+    if spec.kind == "walk":  # steps -d..-1 and 1..d, uniform, from the draws 1..2d
         d = spec.d
-        out = [(n + 1) // 2]
-        for _ in range(m - 1):
-            u = rng.below(2 * d)
-            step = u - d if u < d else u - d + 1
-            out.append(min(n, max(1, out[-1] + step)))
-        return AccessSequence(n, tuple(out))
+        return _finger_walk(n, [k - d - 1 if k <= d else k - d for k in rng.keys(2 * d, m - 1)])
     # zipf_finger: step length k drawn with P(k) proportional to k^-theta
-    # over 1..n-1, direction uniform, clamped at the boundary.
-    out = [(n + 1) // 2]
-    if n == 1:
-        return AccessSequence(1, tuple([1] * m))
-    cum: list[float] = []
-    acc = 0.0
-    for k in range(1, n):
-        acc += float(k) ** -spec.theta
-        cum.append(acc)
+    # over 1..n-1 (1 alone when n = 1), direction uniform
+    cum = list(accumulate(float(k) ** -spec.theta for k in range(1, max(n, 2))))
     total = cum[-1]
+    steps = []
     for _ in range(m - 1):
         step = bisect_left(cum, rng.unit() * total) + 1
-        if rng.next_u64() & 1:
-            step = -step
-        out.append(min(n, max(1, out[-1] + step)))
+        steps.append(-step if rng.next_u64() & 1 else step)
+    return _finger_walk(n, steps)
+
+
+def _finger_walk(n: int, steps: list[int]) -> AccessSequence:
+    """The keys a finger visits from (n + 1) // 2, taking each step clamped to 1..n."""
+    key = (n + 1) // 2
+    out = [key]
+    for step in steps:
+        key += step
+        if not 0 < key <= n:
+            key = 1 if key < 1 else n
+        out.append(key)
     return AccessSequence(n, tuple(out))
-
-
-def _reverse_bits(v: int, width: int) -> int:
-    r = 0
-    for _ in range(width):
-        r = (r << 1) | (v & 1)
-        v >>= 1
-    return r
 
 
 def read_ascii_lines(path: str | Path) -> list[str]:
@@ -233,8 +227,14 @@ def trace_text(seq: AccessSequence) -> str:
 
 def write_trace(seq: AccessSequence, path: str | Path) -> None:
     check_type(seq, AccessSequence, "seq")
+    _write_text(path, trace_text(seq))
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    if isinstance(path, int):  # a bool too: `open` would write to that fd, then close it
+        raise TypeError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(trace_text(seq))
+        fh.write(text)
 
 
 def read_weights(path: str | Path) -> WeightAssignment:
@@ -262,5 +262,4 @@ def read_weights(path: str | Path) -> WeightAssignment:
 
 def write_weights(w: WeightAssignment, path: str | Path) -> None:
     check_type(w, WeightAssignment, "w")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(("%r\n" * w.n) % w.weights)
+    _write_text(path, ("%r\n" * w.n) % w.weights)

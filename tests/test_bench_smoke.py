@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["walk_local", "weighted_skew"])
+@pytest.mark.parametrize("workload", ["walk_local", "uniform_far", "weighted_skew"])
 def test_benchmark_round_checks_correct(tmp_path, workload):
     skip = shutil.ignore_patterns("out", "__pycache__")
     for name in ("bench", "src"):

@@ -29,7 +29,7 @@ from fingerbound.core import (
 )
 from fingerbound.geometry import (RowSweep, first_violation, is_arborally_satisfied,
                                   staircase_reference, unsatisfied_pairs)
-from fingerbound.greedy import GreedyState, greedy_row
+from fingerbound.greedy import GreedyState, brute_min_row, greedy_row
 from fingerbound.harness import fit
 from fingerbound.opt import opt_satisfied_superset
 from fingerbound.splay import SplayTree, run_splay, run_splay_reference
@@ -249,11 +249,12 @@ TREE = StaticTree.balanced(3)
     (lambda: first_violation([(1, 1), (2, 2)]), "pset must be a PointSet, got list"),
     (lambda: fit(None, None), "cost_series must be a Sequence, got NoneType"),
     (lambda: fit([1.0], None), "bound_series must be a Sequence, got NoneType"),
+    (lambda: brute_min_row([0, 0], 1), "state must be a RowSweep, got list"),
 ], ids=["wdf_seq", "wdf_w", "dynamic_finger", "wdf_term", "static_finger_seq",
         "static_finger_tree", "best_static", "tree_from_weights", "weights_from_tree",
         "opt", "splay", "splay_reference", "generate", "write_trace", "write_weights",
         "unsatisfied_pairs", "is_satisfied", "is_satisfied_one_point", "first_violation",
-        "fit_cost", "fit_bound"])
+        "fit_cost", "fit_bound", "brute_min_row"])
 def test_entry_points_reject_the_wrong_type(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()

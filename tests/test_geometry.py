@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerbound import verify
-from fingerbound.core import Point, PointSet
+from fingerbound.core import AccessSequence, Point, PointSet
 from fingerbound.errors import KeyOutOfRangeError
-from fingerbound.greedy import greedy_row
+from fingerbound.greedy import greedy_execute, greedy_row
 from fingerbound.geometry import (
     RowSweep,
     first_violation,
@@ -200,7 +200,8 @@ def test_commit_folds_keys_in_any_order():
     assert [sweep.last_touch(k) for k in (1, 2, 3)] == [1, 0, 1]
 
 
-@pytest.mark.parametrize("t, keys, error, message", [
+# rows that neither `commit` nor `violation` takes, on a sweep over n = 4 at time 2
+BAD_ROWS = [
     (3, [1, 9], KeyOutOfRangeError, r"^key 9 outside \[1, 4\] in row 3$"),
     (3, [0, 3], KeyOutOfRangeError, r"^key 0 outside \[1, 4\] in row 3$"),
     (2, [1, 3], ValueError, r"^row 2 does not follow committed row 2$"),
@@ -210,8 +211,12 @@ def test_commit_folds_keys_in_any_order():
     (3, [1, 2.5], KeyOutOfRangeError, r"^key 2\.5 is not an integer in row 3$"),
     (3, [True], KeyOutOfRangeError, r"^key True is not an integer in row 3$"),
     (3, [1, "2"], KeyOutOfRangeError, r"^key '2' is not an integer in row 3$"),
-], ids=["key past n", "key 0", "stale time", "float time", "integral float time",
-        "bool time", "float key", "bool key", "str key"])
+]
+BAD_ROW_IDS = ["key past n", "key 0", "stale time", "float time", "integral float time",
+               "bool time", "float key", "bool key", "str key"]
+
+
+@pytest.mark.parametrize("t, keys, error, message", BAD_ROWS, ids=BAD_ROW_IDS)
 def test_commit_checks_a_row_before_any_write(t, keys, error, message):
     sweep = RowSweep(4)
     sweep.commit([1, 2, 3, 4], 1)
@@ -220,6 +225,44 @@ def test_commit_checks_a_row_before_any_write(t, keys, error, message):
     with pytest.raises(error, match=message):
         sweep.commit(keys, t)
     assert (sweep.time, sweep.tree) == before
+
+
+@pytest.mark.parametrize("t, keys, error, message", BAD_ROWS + [
+    (3, [0], KeyOutOfRangeError, r"^key 0 outside \[1, 4\] in row 3$"),
+    (3, [3, 1], ValueError, r"^key 1 does not rise above key 3 in row 3$"),
+    (3, [1, 1], ValueError, r"^key 1 does not rise above key 1 in row 3$"),
+    (3, (1, 2, 4, 3), ValueError, r"^key 3 does not rise above key 4 in row 3$"),
+], ids=[*BAD_ROW_IDS, "key 0 alone", "falling keys", "repeated key", "falling last key"])
+def test_violation_refuses_a_row_it_cannot_judge(t, keys, error, message):
+    # unchecked, key 0 read an internal node, [3, 1] named the gap (1, 5)
+    # and [1, 1] was judged as [1]
+    sweep = RowSweep(4)
+    sweep.commit([2], 1)
+    sweep.commit([3], 2)
+    before = (sweep.time, sweep.tree[:])
+    with pytest.raises(error, match=message):
+        sweep.violation(keys, t)
+    assert (sweep.time, sweep.tree) == before
+    assert sweep.violation([1], 3) == (Point(2, 1), Point(1, 3))
+
+
+@pytest.mark.parametrize("points, calls", [
+    (greedy_execute(AccessSequence(8, (3, 1, 4, 1, 5, 2, 6, 5, 3, 5)))[0], 0),
+    ([(1, 1), (2, 1), (3, 1), (2, 2), (3, 3), (1, 4)], 1),
+], ids=["greedy's rows", "a failing third row"])
+def test_first_violation_checks_only_the_failing_row(monkeypatch, points, calls):
+    # every row passes `failing_gap`, unchecked; only a failing one is
+    # handed to the checked `violation` for its witness
+    made = []
+    violation = RowSweep.violation
+
+    def counted(self, row, t):
+        made.append(t)
+        return violation(self, row, t)
+
+    monkeypatch.setattr(RowSweep, "violation", counted)
+    assert (first_violation(PointSet(points)) is None) == (calls == 0)
+    assert len(made) == calls
 
 
 class CountedReads(list):

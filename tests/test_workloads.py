@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +142,35 @@ class TestGenerate:
         assert generate(WorkloadSpec("zipf_finger", 128, 10, seed=9, theta=2.0)).accesses == (
             64, 66, 67, 68, 66, 65, 64, 96, 94, 95)
 
+    @pytest.mark.parametrize("spec, keys", [
+        (WorkloadSpec("walk", 7, 12, seed=5, d=2**63), (4, 1, 7, 1, 1, 1, 1, 7, 7, 1, 7, 1)),
+        (WorkloadSpec("walk", 7, 12, seed=5, d=2**64), (4, 1, 7, 7, 7, 7, 7, 1, 1, 7, 7, 7)),
+        (WorkloadSpec("zipf_finger", 1, 4, seed=5, theta=2.0), (1, 1, 1, 1)),
+        (WorkloadSpec("zipf_finger", 2, 12, seed=5, theta=0.5),
+         (1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1)),
+    ], ids=["walk d=2^63", "walk d=2^64", "zipf_finger n=1", "zipf_finger n=2"])
+    def test_frozen_edge_sequences(self, spec, keys):
+        # regression pins past the golden ones: walks whose step draws (over
+        # 1..2d) reach 2^64 and pass it, and zipf_finger's one-step tables
+        assert generate(spec).accesses == keys
+
+    @pytest.mark.parametrize("d", [1, 8, 2**63])
+    def test_walk_draws_its_steps_in_one_keys_call(self, monkeypatch, d):
+        calls = []
+        keys = Splitmix64.keys
+
+        def counted(self, n, m):
+            calls.append((n, m))
+            return keys(self, n, m)
+
+        def refuse(self, bound):
+            raise AssertionError(f"below({bound}) called")
+
+        monkeypatch.setattr(Splitmix64, "keys", counted)
+        monkeypatch.setattr(Splitmix64, "below", refuse)
+        generate(WorkloadSpec("walk", 100, 50, seed=5, d=d))
+        assert calls == [(2 * d, 49)]
+
     def test_walk_locality(self, locality):
         assert 0 < locality[1] <= 8
 
@@ -184,6 +217,34 @@ class TestGenerate:
             WorkloadSpec("zipf_finger", n, 10, theta=1.5)
         WorkloadSpec("zipf_finger", MAX_BUILT_N, 10, theta=1.5)
         generate(WorkloadSpec("uniform", n, 10, seed=1))  # no table: not guarded
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("path", [True, 1, 0])
+@pytest.mark.parametrize("writer, value", [
+    ("write_trace", "AccessSequence(2, (1, 2))"),
+    ("write_weights", "WeightAssignment([1.0, 2.0])"),
+], ids=["write_trace", "write_weights"])
+def test_writers_refuse_an_int_path(writer, value, path):
+    # `open` would take an int path for a file descriptor, write there and
+    # close it; a child process keeps this runner's own stdout out of reach
+    code = "\n".join([
+        "from fingerbound import AccessSequence, WeightAssignment, write_trace, write_weights",
+        "try:",
+        f"    {writer}({value}, {path!r})",
+        "except TypeError as exc:",
+        "    print(exc)",
+        "print('printed after')",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (f"path must be a str or os.PathLike, got {type(path).__name__}\n"
+                           "printed after\n")
 
 
 class TestTraceIO:
