@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, run, bound, beststatic, opt, fit, verify. All output is
-numeric CSV with a header row; summaries go to stderr. Exit codes: 0 success,
-1 verification failure, 2 usage or input errors.
+Subcommands: gen, run, bound, beststatic, opt, fit, verify. gen writes a trace
+file, verify a text report, the others CSV with a header row; summaries go to
+stderr. Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 
 CSV rows are written a chunk at a time: `_emit` flattens the row tuples'
 fields and formats `EMIT_CHUNK_ROWS` rows with one `%` of the row format
@@ -10,8 +10,8 @@ repeated per row, so a file streams out in strings of bounded size with no
 per-row Python call. A bound-term column whose terms mostly repeat is
 formatted once per distinct value. Columns are read back a whole column at a
 time, in builtin passes (`map`, `all`); when `_read_series` rejects a column,
-`core.first_bad` finds its first bad line. An output path, when given, is
-opened as given: an empty one is an error, not stdout.
+`core.first_bad` finds its first bad line. `workloads.write_text` writes all
+output, to stdout or to a path opened as given: "" is an error, not stdout.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .opt import opt_satisfied_superset
 from .splay import INITIAL_SHAPES
 from .verify import SUITES, run_suite
 from .workloads import (WORKLOAD_KINDS, WorkloadSpec, generate, read_ascii_lines, read_trace,
-                        read_weights, trace_text, write_trace)
+                        read_weights, write_text, write_trace)
 
 
 # Rows per `%` call in `_emit`: small enough that a chunk's field tuple and
@@ -49,20 +49,14 @@ def _emit(header: str, rows: Iterable[tuple], out: str | None) -> None:
     """Write a headed CSV, one line per row tuple, to the file `out`, or to
     stdout when out is None. The rows' fields are flattened and taken
     `EMIT_CHUNK_ROWS` rows at a time; each chunk is one `%` of the row format
-    repeated per row, and the chunk strings are streamed with `writelines`.
-    `%s` of a float is its repr and of an int its str."""
+    repeated per row, and `write_text` streams the chunk strings. `%s` of a
+    float is its repr and of an int its str."""
     width = header.count(",") + 1
     row_format = "%s," * (width - 1) + "%s\n"
     fields = chain.from_iterable(rows)
     chunks = iter(lambda: tuple(islice(fields, width * EMIT_CHUNK_ROWS)), ())
     text = ((row_format * (len(chunk) // width)) % chunk for chunk in chunks)
-    if out is not None:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header + "\n")
-            fh.writelines(text)
-    else:
-        sys.stdout.write(header + "\n")
-        sys.stdout.writelines(text)
+    write_text(out, chain((header + "\n",), text))
 
 
 def _term_column(terms: tuple[float, ...]) -> Iterable:
@@ -81,11 +75,7 @@ def _term_column(terms: tuple[float, ...]) -> Iterable:
 def _cmd_gen(args) -> int:
     spec = WorkloadSpec(kind=args.workload, n=args.n, m=args.m, seed=args.seed,
                         d=args.d, theta=args.theta)
-    seq = generate(spec)
-    if args.out is not None:
-        write_trace(seq, args.out)
-    else:
-        sys.stdout.write(trace_text(seq))
+    write_trace(generate(spec), args.out)
     return 0
 
 
@@ -182,9 +172,8 @@ def _cmd_fit(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, args.seed)
     status = "pass" if report.passed else "FAIL"
-    sys.stdout.write(f"{report.suite}: {status} ({report.checked} checks)\n")
-    for line in report.details:
-        sys.stdout.write(f"  {line}\n")
+    write_text(None, chain((f"{report.suite}: {status} ({report.checked} checks)\n",),
+                           (f"  {line}\n" for line in report.details)))
     return 0 if report.passed else 1
 
 

@@ -30,6 +30,8 @@ Key = int
 # sweep (`geometry.RowSweep`, so a direct `greedy.GreedyState(n)`) takes 16
 # bytes a key, so n = 2^26 needs 1 GiB. `greedy.greedy_sweep` and
 # `geometry.first_violation` size theirs by the distinct keys instead.
+# It also bounds a generated trace's length (`workloads.WorkloadSpec`'s m):
+# at 2^26 accesses the key tuple alone takes 0.5 GiB.
 MAX_BUILT_N = 2 ** 26
 
 

@@ -18,6 +18,7 @@ uniform trace's keys, or a walk's steps; walk and zipf_finger step one finger.
 
 Trace file format: line 1 is "n m", then m lines with one key each.
 Weights file format: n lines, one strictly positive decimal per line.
+`write_text` is the package's one output, to a file or to stdout.
 
 Files are converted and written a whole column at a time, in builtin passes
 (`map`, one `%` over a whole column) with no per-line Python loop. The values
@@ -29,10 +30,12 @@ checks, `core.ints_within` and `core.sums_rise`, on converted lines.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import Iterable
 
 from .core import (MAX_BUILT_N, AccessSequence, Key, WeightAssignment, check_type, first_bad,
                    ints_within, sums_rise)
@@ -120,6 +123,8 @@ class WorkloadSpec:
             raise BadSpecError(f"theta must be a number, got {self.theta!r}")
         if self.n < 1 or self.m < 1:
             raise BadSpecError(f"n and m must be positive, got n={self.n}, m={self.m}")
+        if self.m > MAX_BUILT_N:  # generate builds all m keys
+            raise BadSpecError(f"{self.kind} is guarded to m <= {MAX_BUILT_N}, got m={self.m}")
         if self.kind == "walk":
             if self.d is None or self.d < 1:
                 raise BadSpecError("walk workloads need a step bound d >= 1")
@@ -219,22 +224,24 @@ def read_trace(path: str | Path) -> AccessSequence:
     raise TraceParseError(bad + 2, f"key {key} out of range [1, {n}]", path)
 
 
-def trace_text(seq: AccessSequence) -> str:
-    """A trace file's text: the "n m" header, then one key per line, all
-    formatted by one `%` over the whole key tuple."""
-    return f"{seq.n} {seq.m}\n" + ("%s\n" * seq.m) % seq.accesses
-
-
-def write_trace(seq: AccessSequence, path: str | Path) -> None:
+def write_trace(seq: AccessSequence, path: str | Path | None) -> None:
+    """Write a trace file to `path`, or to stdout when path is None; one `%`
+    formats all m key lines."""
     check_type(seq, AccessSequence, "seq")
-    _write_text(path, trace_text(seq))
+    write_text(path, (f"{seq.n} {seq.m}\n", ("%s\n" * seq.m) % seq.accesses))
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    if isinstance(path, int):  # a bool too: `open` would write to that fd, then close it
+def write_text(path: str | Path | None, chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout when path is None, else to the file `path`
+    as ASCII with newline line ends. An int path (a bool too) raises
+    `TypeError` before anything is opened: `open` would use and close that fd."""
+    if path is None:
+        sys.stdout.writelines(chunks)  # looked up per call, so a replaced stdout is used
+        return
+    if isinstance(path, int):
         raise TypeError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def read_weights(path: str | Path) -> WeightAssignment:
@@ -260,6 +267,7 @@ def read_weights(path: str | Path) -> WeightAssignment:
     raise TraceParseError(bad + 1, f"weight {raw!r} {fault}; rescale the weights", path)
 
 
-def write_weights(w: WeightAssignment, path: str | Path) -> None:
+def write_weights(w: WeightAssignment, path: str | Path | None) -> None:
+    """Write a weights file, one repr a line, to `path`, or to stdout when None."""
     check_type(w, WeightAssignment, "w")
-    _write_text(path, ("%r\n" * w.n) % w.weights)
+    write_text(path, (("%r\n" * w.n) % w.weights,))

@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["walk_local", "uniform_far", "weighted_skew"])
+@pytest.mark.parametrize("workload", ["walk_local", "uniform_far", "weighted_skew",
+                                      "exhaustive"])
 def test_benchmark_round_checks_correct(tmp_path, workload):
     skip = shutil.ignore_patterns("out", "__pycache__")
     for name in ("bench", "src"):

@@ -116,6 +116,18 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_too_long_trace_is_refused_before_generating(self, capsys, monkeypatch):
+        def unreachable(spec):
+            pytest.fail("generate was called")
+
+        monkeypatch.setattr("fingerbound.cli.generate", unreachable)
+        code, out, err = run_cli(capsys, "gen", "--workload", "sequential", "--n", "1",
+                                 "--m", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: sequential is guarded to m <= {MAX_BUILT_N}, "
+                       "got m=1000000000000\n")
+
 
 class TestRun:
     def test_greedy_csv(self, capsys, trace):

@@ -16,6 +16,7 @@ from fingerbound.workloads import (
     generate,
     read_trace,
     read_weights,
+    write_trace,
     write_weights,
 )
 from fingerbound.core import WeightAssignment
@@ -218,6 +219,15 @@ class TestGenerate:
         WorkloadSpec("zipf_finger", MAX_BUILT_N, 10, theta=1.5)
         generate(WorkloadSpec("uniform", n, 10, seed=1))  # no table: not guarded
 
+    @pytest.mark.parametrize("kind, n, m", [("sequential", 1, MAX_BUILT_N + 1),
+                                            ("bit_reversal", 2**27, 2**27)],
+                             ids=["sequential", "bit_reversal"])
+    def test_generated_trace_length_is_guarded(self, kind, n, m):
+        # generate would build all m keys; only the spec is built here
+        with pytest.raises(BadSpecError,
+                           match=f"{kind} is guarded to m <= {MAX_BUILT_N}, got m={m}$"):
+            WorkloadSpec(kind, n, m)
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -253,6 +263,14 @@ class TestTraceIO:
         p.write_text("2 3\n1\n2\n1\n")
         seq = read_trace(p)
         assert seq == AccessSequence(2, (1, 2, 1))
+
+    def test_write_trace_prints_the_file_bytes(self, tmp_path, capsys):
+        seq = AccessSequence(10**20, (1, 10**20, 7))
+        p = tmp_path / "t.txt"
+        write_trace(seq, p)
+        write_trace(seq, None)
+        assert p.read_bytes() == capsys.readouterr().out.encode("ascii")
+        assert p.read_text() == "100000000000000000000 3\n1\n100000000000000000000\n7\n"
 
     def test_key_out_of_range_reports_line(self, tmp_path):
         p = tmp_path / "t.txt"
@@ -339,10 +357,12 @@ class TestWeightsIO:
         assert exc.value.line == 2
         assert str(exc.value) == f"line 2: {message} in {p}"
 
-    def test_write_weights_bytes(self, tmp_path):
+    def test_write_weights_bytes(self, tmp_path, capsys):
         p = tmp_path / "w.txt"
         write_weights(WeightAssignment((5e-324, 0.1, 1e16)), p)
         assert p.read_text() == "5e-324\n0.1\n1e+16\n"
+        write_weights(WeightAssignment((5e-324, 0.1, 1e16)), None)  # None: stdout
+        assert capsys.readouterr().out.encode("ascii") == p.read_bytes()
 
     def test_rejects_nonpositive(self, tmp_path):
         p = tmp_path / "w.txt"
