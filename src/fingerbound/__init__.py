@@ -1,9 +1,21 @@
-"""Geometric-greedy BST execution measured against weighted finger bounds."""
+"""Geometric-greedy BST execution measured against weighted finger bounds.
+
+Every per-access result, an algorithm's costs or a bound's terms, is one
+`core.Column`.
+
+Errors: an exported entry point given bad input raises one of three kinds.
+A wrong type for an argument's role (a list where an `AccessSequence`, a
+`PointSet` or a sweep is due) is a `TypeError` that names the argument. A
+bad value, an out-of-range integer or a non-integer where an integer count,
+key or time is due included, is a `ValueError`, one of `errors.py`'s where
+one fits (such as `errors.KeyOutOfRangeError`). A missing or unreadable
+file is an `OSError`, and a malformed trace or weights file an
+`errors.TraceParseError`, a `ValueError` naming its line and path.
+"""
 
 from .core import (
     AccessSequence,
-    BoundReport,
-    CostReport,
+    Column,
     Key,
     Point,
     PointSet,
@@ -45,8 +57,7 @@ from .verify import SuiteReport, run_suite
 
 __all__ = [
     "AccessSequence",
-    "BoundReport",
-    "CostReport",
+    "Column",
     "FitResult",
     "GreedyState",
     "Key",

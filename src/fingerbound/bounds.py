@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import (AccessSequence, BoundReport, CostReport, Key, WeightAssignment,
-                   check_built_size, check_key, check_size, check_type, first_bad, ints_within)
+from .core import (AccessSequence, Column, Key, WeightAssignment, check_built_size, check_key,
+                   check_size, check_type, first_bad, ints_within)
 from .errors import (
     BadBaseError,
     DimensionMismatchError,
@@ -188,7 +188,7 @@ def wdf_term(w: WeightAssignment, prev: Key, cur: Key) -> float:
 
 def weighted_df_bound(
     seq: AccessSequence, w: WeightAssignment | None, start: str = START_SELF
-) -> BoundReport:
+) -> Column:
     """Per-access weighted finger terms over a whole sequence.
 
     start="self" treats the first access as its own finger (t_1 = 1);
@@ -211,7 +211,7 @@ def weighted_df_bound(
     if w is None:
         keys = seq.accesses
         first = 1.0 if start == START_SELF else 1.0 + log2(seq.n)
-        return BoundReport((first, *[1.0 + log2(abs(b - a) + 1) for a, b in zip(keys, keys[1:])]))
+        return Column((first, *[1.0 + log2(abs(b - a) + 1) for a, b in zip(keys, keys[1:])]))
     prefix, weights = w.prefix, w.weights
     prev = seq.accesses[0] if start == START_SELF else 0  # 0: the root, spanning all keys
     terms = []
@@ -230,15 +230,15 @@ def weighted_df_bound(
             term = 1.0 + log2(span) - log2(low)
         terms.append(term)
         prev = cur
-    return BoundReport(tuple(terms))
+    return Column(tuple(terms))
 
 
-def dynamic_finger_bound(seq: AccessSequence) -> BoundReport:
+def dynamic_finger_bound(seq: AccessSequence) -> Column:
     """Equal-weights specialization: t_i = 1 + log2(|s_i - s_{i-1}| + 1)."""
     return weighted_df_bound(seq, None)
 
 
-def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
+def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> Column:
     """Cost of serving a sequence on a fixed tree, walking from the previous
     accessed node; the first access walks from the root. Costs count nodes,
     so a repeated access costs 1."""
@@ -246,7 +246,7 @@ def static_finger_cost(tree: StaticTree, seq: AccessSequence) -> CostReport:
     check_type(seq, AccessSequence, "seq")
     if tree.n != seq.n:
         raise DimensionMismatchError(f"tree has n={tree.n} but sequence has n={seq.n}")
-    return CostReport(tuple(_finger_costs(tree, seq.accesses)))
+    return Column(tuple(_finger_costs(tree, seq.accesses)))
 
 
 def weights_from_tree(tree: StaticTree, base: float = 2.0) -> WeightAssignment:

@@ -86,11 +86,11 @@ def _cmd_run(args) -> int:
     w = read_weights(args.weights) if args.weights is not None else None  # None: equal weights
     if args.points is not None:
         # one sweep yields both the points and the per-access costs
-        state = greedy_sweep(seq)
-        cost = state.cost_report()
+        run = greedy_sweep(seq)
+        cost = run.cost_report()
         bound = weighted_df_bound(seq, w, args.start)
         fr = fit(cost.per_access, bound.per_access)
-        _emit("time,key", state.points(), args.points)
+        _emit("time,key", run.points(), args.points)
     else:
         cost, bound, fr = run_experiment(seq, args.algo, w, args.start, args.initial)
     _emit("i,key,cost,bound",

@@ -144,7 +144,10 @@ class AccessSequence:
         return iter(self.accesses)
 
     def prefix(self, t: int) -> "AccessSequence":
-        """First t accesses as a sequence over the same keyspace."""
+        """First t accesses as a sequence over the same keyspace; t an int
+        (not a bool) in 1..m, checked."""
+        if type(t) is not int or not 0 < t <= len(self.accesses):
+            raise ValueError(f"prefix length must be an integer in [1, {self.m}], got {t!r}")
         return AccessSequence(self.n, self.accesses[:t])
 
 
@@ -288,22 +291,9 @@ def _point(p: tuple[Key, int]) -> Point:
 
 
 @dataclass(frozen=True)
-class CostReport:
-    """Per-access integer costs of one algorithm run."""
-
-    per_access: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_access)
-
-    def __len__(self) -> int:
-        return len(self.per_access)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-access bound terms t_i and their total."""
+class Column:
+    """One number per access of a run, in access order: an algorithm's costs
+    (ints) or a bound's terms t_i (floats), and their total."""
 
     per_access: tuple[float, ...]
 

@@ -214,11 +214,13 @@ def staircase(sweep: RowSweep, x: Key) -> list[Key]:
     first, each searched from the leaf past the last: a node no later than
     the threshold climbs while a left (right) child and passes the search
     on, and a later one descends to its nearest leaf."""
-    n = sweep.n
+    try:
+        n, t, size = sweep.n, sweep.tree, sweep.size
+    except AttributeError:  # checked only here, so a sweep's access pays for no check
+        check_type(sweep, RowSweep, "sweep")
+        raise
     if type(x) is not int or not 0 < x <= n:
         x = check_key(x, n)
-    t = sweep.tree
-    size = sweep.size
     top = t[1]
     leaf = size + x - 1
     row = []
@@ -266,6 +268,7 @@ def staircase(sweep: RowSweep, x: Key) -> list[Key]:
 
 def staircase_reference(sweep: RowSweep, x: Key) -> list[Key]:
     """O(n) prefix-maximum scan implementing the same staircase rule."""
+    check_type(sweep, RowSweep, "sweep")
     x = check_key(x, sweep.n)
     last = sweep.tree[sweep.size - 1:]  # last[k] is key k's last-touch time
     left, right = [], []

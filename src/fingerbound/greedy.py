@@ -15,21 +15,23 @@ This is exactly the unique minimum completion, which the exhaustive
 
 Cost of an access = number of points placed on its row.
 
-The sweep state is the satisfaction checker's: `GreedyState` is a
-`geometry.RowSweep` (a max segment tree whose leaves are the last-touch
-times) that folds each emitted row and keeps a log of the rows.
+A run's record is a `GreedyRun`: each row's cost and the emitted keys as
+one flat log, read as rows, points, a point set or a cost `core.Column`.
+`GreedyState` is the satisfaction checker's sweep, a `geometry.RowSweep` (a
+max segment tree whose leaves are the last-touch times), that folds each
+emitted row and is the `GreedyRun` of its rows so far.
 
 `greedy_sweep`, behind every greedy run, steps that state over the ranks of
-the accessed keys (`core.rank_keys`), not over the keys 1..n, so its memory
-grows with the d distinct keys accessed and not with n. `greedy_row` is the
-package's one staircase walk, `geometry.staircase`, which also finds the
-satisfaction checker's witnesses: both sides in one frame, O(log gap) per
-touched key, gap ranks past the previous one, O(log d) at worst (O(log n)
-stepped on the keys). Its row is sorted, and the sweep raises it once,
-unchecked: x is checked, and every other key is a leaf the walks found.
-Each access makes one `GreedyState.step` and one module-level `greedy_row`
-call, so a wrapper on either sees every row, and none of the checker's
-witness searches, which call the walk by its geometry name.
+the accessed keys (`core.rank_keys`), not the keys 1..n, so its memory grows
+with the d distinct keys and not with n, and returns only the run, over the
+keys. `greedy_row` is the package's one staircase walk, `geometry.staircase`,
+which also finds the satisfaction checker's witnesses: both sides in one
+frame, O(log gap) per touched key, gap ranks past the previous one, O(log d)
+at worst (O(log n) stepped on the keys). Its row is sorted, and the sweep
+raises it once, unchecked: x is checked, and every other key is a leaf the
+walks found. Each access makes one `GreedyState.step` and one module-level
+`greedy_row` call, so a wrapper on either sees every row, and none of the
+checker's witness searches, which call the walk by its geometry name.
 `greedy_row_reference` (`geometry.staircase_reference`) is a plain O(n)
 prefix-maximum scan kept for differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances: the first
@@ -43,47 +45,23 @@ from __future__ import annotations
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterator
 
-from .core import AccessSequence, CostReport, Key, PointSet, check_type, rank_keys
+from .core import AccessSequence, Column, Key, PointSet, check_type, rank_keys
 from .geometry import (RowSweep, staircase as greedy_row,
                        staircase_reference as greedy_row_reference)
 
 
-class GreedyState(RowSweep):
-    """Greedy's sweep state: a `RowSweep` over the emitted rows, plus their
-    log.
+class GreedyRun:
+    """Greedy's record of a run: `per_row_cost`, the length of each row, and
+    the emitted points as one flat list of keys, each row's keys sorted, or
+    None when point tracking was dropped (long cost-only runs)."""
 
-    The emitted points are logged as one flat list of keys, each row's keys
-    sorted; `per_row_cost` gives the row lengths. track_points=False drops
-    the log (long cost-only runs). `copy()` returns an independent
-    `GreedyState` with the row costs and, if tracked, the log, so an online
-    run can branch: each copy steps on from the same prefix.
-    """
-
-    __slots__ = ("_log", "per_row_cost")
-
-    def __init__(self, n: int, track_points: bool = True):
-        super().__init__(n)
-        self._log: list[Key] | None = [] if track_points else None
-        self.per_row_cost: list[int] = []
-
-    def copy(self) -> "GreedyState":
-        other = super().copy()
-        other._log = None if self._log is None else self._log[:]
-        other.per_row_cost = self.per_row_cost[:]
-        return other
-
-    def step(self, x: Key) -> list[Key]:
-        """Process the next access: emit its row's keys and update touch times."""
-        row = greedy_row(self, x)
-        self._fold(row, self.time + 1)
-        if self._log is not None:
-            self._log.extend(row)
-        self.per_row_cost.append(len(row))
-        return row
+    def __init__(self, per_row_cost: list[int], log: list[Key] | None):
+        self.per_row_cost = per_row_cost
+        self._log = log
 
     def _tracked_log(self) -> list[Key]:
         if self._log is None:
-            raise ValueError("point tracking was disabled for this state")
+            raise ValueError("point tracking was disabled for this run")
         return self._log
 
     def rows(self) -> Iterator[tuple[int, list[Key]]]:
@@ -102,12 +80,43 @@ class GreedyState(RowSweep):
     def emitted(self) -> PointSet:
         return PointSet((k, t) for t, k in self.points())
 
-    def cost_report(self) -> CostReport:
-        return CostReport(tuple(self.per_row_cost))
+    def cost_report(self) -> Column:
+        return Column(tuple(self.per_row_cost))
 
 
-def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
-    """Run the full sweep and return its final state.
+class GreedyState(RowSweep, GreedyRun):
+    """Greedy's sweep state: a `RowSweep` over the emitted rows that is also
+    the `GreedyRun` of those rows so far.
+
+    track_points=False drops the log. `copy()` returns an independent
+    `GreedyState` with the row costs and, if tracked, the log, so an online
+    run can branch: each copy steps on from the same prefix.
+    """
+
+    __slots__ = ("_log", "per_row_cost")
+
+    def __init__(self, n: int, track_points: bool = True):
+        RowSweep.__init__(self, n)
+        GreedyRun.__init__(self, [], [] if track_points else None)
+
+    def copy(self) -> "GreedyState":
+        other = super().copy()
+        other._log = None if self._log is None else self._log[:]
+        other.per_row_cost = self.per_row_cost[:]
+        return other
+
+    def step(self, x: Key) -> list[Key]:
+        """Process the next access: emit its row's keys and update touch times."""
+        row = greedy_row(self, x)
+        self._fold(row, self.time + 1)
+        if self._log is not None:
+            self._log.extend(row)
+        self.per_row_cost.append(len(row))
+        return row
+
+
+def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyRun:
+    """Run greedy on seq and return its run, over seq's keys.
 
     The sweep runs on the ranks 1..d of the d distinct accessed keys, and
     its rows are those of the keys themselves, rank for key. A key never
@@ -118,41 +127,28 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyState:
     the keys but their order, which the ranks keep.
 
     Its costs are those of `GreedyState(seq.n)` stepped on the keys, and its
-    `rows()`, `points()` and `emitted()` report the keys, mapped back from
-    the ranks by one `map` over the flat log. Its sweep (`n`, `tree` and
-    `last_touch`) stays over the ranks, so its `step` and `commit` raise.
+    log is mapped back from the ranks to the keys by one `map`. The sweep
+    over the ranks is dropped: the run holds no state to step on.
     """
     check_type(seq, AccessSequence, "seq")
     keys, rank = rank_keys(seq.accesses)
     state = GreedyState(len(keys), track_points)
     for r in map(rank.__getitem__, seq.accesses):
         state.step(r)
-    if track_points:
+    log = state._log
+    if log is not None:
         key_of = [0, *keys]  # rank r is key key_of[r]
-        state._log = list(map(key_of.__getitem__, state._log))
-    state.__class__ = _RankedGreedyState
-    return state
+        log = list(map(key_of.__getitem__, log))
+    return GreedyRun(state.per_row_cost, log)
 
 
-class _RankedGreedyState(GreedyState):
-    """`greedy_sweep`'s result: its log holds the keys but its sweep their
-    ranks, which stepping on would read as keys, so `step` and `commit` raise."""
-
-    __slots__ = ()
-
-    def step(self, *_) -> list[Key]:
-        raise ValueError("this greedy sweep ran on the ranks of its keys; it cannot step on")
-
-    commit = step
-
-
-def greedy_execute(seq: AccessSequence) -> tuple[PointSet, CostReport]:
+def greedy_execute(seq: AccessSequence) -> tuple[PointSet, Column]:
     """Run the full sweep; returns the emitted point set and per-row costs."""
-    state = greedy_sweep(seq)
-    return state.emitted(), state.cost_report()
+    run = greedy_sweep(seq)
+    return run.emitted(), run.cost_report()
 
 
-def greedy_cost(seq: AccessSequence) -> CostReport:
+def greedy_cost(seq: AccessSequence) -> Column:
     """Per-row costs only, skipping point-set assembly (for long runs)."""
     return greedy_sweep(seq, track_points=False).cost_report()
 

@@ -13,8 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .core import (AccessSequence, BoundReport, CostReport, WeightAssignment, check_type,
-                   first_bad)
+from .core import AccessSequence, Column, WeightAssignment, check_type, first_bad
 from .errors import DimensionMismatchError
 from .bounds import START_SELF, weighted_df_bound
 from .greedy import greedy_cost
@@ -85,7 +84,7 @@ def run_experiment(
     weights: WeightAssignment | None = None,
     start: str = START_SELF,
     initial: str = "balanced",
-) -> tuple[CostReport, BoundReport, FitResult]:
+) -> tuple[Column, Column, FitResult]:
     """Execute one algorithm on a sequence and fit its cost to the bound.
 
     weights=None means equal weights. `initial` only matters for splay.

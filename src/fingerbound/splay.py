@@ -30,7 +30,7 @@ the lazy build too.
 from __future__ import annotations
 
 from .bounds import INITIAL_SHAPES, SHAPE_ROOTS, shape_children, shape_rule
-from .core import (AccessSequence, CostReport, Key, check_built_size, check_key, check_size,
+from .core import (AccessSequence, Column, Key, check_built_size, check_key, check_size,
                    check_type)
 
 
@@ -199,12 +199,12 @@ class SplayTree:
         return out
 
 
-def run_splay(seq: AccessSequence, initial: str = "balanced") -> CostReport:
+def run_splay(seq: AccessSequence, initial: str = "balanced") -> Column:
     """Serve a whole sequence on one tree, reporting per-access costs."""
     check_type(seq, AccessSequence, "seq")
     tree = SplayTree(seq.n, initial)
     # `seq` has already checked every key against its n
-    return CostReport(tuple(map(tree._access, seq.accesses)))
+    return Column(tuple(map(tree._access, seq.accesses)))
 
 
 def _ref_rotate_up(links: dict[int, list[int]], child: int, par: int) -> None:
@@ -224,7 +224,7 @@ def _ref_replace_child(links: dict[int, list[int]], par: int, old: int, new: int
         links[par][1] = new
 
 
-def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> CostReport:
+def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> Column:
     """Parent-free differential re-implementation of `run_splay`, on an
     eagerly built initial shape."""
     check_type(seq, AccessSequence, "seq")
@@ -257,4 +257,4 @@ def run_splay_reference(seq: AccessSequence, initial: str = "balanced") -> CostR
             _ref_rotate_up(links, x, path[0])
             path = [x]
         root = path[0]
-    return CostReport(tuple(costs))
+    return Column(tuple(costs))

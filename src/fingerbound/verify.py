@@ -85,8 +85,6 @@ from .opt import opt_satisfied_superset
 from .splay import SplayTree, run_splay, run_splay_reference
 from .workloads import Splitmix64, WorkloadSpec, generate, read_trace, write_trace
 
-SUITES = ("satisfaction", "minimality", "opt", "depth", "roundtrip", "differential")
-
 
 @dataclass
 class SuiteReport:
@@ -533,3 +531,4 @@ _SUITE_FNS = {
     "roundtrip": _suite_roundtrip,
     "differential": _suite_differential,
 }
+SUITES = tuple(_SUITE_FNS)

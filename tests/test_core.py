@@ -20,7 +20,7 @@ from fingerbound.bounds import (
 from fingerbound.core import (
     MAX_BUILT_N,
     AccessSequence,
-    CostReport,
+    Column,
     Point,
     PointSet,
     WeightAssignment,
@@ -29,7 +29,8 @@ from fingerbound.core import (
 )
 from fingerbound.geometry import (RowSweep, first_violation, is_arborally_satisfied,
                                   staircase_reference, unsatisfied_pairs)
-from fingerbound.greedy import GreedyState, brute_min_row, greedy_row
+from fingerbound.greedy import (GreedyState, brute_min_row, greedy_row, greedy_row_reference,
+                               greedy_sweep)
 from fingerbound.harness import fit
 from fingerbound.opt import opt_satisfied_superset
 from fingerbound.splay import SplayTree, run_splay, run_splay_reference
@@ -64,9 +65,19 @@ class TestValidateSequence:
         with pytest.raises(BadKeyspaceError, match="got True"):
             AccessSequence(True, [1])
 
-    def test_prefix(self):
+    @pytest.mark.parametrize("t, expect", [
+        (2, (1, 2)), (1, (1,)), (3, (1, 2, 3)),
+        (0, None), (-1, None), (4, None), (True, None), (2.0, None),
+    ], ids=["2", "1", "m", "zero", "minus_one", "past_m", "bool", "float"])
+    def test_prefix(self, t, expect):
+        # a length outside 1..m is refused, not sliced as Python would
         seq = AccessSequence(3, [1, 2, 3])
-        assert seq.prefix(2).accesses == (1, 2)
+        if expect is None:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"prefix length must be an integer in [1, 3], got {t!r}") + "$"):
+                seq.prefix(t)
+        else:
+            assert seq.prefix(t).accesses == expect
 
     @pytest.mark.parametrize("accs, named", [
         ([1, 0, 9, 2.5], "access 2: key 0 "),
@@ -250,11 +261,21 @@ TREE = StaticTree.balanced(3)
     (lambda: fit(None, None), "cost_series must be a Sequence, got NoneType"),
     (lambda: fit([1.0], None), "bound_series must be a Sequence, got NoneType"),
     (lambda: brute_min_row([0, 0], 1), "state must be a RowSweep, got list"),
+    (lambda: brute_min_row(greedy_sweep(SEQ), 1), "state must be a RowSweep, got GreedyRun"),
+    (lambda: greedy_row(None, 1), "sweep must be a RowSweep, got NoneType"),
+    (lambda: greedy_row([0, 0], 1), "sweep must be a RowSweep, got list"),
+    (lambda: greedy_row(greedy_sweep(SEQ), 1), "sweep must be a RowSweep, got GreedyRun"),
+    (lambda: greedy_row_reference(None, 1), "sweep must be a RowSweep, got NoneType"),
+    (lambda: greedy_row_reference([0, 0], 1), "sweep must be a RowSweep, got list"),
+    (lambda: greedy_row_reference(greedy_sweep(SEQ), 1),
+     "sweep must be a RowSweep, got GreedyRun"),
 ], ids=["wdf_seq", "wdf_w", "dynamic_finger", "wdf_term", "static_finger_seq",
         "static_finger_tree", "best_static", "tree_from_weights", "weights_from_tree",
         "opt", "splay", "splay_reference", "generate", "write_trace", "write_weights",
         "unsatisfied_pairs", "is_satisfied", "is_satisfied_one_point", "first_violation",
-        "fit_cost", "fit_bound", "brute_min_row"])
+        "fit_cost", "fit_bound", "brute_min_row", "brute_min_row_run", "greedy_row_none",
+        "greedy_row_list", "greedy_row_run", "greedy_row_reference_none",
+        "greedy_row_reference_list", "greedy_row_reference_run"])
 def test_entry_points_reject_the_wrong_type(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
@@ -291,7 +312,53 @@ class TestPointSet:
 
 
 def test_cost_report_total():
-    assert CostReport((1, 2, 2)).total == 5
+    assert Column((1, 2, 2)).total == 5
+    assert len(Column((1, 2, 2))) == 3
+
+
+@pytest.mark.parametrize("produce", [
+    lambda: greedy_sweep(SEQ).cost_report(),
+    lambda: run_splay(SEQ),
+    lambda: run_splay_reference(SEQ),
+    lambda: static_finger_cost(TREE, SEQ),
+    lambda: weighted_df_bound(SEQ, WeightAssignment((1.0, 2.0, 3.0))),
+    lambda: dynamic_finger_bound(SEQ),
+], ids=["greedy", "splay", "splay_reference", "static_finger", "wdf", "dynamic_finger"])
+def test_every_per_access_result_is_a_column(produce):
+    column = produce()
+    assert type(column) is Column
+    assert len(column) == SEQ.m
+
+
+# odd values for any argument: none, the wrong container or scalar, a bool,
+# an int past the float range and a NaN
+PROBES = [None, [], "x", -1, 1.5, True, 10**400, math.nan]
+
+
+def test_public_callables_raise_only_the_documented_errors(tmp_path, monkeypatch):
+    # each public callable, given a probe alone, first of two arguments, or
+    # second after a valid sequence, either works or raises a TypeError or a
+    # ValueError; only the two readers may raise an OSError
+    import fingerbound
+
+    monkeypatch.chdir(tmp_path)  # write_trace(SEQ, "x") writes a file x
+    escaped = []
+    for name in fingerbound.__all__:
+        call = getattr(fingerbound, name)
+        if not callable(call):
+            continue
+        allowed = (TypeError, ValueError)
+        if name in ("read_trace", "read_weights"):
+            allowed += (OSError,)
+        for v in PROBES:
+            for args in ((v,), (v, SEQ), (SEQ, v)):
+                try:
+                    call(*args)
+                except allowed:
+                    pass
+                except Exception as exc:
+                    escaped.append(f"{name}{args}: {type(exc).__name__}: {exc}")
+    assert escaped == []
 
 
 def test_public_names_are_unique_and_resolve():

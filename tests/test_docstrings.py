@@ -57,6 +57,14 @@ def test_docstring_references_resolve():
     assert [(where, ref) for where, ref, ok in found if not ok] == []
 
 
+def test_readme_quick_tour_runs():
+    """README's "Library quick tour" code block runs as written."""
+    text = (TESTS.parent / "README.md").read_text()
+    tour = re.search(r"^## Library quick tour\n\n```python\n(.*?)^```$", text, re.M | re.S)
+    assert tour is not None
+    exec(compile(tour.group(1), "README.md: Library quick tour", "exec"), {})
+
+
 def test_readme_references_resolve():
     """README's dotted names resolve as a docstring's would, with the package
     as its module, and each test it names is a function or class, or a

@@ -422,17 +422,19 @@ def test_sweep_memory_grows_with_distinct_keys():
 
 
 def test_sweep_on_ranks_does_not_step_on():
-    # the sweep holds ranks 1..3 for keys 50, 10, 90: stepping on would read
-    # key 2 as rank 2 and log row (4, [2])
-    state = greedy_sweep(AccessSequence(100, (50, 10, 90)))
-    with pytest.raises(ValueError, match="ranks"):
-        state.step(2)
-    with pytest.raises(ValueError, match="ranks"):
-        state.commit([2], 4)
-    with pytest.raises(ValueError, match="ranks"):
-        state.copy().step(2)
-    assert list(state.rows()) == [(1, [50]), (2, [10, 50]), (3, [50, 90])]
-    assert state.per_row_cost == [1, 2, 2]
+    # the sweep ran on ranks 1..3 for keys 50, 10, 90 and returns only its
+    # run, over the keys: no sweep whose ranks a step or a search would read
+    # as keys, as greedy_row(run, 2) would read key 2 as rank 2
+    run = greedy_sweep(AccessSequence(100, (50, 10, 90)))
+    assert type(run) is greedy.GreedyRun
+    assert not isinstance(run, RowSweep)
+    assert not hasattr(run, "step")
+    with pytest.raises(TypeError, match="^sweep must be a RowSweep, got GreedyRun$"):
+        greedy_row(run, 2)
+    with pytest.raises(TypeError, match="^state must be a RowSweep, got GreedyRun$"):
+        brute_min_row(run, 2)
+    assert list(run.rows()) == [(1, [50]), (2, [10, 50]), (3, [50, 90])]
+    assert run.per_row_cost == [1, 2, 2]
 
 
 def test_row_matches_reference_scan_on_a_far_uniform_trace():
