@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -177,7 +178,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once, at the first `main` call: building
+    it costs more than ten parses, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fingerbound",
         description="Run BST algorithms on traces and measure them against finger bounds.",

@@ -28,8 +28,9 @@ Key = int
 
 # The largest keyspace for a structure that holds an entry per key. A row
 # sweep (`geometry.RowSweep`, so a direct `greedy.GreedyState(n)`) takes 16
-# bytes a key, so n = 2^26 needs 1 GiB. `greedy.greedy_sweep` and
-# `geometry.first_violation` size theirs by the distinct keys instead.
+# bytes a key, so n = 2^26 needs 1 GiB. `greedy.greedy_sweep` holds a tree
+# node only for touched keys and `geometry.first_violation` sweeps the ranks
+# of the distinct keys, so neither is bound by it.
 # It also bounds a generated trace's length (`workloads.WorkloadSpec`'s m):
 # at 2^26 accesses the key tuple alone takes 0.5 GiB.
 MAX_BUILT_N = 2 ** 26

@@ -17,21 +17,33 @@ Cost of an access = number of points placed on its row.
 
 A run's record is a `GreedyRun`: each row's cost and the emitted keys as
 one flat log, read as rows, points, a point set or a cost `core.Column`.
-`GreedyState` is the satisfaction checker's sweep, a `geometry.RowSweep` (a
-max segment tree whose leaves are the last-touch times), that folds each
-emitted row and is the `GreedyRun` of its rows so far.
 
-`greedy_sweep`, behind every greedy run, steps that state over the ranks of
-the accessed keys (`core.rank_keys`), not the keys 1..n, so its memory grows
-with the d distinct keys and not with n, and returns only the run, over the
-keys. `greedy_row` is the package's one staircase walk, `geometry.staircase`,
-which also finds the satisfaction checker's witnesses: both sides in one
-frame, O(log gap) per touched key, gap ranks past the previous one, O(log d)
-at worst (O(log n) stepped on the keys). Its row is sorted, and the sweep
-raises it once, unchecked: x is checked, and every other key is a leaf the
-walks found. Each access makes one `GreedyState.step` and one module-level
-`greedy_row` call, so a wrapper on either sees every row, and none of the
-checker's witness searches, which call the walk by its geometry name.
+`greedy_sweep`, behind every greedy run, reads each row off a tree of row
+fragments (`_sweep_fragments`), the touched keys being the strict records
+of last-touch time, which are an ancestor path in a tree ordered by last
+touch (Demaine, Harmon, Iacono, Kane and Pătraşcu, SODA 2009). A node is a
+run of keys of one emitted row that no later row separates, so they share
+one time, with a child slot in each gap; every child was touched before its
+parent. Descending to the accessed key x, each strict ancestor gives its
+keys just left and right of x's slot, and x's own node, which ties with x,
+gives none: O(log) a touched key. The row becomes the root, over the parts
+of the nodes it split. A part that covers at least half of its row's lists
+stays a view of them, and a smaller one is copied, so a key is copied
+O(log) times between touches. Each slot a part leaves is cleared, so a list
+holds only live subtrees and memory grows with the d distinct keys touched,
+not with n. The sweep reads the keys only by their order, so it runs on the
+caller's keys with no ranks.
+
+`GreedyState` is the online, copyable state that the oracles step: the
+satisfaction checker's sweep, a `geometry.RowSweep` (a max segment tree
+whose leaves are the last-touch times), that folds each emitted row and is
+the `GreedyRun` of its rows so far. Each step makes one module-level
+`greedy_row` call, so a wrapper on it sees every row the state steps and
+none of the checker's witness searches, which call the same walk,
+`geometry.staircase`, by its geometry name: both sides in one frame, O(log
+gap) per touched key, gap keys past the previous one. The state is also the
+reference the batch sweep is held to: its rows equal the sweep's on every
+trace the tests and `verify --suite differential` run.
 `greedy_row_reference` (`geometry.staircase_reference`) is a plain O(n)
 prefix-maximum scan kept for differential testing, and `brute_min_row` is
 the exhaustive minimum-cardinality oracle for tiny instances: the first
@@ -42,10 +54,11 @@ which also confirms that minimum is unique.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate, chain, count, islice, repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import AccessSequence, Column, Key, PointSet, check_type, rank_keys
+from .core import AccessSequence, Column, Key, PointSet, check_type
 from .geometry import (RowSweep, staircase as greedy_row,
                        staircase_reference as greedy_row_reference)
 
@@ -118,28 +131,91 @@ class GreedyState(RowSweep, GreedyRun):
 def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyRun:
     """Run greedy on seq and return its run, over seq's keys.
 
-    The sweep runs on the ranks 1..d of the d distinct accessed keys, and
-    its rows are those of the keys themselves, rank for key. A key never
-    accessed keeps last-touch time 0, while every staircase threshold is a
-    last-touch time, so at least 0, that a key must beat with a strict `>`:
-    such a key is never touched and never blocks a key beyond it, so
-    leaving it out changes no row. The staircase rule reads nothing else of
-    the keys but their order, which the ranks keep.
-
-    Its costs are those of `GreedyState(seq.n)` stepped on the keys, and its
-    log is mapped back from the ranks to the keys by one `map`. The sweep
-    over the ranks is dropped: the run holds no state to step on.
+    The run is `_sweep_fragments` over the accesses as given, a tree of row
+    fragments searched in O(log) a touched key: it reads the keys only by
+    order, so it needs no ranks and no key map, and holds O(d) memory for
+    the d distinct keys, whatever n is. Its costs and log are those of
+    `GreedyState(seq.n)` stepped on the same keys, which `verify --suite
+    differential` and the tests check.
     """
     check_type(seq, AccessSequence, "seq")
-    keys, rank = rank_keys(seq.accesses)
-    state = GreedyState(len(keys), track_points)
-    for r in map(rank.__getitem__, seq.accesses):
-        state.step(r)
-    log = state._log
-    if log is not None:
-        key_of = [0, *keys]  # rank r is key key_of[r]
-        log = list(map(key_of.__getitem__, log))
-    return GreedyRun(state.per_row_cost, log)
+    return _sweep_fragments(seq.accesses, track_points)
+
+
+def _sweep_fragments(accesses: Sequence[Key], track_points: bool) -> GreedyRun:
+    """Greedy's run over the keys, each row read off a tree of row fragments.
+
+    A node `[keys, kids, lo, hi]` is a fragment: `keys[lo:hi]`, keys of one
+    emitted row that no later row separates, so they share one last-touch
+    time, and their child slots `kids[lo:hi + 1]`, each None or a subtree of
+    the keys between its neighbours. Every child was touched before its
+    parent, so the root is the last row. Descending to x by bisection, each
+    strict ancestor's keys just left and right of x's slot are later than
+    everything between them and x: they are exactly the staircase's records,
+    nearest the root outermost. x's own node ties with x and gives none.
+
+    The row becomes the root. Its slots hold, in key order, the part of each
+    ancestor beyond its record on that side, and x's node split around x;
+    each part keeps its subtrees, so the touch order holds. A part with no
+    key is its one child. A part that covers at least half of its lists
+    stays a view of them, so no list is more than twice what it holds live,
+    and a smaller one is copied, so a key is copied O(log) times between
+    touches and a row costs O(touched · log) amortized. Each slot a part
+    leaves, and each path slot, is set to None in the lists it leaves, so a
+    list refers only to live subtrees and memory stays O(d) for the d
+    distinct keys touched.
+    """
+    per_row_cost: list[int] = []
+    log: list[Key] | None = [] if track_points else None
+    root = None
+    for x in accesses:
+        row, kids, right, right_kids = [], [], [], []  # each side outermost first
+        node = root
+        while node is not None:
+            keys, slots, lo, hi = node
+            i = bisect_left(keys, x, lo, hi)
+            if i < hi and keys[i] == x:
+                kids.append(_part(keys, slots, lo, i))
+                kids.append(_part(keys, slots, i + 1, hi))
+                break
+            if i > lo:
+                row.append(keys[i - 1])
+                kids.append(_part(keys, slots, lo, i - 1))
+            if i < hi:
+                right.append(keys[i])
+                right_kids.append(_part(keys, slots, i + 1, hi))
+            node = slots[i]
+            slots[i] = None
+        else:  # x was never touched: its slot is empty
+            kids += (None, None)
+        row.append(x)
+        right.reverse()
+        row += right
+        right_kids.reverse()
+        kids += right_kids
+        # a list, not a tuple: freed tuples of this size wait on a free
+        # list, which kept the arenas of a dead tree from being released
+        root = [row, kids, 0, len(row)]
+        per_row_cost.append(len(row))
+        if log is not None:
+            log += row
+    return GreedyRun(per_row_cost, log)
+
+
+def _part(keys: list[Key], slots: list, a: int, b: int):
+    """The fragment of `keys[a:b]` with slots `slots[a:b + 1]`, which the
+    caller's fragment gives up: its one child if it has no key, else a view
+    of the lists if it covers at least half of them, else a copy. The lists
+    keep no slot the result no longer views."""
+    if a == b:
+        kid = slots[a]
+        slots[a] = None
+        return kid
+    if 2 * (b - a) >= len(keys):
+        return [keys, slots, a, b]
+    part = [keys[a:b], slots[a:b + 1], 0, b - a]
+    slots[a:b + 1] = repeat(None, b - a + 1)
+    return part
 
 
 def greedy_execute(seq: AccessSequence) -> tuple[PointSet, Column]:

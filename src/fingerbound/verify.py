@@ -17,9 +17,10 @@ exercise every library invariant:
                   term symmetry, and static-tree cost cross-checks
     roundtrip     trace IO identity, generator determinism, key ranges,
                   walk/zipf locality statistics
-    differential  staircase fast path vs linear scan, splay vs the
-                  parent-free reference, in-order and rotation invariants,
-                  online prefix consistency
+    differential  staircase fast path vs linear scan, the run's fragment
+                  tree vs the stepped state, splay vs the parent-free
+                  reference, in-order and rotation invariants, online
+                  prefix consistency
 
 The suites are built from check routines that raise `CheckFailure` naming
 the first counterexample and return how many instances they checked; the
@@ -491,10 +492,13 @@ def check_splay_invariants(rng: Splitmix64) -> int:
 
 
 def check_greedy_fast_path(rng: Splitmix64) -> int:
-    """Greedy's staircase rows equal the reference scan's at every step of
-    300 random sequences (n <= 48, m <= 96) and of 300 random accesses at
-    each n of 63-65 and 1023-1025, where a record search climbs to the edge
-    of a level; a rerun, and greedy on a random prefix, repeat the rows."""
+    """Greedy's two engines give the same rows. `GreedyState`'s staircase
+    walk equals the reference scan at every step of 300 random sequences
+    (n <= 48, m <= 96) and of 300 random accesses at each n of 63-65 and
+    1023-1025, where a record search climbs to the edge of a level; then
+    `greedy_sweep`'s fragment tree repeats the state's rows on the whole
+    sequence and on a random prefix. Its report line, "fast path = scan,
+    online and deterministic", covers both engines."""
     sizes = [None] * 300 + [63, 64, 65, 1023, 1024, 1025]
     for n in sizes:
         seq = _random_sequence(rng, 48, 96) if n is None else AccessSequence(n, rng.keys(n, 300))

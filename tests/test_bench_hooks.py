@@ -44,10 +44,11 @@ def test_trace_hooks_record_greedy_spans(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert greedy.greedy_row is original
+    # a run's batch sweep steps no `GreedyState` and walks no staircase: the
+    # row spans and the touched-key count are the oracles' rows only
     names = [tracer.names[i] for i in tracer.name_id]
-    assert names.count("greedy.row_search") == 5
-    assert names.count("greedy.row_update") == 5
-    assert tracer.counts["greedy.touched_keys"] > 0
+    assert "greedy.row_search" not in names and "greedy.row_update" not in names
+    assert tracer.counts["greedy.touched_keys"] == 0
 
 
 def test_traced_checked_greedy_records_one_search_and_one_update_per_access(monkeypatch):
@@ -69,9 +70,9 @@ def test_traced_checked_greedy_records_one_search_and_one_update_per_access(monk
     assert tracer.counts["greedy.touched_keys"] == sum(state.per_row_cost)
 
 
-def test_traced_touched_keys_are_greedys_total_cost(tmp_path, monkeypatch):
-    # every touched key passes through the traced `greedy_row`, so a step
-    # that stopped calling it through the module would zero this layer
+def test_traced_cost_run_records_one_greedy_sweep_span(tmp_path, monkeypatch):
+    # a cost-only run's one `greedy_cost` call is its one `greedy.sweep`
+    # span, and the batch sweep runs inside it
     monkeypatch.syspath_prepend(str(BENCH))
     run = load_bench_module("run")
     tracer = load_bench_module("tracing").Tracer()
@@ -79,14 +80,16 @@ def test_traced_touched_keys_are_greedys_total_cost(tmp_path, monkeypatch):
     trace = tmp_path / "trace.txt"
     fb.write_trace(seq, trace)
     run.instrument(tracer, [])
+    tracer.wrap(greedy, "_sweep_fragments", "fragments")
     try:
         assert main(["run", "--trace", str(trace), "--algo", "greedy",
                      "--out", str(tmp_path / "cost.csv")]) == 0
     finally:
         tracer.uninstall()
     names = [tracer.names[i] for i in tracer.name_id]
-    assert names.count("greedy.row_search") == seq.m
-    assert tracer.counts["greedy.touched_keys"] == sum(fb.greedy_cost(seq).per_access)
+    assert names.count("greedy.sweep") == 1
+    assert names.count("fragments") == 1
+    assert names[tracer.parent[names.index("fragments")]] == "greedy.sweep"
 
 
 def test_trace_hooks_record_splay_run(tmp_path, monkeypatch):

@@ -158,20 +158,20 @@ class TestRun:
             ["time,key\n"] + [f"{p.time},{p.key}\n" for p in points]).encode()
 
     def test_points_sweeps_greedy_once(self, capsys, trace, tmp_path, monkeypatch):
-        from fingerbound.greedy import GreedyState
+        from fingerbound import greedy
 
-        steps = []
-        step = GreedyState.step
+        sweeps = []
+        sweep = greedy._sweep_fragments
 
-        def counting_step(state, x):
-            steps.append(x)
-            return step(state, x)
+        def counting_sweep(accesses, track_points):
+            sweeps.append(len(accesses))
+            return sweep(accesses, track_points)
 
-        monkeypatch.setattr(GreedyState, "step", counting_step)
+        monkeypatch.setattr(greedy, "_sweep_fragments", counting_sweep)
         code, _, _ = run_cli(capsys, "run", "--trace", trace, "--algo", "greedy",
                              "--points", str(tmp_path / "points.csv"))
         assert code == 0
-        assert len(steps) == 60
+        assert sweeps == [60]
 
     def test_points_rejected_for_splay_before_running(self, capsys, trace, tmp_path,
                                                       monkeypatch):
@@ -729,6 +729,20 @@ def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(capsys, tiny_trace):
+    from fingerbound import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit):  # a refused parse leaves nothing behind
+        main(["run", "--trace", tiny_trace, "--algo", "greedy", "--equal", "--weights", "w"])
+    capsys.readouterr()
+    for argv in (["run", "--trace", tiny_trace, "--algo", "greedy"],
+                 ["verify", "--suite", "opt"], ["gen", "--workload", "walk", "--n", "4",
+                                                "--m", "2", "--d", "1"]):
+        fresh = cli._build_parser.__wrapped__()
+        assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

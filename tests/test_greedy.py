@@ -421,10 +421,70 @@ def test_sweep_memory_grows_with_distinct_keys():
     assert peak < 2**20
 
 
+def fragment_paths(n):
+    """Traces that split and regrow the sweep's row fragments over 1..n:
+    passes that cut one whole-keyspace row a key at a time, zigzags, and a
+    stride permutation whose rows reach across the keyspace."""
+    up, down = list(range(1, n + 1)), list(range(n, 0, -1))
+    return {"sequential": up * 3, "reversed": down * 3, "zigzag": (up + down) * 2,
+            "stride": [7919 * i % n + 1 for i in range(n)]}
+
+
+def assert_sweep_is_the_state(seq):
+    # the batch sweep against the oracles' online state, stepped on seq's keys
+    run, state = greedy_sweep(seq), state_after(seq.n, seq.accesses)
+    assert run.per_row_cost == state.per_row_cost
+    assert list(run.rows()) == list(state.rows())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 1023, 1024, 1025])
+@pytest.mark.parametrize("path", ["sequential", "reversed", "zigzag", "stride"])
+def test_sweep_matches_the_state_on_fragment_paths(path, n):
+    assert_sweep_is_the_state(AccessSequence(n, tuple(fragment_paths(n)[path])))
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("kind, extra", [("bit_reversal", {}), ("walk", {"d": 3}),
+                                         ("zipf_finger", {"theta": 1.2})])
+def test_sweep_matches_the_state_on_generated_traces(kind, extra, n):
+    m = n if kind == "bit_reversal" else 3000  # bit_reversal is one permutation
+    assert_sweep_is_the_state(generate(WorkloadSpec(kind, n, m, seed=4, **extra)))
+
+
+def test_sweep_matches_the_state_on_huge_keys():
+    # keys far past any built keyspace: the sweep reads them only by order,
+    # so its rows are the state's on their ranks, mapped back
+    keys = sorted([10**20, 3, 10**20 - 1, 7 * 10**17, 2**64 + 1, 10**19])
+    rng = Splitmix64(12)
+    ranks = [rng.below(len(keys)) + 1 for _ in range(300)]
+    run = greedy_sweep(AccessSequence(10**20, tuple(keys[r - 1] for r in ranks)))
+    state = state_after(len(keys), ranks)
+    assert run.per_row_cost == state.per_row_cost
+    assert list(run.rows()) == [(t, [keys[r - 1] for r in row]) for t, row in state.rows()]
+
+
+def test_sweep_memory_stays_linear_in_distinct_keys():
+    # the tracemalloc peak per distinct key of a cost-only run stays under
+    # 400 bytes; a fragment list that kept the slots of subtrees it no
+    # longer views held some 9 times that on a far uniform trace
+    n = 2**14
+    for seq in (generate(WorkloadSpec("uniform", 2**16, 2 * 10**4, seed=1)),
+                AccessSequence(n, tuple(range(1, n + 1)) * 2)):
+        tracemalloc.start()
+        try:
+            greedy_cost(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * len(set(seq.accesses))
+    # one pass builds a chain of 2^17 fragments, one per key, freed on return
+    n = 2**17
+    assert greedy_cost(AccessSequence(n, tuple(range(1, n + 1)))).total == 2 * n - 1
+
+
 def test_sweep_on_ranks_does_not_step_on():
-    # the sweep ran on ranks 1..3 for keys 50, 10, 90 and returns only its
-    # run, over the keys: no sweep whose ranks a step or a search would read
-    # as keys, as greedy_row(run, 2) would read key 2 as rank 2
+    # the run of keys 50, 10, 90 holds no sweep: a step or a search on it
+    # would read keys it never built, as greedy_row(run, 2) would read key 2
     run = greedy_sweep(AccessSequence(100, (50, 10, 90)))
     assert type(run) is greedy.GreedyRun
     assert not isinstance(run, RowSweep)
