@@ -2,9 +2,8 @@
 
 Keys are dense integers 1..n. Arbitrary ordered key types are expected to be
 mapped to ranks before they reach this layer; everything downstream depends
-only on key order. `rank_keys` is the one map from keys to the ranks among
-those present, for the structures that need only the keys in use, and
-`ints_within` and `sums_rise` the one check of each kind of input column.
+only on key order. `ints_within` and `sums_rise` are the one check of each
+kind of input column.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -72,13 +71,6 @@ def check_type(value: object, cls: type, name: str) -> None:
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
-
-
-def rank_keys(keys: Iterable[Key]) -> tuple[list[Key], dict[Key, int]]:
-    """The sorted distinct values of `keys`, and the map from each of them
-    to its 1-based rank among them, built once for the caller to read."""
-    distinct = sorted(set(keys))
-    return distinct, dict(zip(distinct, count(1)))
 
 
 def ints_within(column: Sequence, lo: int, hi: int) -> bool:
@@ -213,7 +205,10 @@ class WeightAssignment:
         return self.prefix[hi] - self.prefix[lo - 1]
 
     def scaled(self, alpha: float) -> "WeightAssignment":
-        return WeightAssignment(tuple(w * alpha for w in self.weights))
+        try:
+            return WeightAssignment(tuple(w * alpha for w in self.weights))
+        except OverflowError:  # an int or fraction alpha past the float range
+            raise ValueError("alpha is past the float range") from None
 
 
 class Point(NamedTuple):

@@ -52,12 +52,12 @@ a point set to search.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, count
 from operator import lt
 from typing import Iterator, Sequence
 
 from .core import (Key, Point, PointSet, check_built_size, check_key, check_type, first_bad,
-                   ints_within, rank_keys)
+                   ints_within)
 from .errors import KeyOutOfRangeError
 
 
@@ -161,12 +161,14 @@ class RowSweep:
     def completions(self, x: Key, extra: int) -> Iterator[list[Key]]:
         """The rows of time `time + 1` that hold x and exactly `extra` other
         keys and pass `failing_gap`, each sorted, in `itertools.combinations`
-        order of the other keys. x in 1..n and extra, a non-negative int
-        (not a bool), checked. The sweep is not changed. Exhaustive: meant
-        for tiny n."""
+        order of the other keys, none past n - 1 of them. x in 1..n and
+        extra, a non-negative int (not a bool), checked. The sweep is not
+        changed. Exhaustive: meant for tiny n."""
         x = check_key(x, self.n)
         if type(extra) is not int or extra < 0:
             raise ValueError(f"extra must be a non-negative integer, got {extra!r}")
+        if extra >= self.n:  # past n - 1 other keys, which `combinations` takes as a C size
+            return iter(())
         others = [k for k in range(1, self.n + 1) if k != x]
         rows = (sorted((x, *keys)) for keys in combinations(others, extra))
         return (row for row in rows if self.failing_gap(row) is None)
@@ -298,7 +300,8 @@ def first_violation(pset: PointSet) -> tuple[Point, Point] | None:
         return None
     # satisfaction depends only on key order: sweep the ranks of the set's
     # keys, as many as the distinct keys, in sorted rows that need no checks
-    keys, rank = rank_keys({k for k, _ in pset.points})
+    keys = sorted({k for k, _ in pset.points})
+    rank = dict(zip(keys, count(1)))
     sweep = RowSweep(len(keys))
     for t in pset.times:
         row = [rank[k] for k in pset.row_keys(t)]

@@ -58,37 +58,31 @@ from bisect import bisect_left
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Iterator, Sequence
 
+from .bounds import MAX_ENUM_N
 from .core import AccessSequence, Column, Key, PointSet, check_type
+from .errors import TooLargeError
 from .geometry import (RowSweep, staircase as greedy_row,
                        staircase_reference as greedy_row_reference)
 
 
 class GreedyRun:
     """Greedy's record of a run: `per_row_cost`, the length of each row, and
-    the emitted points as one flat list of keys, each row's keys sorted, or
-    None when point tracking was dropped (long cost-only runs)."""
+    the emitted points as one flat list of keys, each row's keys sorted."""
 
-    def __init__(self, per_row_cost: list[int], log: list[Key] | None):
+    def __init__(self, per_row_cost: list[int], log: list[Key]):
         self.per_row_cost = per_row_cost
         self._log = log
 
-    def _tracked_log(self) -> list[Key]:
-        if self._log is None:
-            raise ValueError("point tracking was disabled for this run")
-        return self._log
-
     def rows(self) -> Iterator[tuple[int, list[Key]]]:
         """Emitted rows as (time, sorted keys) pairs in time order."""
-        log = self._tracked_log()
-        cost = self.per_row_cost
+        log, cost = self._log, self.per_row_cost
         return ((t, log[end - c:end])
                 for t, c, end in zip(count(1), cost, accumulate(cost)))
 
     def points(self) -> Iterator[tuple[int, Key]]:
         """Emitted points as (time, key) pairs in (time, key) order, from an
         iterator that runs in C: each row's time repeated once per key."""
-        log = self._tracked_log()
-        return zip(chain.from_iterable(map(repeat, count(1), self.per_row_cost)), log)
+        return zip(chain.from_iterable(map(repeat, count(1), self.per_row_cost)), self._log)
 
     def emitted(self) -> PointSet:
         return PointSet((k, t) for t, k in self.points())
@@ -101,20 +95,19 @@ class GreedyState(RowSweep, GreedyRun):
     """Greedy's sweep state: a `RowSweep` over the emitted rows that is also
     the `GreedyRun` of those rows so far.
 
-    track_points=False drops the log. `copy()` returns an independent
-    `GreedyState` with the row costs and, if tracked, the log, so an online
-    run can branch: each copy steps on from the same prefix.
+    `copy()` returns an independent `GreedyState`, row costs and log too, so
+    an online run can branch: each copy steps on from the same prefix.
     """
 
     __slots__ = ("_log", "per_row_cost")
 
-    def __init__(self, n: int, track_points: bool = True):
+    def __init__(self, n: int):
         RowSweep.__init__(self, n)
-        GreedyRun.__init__(self, [], [] if track_points else None)
+        GreedyRun.__init__(self, [], [])
 
     def copy(self) -> "GreedyState":
         other = super().copy()
-        other._log = None if self._log is None else self._log[:]
+        other._log = self._log[:]
         other.per_row_cost = self.per_row_cost[:]
         return other
 
@@ -122,13 +115,12 @@ class GreedyState(RowSweep, GreedyRun):
         """Process the next access: emit its row's keys and update touch times."""
         row = greedy_row(self, x)
         self._fold(row, self.time + 1)
-        if self._log is not None:
-            self._log.extend(row)
+        self._log.extend(row)
         self.per_row_cost.append(len(row))
         return row
 
 
-def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyRun:
+def greedy_sweep(seq: AccessSequence) -> GreedyRun:
     """Run greedy on seq and return its run, over seq's keys.
 
     The run is `_sweep_fragments` over the accesses as given, a tree of row
@@ -139,11 +131,13 @@ def greedy_sweep(seq: AccessSequence, track_points: bool = True) -> GreedyRun:
     differential` and the tests check.
     """
     check_type(seq, AccessSequence, "seq")
-    return _sweep_fragments(seq.accesses, track_points)
+    return GreedyRun(*_sweep_fragments(seq.accesses, True))
 
 
-def _sweep_fragments(accesses: Sequence[Key], track_points: bool) -> GreedyRun:
-    """Greedy's run over the keys, each row read off a tree of row fragments.
+def _sweep_fragments(accesses: Sequence[Key],
+                     track_points: bool) -> tuple[list[int], list[Key] | None]:
+    """Greedy's run over the keys, each row read off a tree of row fragments:
+    its `per_row_cost` and, if `track_points`, its flat key log, else None.
 
     A node `[keys, kids, lo, hi]` is a fragment: `keys[lo:hi]`, keys of one
     emitted row that no later row separates, so they share one last-touch
@@ -199,7 +193,7 @@ def _sweep_fragments(accesses: Sequence[Key], track_points: bool) -> GreedyRun:
         per_row_cost.append(len(row))
         if log is not None:
             log += row
-    return GreedyRun(per_row_cost, log)
+    return per_row_cost, log
 
 
 def _part(keys: list[Key], slots: list, a: int, b: int):
@@ -225,8 +219,9 @@ def greedy_execute(seq: AccessSequence) -> tuple[PointSet, Column]:
 
 
 def greedy_cost(seq: AccessSequence) -> Column:
-    """Per-row costs only, skipping point-set assembly (for long runs)."""
-    return greedy_sweep(seq, track_points=False).cost_report()
+    """Per-row costs only: the sweep builds no key log (for long runs)."""
+    check_type(seq, AccessSequence, "seq")
+    return Column(tuple(_sweep_fragments(seq.accesses, False)[0]))
 
 
 def brute_min_row(state: RowSweep, x: Key) -> list[Key]:
@@ -235,9 +230,12 @@ def brute_min_row(state: RowSweep, x: Key) -> list[Key]:
 
     The first of `RowSweep.completions` with 0, 1, ... other keys, searched
     on `state`, which is not changed. Raises `ValueError` if a second
-    completion of that size exists. Exhaustive: meant for n at most about 12.
+    completion of that size exists. Exhaustive, so n past `bounds.MAX_ENUM_N`
+    raises `TooLargeError` before any search.
     """
     check_type(state, RowSweep, "state")
+    if state.n > MAX_ENUM_N:  # the search grows about 14-fold with each 4 more keys
+        raise TooLargeError(f"brute_min_row is guarded to n <= {MAX_ENUM_N}, got n={state.n}")
     for extra in range(state.n):  # the full row, n - 1 other keys, always passes
         found = list(islice(state.completions(x, extra), 2))
         if len(found) > 1:

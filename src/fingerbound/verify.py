@@ -155,7 +155,7 @@ def check_greedy_satisfied(rng: Splitmix64) -> int:
         state, bad = _greedy_violation(seq)
         if bad is not None:
             raise CheckFailure(f"violating pair {bad} on sequence {seq.accesses}")
-        log, cost = state._tracked_log(), state.per_row_cost
+        log, cost = state._log, state.per_row_cost
         ends = list(accumulate(cost))
         # builtin passes over the flat log: its descents fall on row ends only,
         # and each row's slice holds its access
@@ -249,7 +249,7 @@ def check_greedy_minimality() -> int:
                 counted += rows_after(child, accesses)
         return counted
 
-    return sum(rows_after(GreedyState(n, track_points=False), ()) for n in range(1, 6))
+    return sum(rows_after(GreedyState(n), ()) for n in range(1, 6))
 
 
 def _suite_minimality(seed: int) -> Iterator[tuple[int, str]]:

@@ -80,11 +80,13 @@ class Splitmix64:
         return z % bound
 
     def keys(self, n: int, m: int) -> tuple[int, ...]:
-        """m draws of `below(n) + 1`, in order, with n checked once and m a
-        non-negative int, not a bool: a uniform trace over the keys 1..n, or
-        a walk's steps, drawn over 1..2d (see `generate`)."""
+        """m draws of `below(n) + 1`, in order, with n checked once and m an
+        int, not a bool, in 0..`core.MAX_BUILT_N`: a uniform trace over the
+        keys 1..n, or a walk's steps, drawn over 1..2d (see `generate`)."""
         if type(m) is not int or m < 0:
             raise ValueError(f"m must be a non-negative integer, got {m!r}")
+        if m > MAX_BUILT_N:  # the key tuple is built whole
+            raise ValueError(f"keys is guarded to m <= {MAX_BUILT_N}, got m={m}")
         if _check_bound(n) > _WORD:
             return tuple([self.below(n) + 1 for _ in range(m)])
         draw = self.next_u64

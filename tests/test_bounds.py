@@ -301,6 +301,8 @@ def test_static_tree_validation():
         (4, 2, (0, 0, 1, 0, 3), (0, 3, 4, 0, 0), "key 3 lies outside its subtree's interval [2, 1]"),
         # in-order violation below the root: 3 left of 2 under root 4
         (4, 4, (0, 0, 3, 0, 2), (0, 0, 0, 0, 0), "key 3 lies outside its subtree's interval [1, 1]"),
+        # a child array one entry short
+        (2, 1, (0, 0), (0, 2, 0), "left/right arrays must have length n + 1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             StaticTree(n, root, left, right)

@@ -233,6 +233,12 @@ class TestWeights:
     def test_total(self):
         assert WeightAssignment((0.5, 2.0, 0.25)).total == pytest.approx(2.75)
 
+    def test_scale_past_the_float_range_names_alpha(self):
+        w = WeightAssignment((0.5, 2.0))
+        assert w.scaled(4).weights == (2.0, 8.0)
+        with pytest.raises(ValueError, match="^alpha is past the float range$"):
+            w.scaled(10**400)
+
 
 SEQ = AccessSequence(3, (1, 3, 2))
 TREE = StaticTree.balanced(3)
@@ -290,6 +296,13 @@ class TestPointSet:
         ps = PointSet([(3, 1), (1, 1), (3, 2)])
         assert ps.row_keys(1) == (1, 3)
         assert ps.times == (1, 2)
+
+    def test_equality_hash_and_repr(self):
+        ps = PointSet([(2, 1), (1, 1)])
+        assert ps == PointSet([(1, 1), (2, 1)])
+        assert hash(ps) == hash(PointSet([(1, 1), (2, 1)])) == hash(ps.points)
+        assert ps.__eq__(ps.points) is NotImplemented and ps != ps.points
+        assert repr(ps) == "PointSet([Point(key=1, time=1), Point(key=2, time=1)])"
 
     def test_iteration_is_time_major(self):
         ps = PointSet([(2, 2), (1, 1), (3, 1)])
@@ -358,6 +371,45 @@ def test_public_callables_raise_only_the_documented_errors(tmp_path, monkeypatch
                     pass
                 except Exception as exc:
                     escaped.append(f"{name}{args}: {type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+def test_public_methods_raise_only_the_documented_errors():
+    # each public method of an exported class, on an instance, given a probe
+    # alone or either side of a valid key, count or length 1, either works or
+    # raises a TypeError or a ValueError; `RowSweep.failing_gap` is unchecked
+    # by its contract, so it is the one method left out
+    import fingerbound
+
+    instances = {
+        AccessSequence: SEQ,
+        GreedyState: GreedyState(3),
+        Point: Point(1, 1),
+        PointSet: PointSet([(1, 1), (2, 2)]),
+        SplayTree: SplayTree(3),
+        Splitmix64: Splitmix64(1),
+        StaticTree: TREE,
+        WeightAssignment: WeightAssignment((1.0, 2.0, 3.0)),
+    }
+    classes = {cls for name in fingerbound.__all__
+               if isinstance(cls := getattr(fingerbound, name), type)
+               and cls.__module__.startswith("fingerbound.")
+               and any(not m.startswith("_") and callable(getattr(cls, m)) for m in dir(cls))}
+    assert classes == set(instances)
+    escaped = []
+    for cls, obj in instances.items():
+        for name in dir(cls):
+            if name.startswith("_") or getattr(cls, name) is RowSweep.failing_gap:
+                continue
+            call = getattr(obj, name)
+            for v in PROBES:
+                for args in ((v,), (v, 1), (1, v)):
+                    try:
+                        call(*args)
+                    except (TypeError, ValueError):
+                        pass
+                    except Exception as exc:
+                        escaped.append(f"{cls.__name__}.{name}{args}: {type(exc).__name__}")
     assert escaped == []
 
 

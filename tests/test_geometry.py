@@ -133,9 +133,10 @@ def test_completions_yield_every_passing_row():
     # on an empty sweep every row passes
     assert list(sweep.completions(2, 1)) == [[1, 2], [2, 3]]
     sweep.commit([2], 1)
-    # (1, 2) spans an empty rectangle with (2, 1) unless (2, 2) joins it
-    assert [list(sweep.completions(1, extra)) for extra in range(3)] == [
-        [], [[1, 2]], [[1, 2, 3]]]
+    # (1, 2) spans an empty rectangle with (2, 1) unless (2, 2) joins it;
+    # past the n - 1 other keys there is no row
+    assert [list(sweep.completions(1, extra)) for extra in (0, 1, 2, 3, 2**70)] == [
+        [], [[1, 2]], [[1, 2, 3]], [], []]
 
 
 def test_completions_match_the_definition():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerbound import geometry, greedy, verify
+from fingerbound.bounds import MAX_ENUM_N
 from fingerbound.core import AccessSequence, Point, PointSet, check_key
-from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError
+from fingerbound.errors import BadKeyspaceError, KeyOutOfRangeError, TooLargeError
 from fingerbound.geometry import RowSweep, first_violation, is_arborally_satisfied
 from fingerbound.greedy import (
     GreedyState,
@@ -118,16 +119,6 @@ class TestGreedyExecute:
         _, cost = greedy_execute(seq)
         assert greedy_cost(seq).per_access == cost.per_access
 
-    def test_untracked_state_has_no_points(self):
-        state = GreedyState(3, track_points=False)
-        state.step(2)
-        with pytest.raises(ValueError):
-            state.emitted()
-        with pytest.raises(ValueError):
-            state.rows()
-        with pytest.raises(ValueError):
-            state.points()
-
     def test_points_flatten_the_rows(self):
         state = greedy_sweep(generate(WorkloadSpec("uniform", 30, 80, seed=9)))
         assert list(state.points()) == [(t, k) for t, row in state.rows() for k in row]
@@ -232,22 +223,17 @@ def test_commit_rejects_an_inner_key_outside_the_keyspace(cls):
     assert (state.time, state.tree) == (0, tree)
 
 
-@pytest.mark.parametrize("track_points", [True, False])
-def test_copy_is_an_independent_greedy_state(track_points):
+def test_copy_is_an_independent_greedy_state():
     def fields(state):
-        rows = list(state.rows()) if track_points else None
-        return (state.time, state.tree[:], state.per_row_cost[:], rows)
+        return (state.time, state.tree[:], state.per_row_cost[:], list(state.rows()))
 
-    state = GreedyState(6, track_points)
+    state = GreedyState(6)
     for x in (3, 1, 5, 3):
         state.step(x)
     before = fields(state)
     other = state.copy()
     assert type(other) is GreedyState
     assert fields(other) == before
-    if not track_points:
-        with pytest.raises(ValueError, match="point tracking was disabled"):
-            other.rows()
     for x in (6, 2):
         other.step(x)
     assert fields(state) == before
@@ -382,6 +368,13 @@ class TestBruteMinRow:
         # rows [1], [1, 2]
         assert brute_min_row(state_after(3, [1, 2]), 3) == [2, 3]
 
+    def test_refuses_a_keyspace_past_the_enumeration_guard(self):
+        # refused before the search, which grows about 14-fold each 4 keys
+        assert brute_min_row(GreedyState(MAX_ENUM_N), 1) == [1]
+        with pytest.raises(TooLargeError,
+                           match="^brute_min_row is guarded to n <= 12, got n=13$"):
+            brute_min_row(GreedyState(13), 1)
+
     @pytest.mark.parametrize("x", [0, 4])
     def test_rejects_keys_outside_the_sweep(self, x):
         with pytest.raises(KeyOutOfRangeError):
@@ -501,7 +494,7 @@ def test_row_matches_reference_scan_on_a_far_uniform_trace():
     # the differential suite reaches n <= 1025; uniform keys over 4096 walk
     # staircases across the whole keyspace
     seq = generate(WorkloadSpec("uniform", 4096, 300, seed=8))
-    state = GreedyState(seq.n, track_points=False)
+    state = GreedyState(seq.n)
     for x in seq:
         assert greedy_row(state, x) == greedy.greedy_row_reference(state, x)
         state.step(x)

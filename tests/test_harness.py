@@ -55,6 +55,10 @@ class TestFit:
         with pytest.raises(DimensionMismatchError):
             fit([1.0], [1.0, 2.0])
 
+    def test_empty_series(self):
+        with pytest.raises(DimensionMismatchError, match="^series are empty$"):
+            fit([], [])
+
     @pytest.mark.parametrize("bound", [[0.0, 0.0], [1.0, -1.0], [-2.0]])
     def test_bound_total_must_be_positive(self, bound):
         with pytest.raises(ValueError, match="bound total must be positive"):
@@ -96,6 +100,11 @@ class TestFit:
         for costs, bounds in [([5] * 7, [2.0] * 7), ([2**60 + 1] * 3, [1.0, 2.0, 3.0]),
                               ([-0.0, 0.0, 1e-300], [5e-324, 1e16, 1.0])]:
             assert fit(costs, bounds) == loop_fit(costs, bounds)
+        # a constant cumulative bound leaves no spread to regress on: slope 0
+        # at the mean cost, r2 1 only if the cumulative cost is constant too
+        assert fit([1, 2, 3], [2.0, 0.0, 0.0]) == loop_fit([1, 2, 3], [2.0, 0.0, 0.0]) == (
+            FitResult(ratio=3.0, slope=0.0, intercept=10 / 3, r2=0.0))
+        assert fit([4, 0], [2.0, 0.0]) == FitResult(ratio=2.0, slope=0.0, intercept=4.0, r2=1.0)
 
 
 class TestFitRange:

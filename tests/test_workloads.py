@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,21 @@ class TestSplitmix:
         rng = Splitmix64(1)
         with pytest.raises(ValueError, match=rf"^m must be a non-negative integer, got {m!r}$"):
             rng.keys(3, m)
+        assert rng.state == Splitmix64(1).state
+
+    def test_keys_refuse_a_count_past_the_built_guard(self):
+        # refused before a draw, so no list of keys is built
+        rng = Splitmix64(1)
+        tracemalloc.start()
+        try:
+            for m in (MAX_BUILT_N + 1, 10**12):
+                with pytest.raises(ValueError,
+                                   match=f"^keys is guarded to m <= {MAX_BUILT_N}, got m={m}$"):
+                    rng.keys(2, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
         assert rng.state == Splitmix64(1).state
 
     @pytest.mark.parametrize("seed", [1.0, None, "1", True, False])
@@ -282,10 +298,12 @@ class TestTraceIO:
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "t.txt"
-        p.write_text("5\n1\n")
-        with pytest.raises(TraceParseError) as exc:
-            read_trace(p)
-        assert exc.value.line == 1
+        for text, fault in [("5\n1\n", "expected 'n m' header"),
+                            ("2 x\n1\n", "expected integer header fields")]:
+            p.write_text(text)
+            with pytest.raises(TraceParseError, match=f"^line 1: {fault}, got ") as exc:
+                read_trace(p)
+            assert exc.value.line == 1
 
     def test_wrong_line_count(self, tmp_path):
         p = tmp_path / "t.txt"
